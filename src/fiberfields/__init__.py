@@ -44,9 +44,7 @@ from .polyring import (
     IntPoly,
     IrreducibleFactorization,
     PlanePoly,
-    disc_and_res,
     discriminant,
-    eval_poly,
     factor_over_Q,
     format_poly,
     parse_poly,
@@ -69,11 +67,9 @@ __all__ = [
     "IrreducibleFactorization",
     "parse_poly",
     "format_poly",
-    "eval_poly",
     "radical",
     "discriminant",
     "resultant",
-    "disc_and_res",
     "y_discriminant",
     "factor_over_Q",
     "roots_mod",

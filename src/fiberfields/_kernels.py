@@ -1,31 +1,21 @@
 """Hot numeric loops: prime sieving, brute-force polynomial roots mod m,
 and the squarefree division scan over polynomial value ranges.
 
-Everything here works on int64 arrays and is exact only when the caller
-has checked the int64 envelope (see sieve.int64_value_bound).  Two
-interchangeable backends are provided:
-
-  * a numba @njit backend (default when numba imports), and
-  * a pure-numpy fallback.
-
-Selection: environment variable FIBERFIELDS_KERNELS = auto | numba | numpy
-(read once at import).  Both backends stay importable for tests and for
-benchmarks/bench_kernels.py.
+Everything here works on int64 numpy arrays and is exact only when the
+caller has checked the int64 envelope (see sieve.squarefree_value_count).
+`backend.name` names the implementation ("numpy") for benchmark records.
 """
 
 from __future__ import annotations
 
-import os
 from types import SimpleNamespace
 
 import numpy as np
 
-# ---------------------------------------------------------------------------
-# pure-numpy backend
-# ---------------------------------------------------------------------------
+backend = SimpleNamespace(name="numpy")
 
 
-def _np_prime_flags(limit: int) -> np.ndarray:
+def prime_flags(limit: int) -> np.ndarray:
     """Boolean array f of length limit+1 with f[k] = k is prime."""
     flags = np.ones(limit + 1, dtype=np.bool_)
     flags[:2] = False
@@ -35,20 +25,20 @@ def _np_prime_flags(limit: int) -> np.ndarray:
     return flags
 
 
-def _np_horner_mod(coeffs: np.ndarray, xs: np.ndarray, m: int) -> np.ndarray:
+def _horner_mod(coeffs: np.ndarray, xs: np.ndarray, m: int) -> np.ndarray:
     acc = np.zeros(xs.shape[0], dtype=np.int64)
     for k in range(coeffs.shape[0] - 1, -1, -1):
         acc = (acc * xs + coeffs[k] % m) % m
     return acc
 
 
-def _np_poly_roots_mod(coeffs: np.ndarray, m: int) -> np.ndarray:
+def poly_roots_mod(coeffs: np.ndarray, m: int) -> np.ndarray:
     """All r in [0, m) with f(r) = 0 mod m, by exhaustion.  Needs m*m < 2**63."""
     xs = np.arange(m, dtype=np.int64)
-    return xs[_np_horner_mod(coeffs, xs, m) == 0]
+    return xs[_horner_mod(coeffs, xs, m) == 0]
 
 
-def _np_eval_poly_range(coeffs: np.ndarray, n_start: int, count: int) -> np.ndarray:
+def eval_poly_range(coeffs: np.ndarray, n_start: int, count: int) -> np.ndarray:
     xs = np.arange(n_start, n_start + count, dtype=np.int64)
     acc = np.zeros(count, dtype=np.int64)
     for k in range(coeffs.shape[0] - 1, -1, -1):
@@ -56,7 +46,7 @@ def _np_eval_poly_range(coeffs: np.ndarray, n_start: int, count: int) -> np.ndar
     return acc
 
 
-def _np_squarefree_scan(
+def squarefree_scan(
     coeffs: np.ndarray,
     n_start: int,
     values: np.ndarray,
@@ -69,7 +59,7 @@ def _np_squarefree_scan(
     (unless q is in `fixed`).  values is mutated into the q-free cofactors.
     """
     for q in primes.tolist():
-        roots = _np_poly_roots_mod(coeffs, q)
+        roots = poly_roots_mod(coeffs, q)
         is_fixed = bool(np.any(fixed == q))
         for r in roots.tolist():
             start = (r - n_start) % q
@@ -83,138 +73,3 @@ def _np_squarefree_scan(
                 div = div & (sub % q == 0)
             if not is_fixed:
                 fsub[exp >= 2] = False
-
-
-_numpy_backend = SimpleNamespace(
-    name="numpy",
-    prime_flags=_np_prime_flags,
-    poly_roots_mod=_np_poly_roots_mod,
-    eval_poly_range=_np_eval_poly_range,
-    squarefree_scan=_np_squarefree_scan,
-)
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    _HAS_NUMBA = False
-
-_numba_backend = None
-
-if _HAS_NUMBA:
-
-    @njit(cache=True)
-    def _nb_prime_flags(limit):
-        flags = np.ones(limit + 1, dtype=np.bool_)
-        flags[0] = False
-        if limit >= 1:
-            flags[1] = False
-        p = 2
-        while p * p <= limit:
-            if flags[p]:
-                for k in range(p * p, limit + 1, p):
-                    flags[k] = False
-            p += 1
-        return flags
-
-    @njit(cache=True)
-    def _nb_poly_roots_mod(coeffs, m):
-        deg = coeffs.shape[0] - 1
-        cm = np.empty(deg + 1, dtype=np.int64)
-        for k in range(deg + 1):
-            cm[k] = coeffs[k] % m
-        roots = np.empty(m, dtype=np.int64)
-        nroots = 0
-        for r in range(m):
-            acc = np.int64(0)
-            for k in range(deg, -1, -1):
-                acc = (acc * r + cm[k]) % m
-            if acc == 0:
-                roots[nroots] = r
-                nroots += 1
-        return roots[:nroots]
-
-    @njit(cache=True)
-    def _nb_eval_poly_range(coeffs, n_start, count):
-        out = np.empty(count, dtype=np.int64)
-        deg = coeffs.shape[0] - 1
-        for i in range(count):
-            n = n_start + i
-            acc = np.int64(0)
-            for k in range(deg, -1, -1):
-                acc = acc * n + coeffs[k]
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_squarefree_scan(coeffs, n_start, values, flags, primes, fixed):
-        size = values.shape[0]
-        deg = coeffs.shape[0] - 1
-        for qi in range(primes.shape[0]):
-            q = primes[qi]
-            is_fixed = False
-            for fi in range(fixed.shape[0]):
-                if fixed[fi] == q:
-                    is_fixed = True
-                    break
-            cm = np.empty(deg + 1, dtype=np.int64)
-            for k in range(deg + 1):
-                cm[k] = coeffs[k] % q
-            for r in range(q):
-                acc = np.int64(0)
-                for k in range(deg, -1, -1):
-                    acc = (acc * r + cm[k]) % q
-                if acc != 0:
-                    continue
-                start = (r - n_start) % q
-                for i in range(start, size, q):
-                    v = values[i]
-                    if v == 0:
-                        continue
-                    e = 0
-                    while v % q == 0:
-                        v //= q
-                        e += 1
-                    values[i] = v
-                    if e >= 2 and not is_fixed:
-                        flags[i] = False
-
-    _numba_backend = SimpleNamespace(
-        name="numba",
-        prime_flags=_nb_prime_flags,
-        poly_roots_mod=_nb_poly_roots_mod,
-        eval_poly_range=_nb_eval_poly_range,
-        squarefree_scan=_nb_squarefree_scan,
-    )
-
-
-def _select_backend():
-    choice = os.environ.get("FIBERFIELDS_KERNELS", "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"FIBERFIELDS_KERNELS must be auto, numba or numpy, got {choice!r}"
-        )
-    if choice == "numpy":
-        return _numpy_backend
-    if choice == "numba":
-        if _numba_backend is None:
-            raise ImportError("FIBERFIELDS_KERNELS=numba but numba is not installed")
-        return _numba_backend
-    return _numba_backend if _numba_backend is not None else _numpy_backend
-
-
-backend = _select_backend()
-
-prime_flags = backend.prime_flags
-poly_roots_mod = backend.poly_roots_mod
-eval_poly_range = backend.eval_poly_range
-squarefree_scan = backend.squarefree_scan
-
-numpy_backend = _numpy_backend
-numba_backend = _numba_backend

@@ -138,42 +138,13 @@ def deriv(f, m):
     return trim([i * c % m for i, c in enumerate(f)][1:])
 
 
-def eval_at(f, x, m):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % m
-    return acc
-
-
-def frobenius_powers(f, p):
-    """Generator of x**(p**k) mod f for k = 1, 2, ... (f monic)."""
-    h = pow_mod([0, 1], p, f, p)
-    while True:
-        yield h
-        h = pow_mod(h, p, f, p)
-
-
 def splitting_degrees(f, p) -> list[int]:
-    """Sorted degrees of the irreducible factors of squarefree monic f mod p.
-
-    Distinct-degree factorization only; no splitting within a degree block
-    is needed to read off the degrees.
-    """
-    fs = monic(list(f), p)
+    """Sorted degrees of the irreducible factors of squarefree f mod p
+    (distinct_degree_split lists its blocks in increasing degree)."""
     degrees: list[int] = []
-    h = [0, 1]
-    d = 0
-    while deg(fs) >= 2 * (d + 1):
-        d += 1
-        h = pow_mod(h, p, fs, p)
-        g = gcd(sub(h, [0, 1], p), fs, p)
-        if deg(g) > 0:
-            degrees.extend([d] * (deg(g) // d))
-            fs = divmod_(fs, g, p)[0]
-            h = mod(h, fs, p)
-    if deg(fs) > 0:
-        degrees.append(deg(fs))
-    return sorted(degrees)
+    for block, d in distinct_degree_split(monic(f, p), p):
+        degrees += [d] * (deg(block) // d)
+    return degrees
 
 
 def distinct_degree_split(f, p):
@@ -192,7 +163,7 @@ def distinct_degree_split(f, p):
             fs = divmod_(fs, g, p)[0]
             h = mod(h, fs, p)
     if deg(fs) > 0:
-        out.append((monic(fs, p), deg(fs)))
+        out.append((fs, deg(fs)))  # one irreducible factor, monic as f is
     return out
 
 

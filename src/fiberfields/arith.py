@@ -86,12 +86,6 @@ class Factorization:
     def support(self) -> frozenset[int]:
         return frozenset(p for p, _ in self.factors)
 
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def validate(self) -> None:
         """Re-run the primality part of the invariant (cheap checks run at init)."""
         for p, _ in self.factors:
@@ -282,11 +276,16 @@ def _split(m: int, counts: dict[int, int], mult: int, budget: _Budget) -> None:
 def factor(n: int, budget: int | None = None) -> Factorization:
     """Complete signed prime factorization of a nonzero integer.
 
-    budget bounds the number of rho iterations spent on hard cofactors;
-    running out raises UnfactoredResidualError naming the residual.
+    budget (None for DEFAULT_FACTOR_BUDGET, else >= 1) bounds the number
+    of rho iterations spent on hard cofactors; running out raises
+    UnfactoredResidualError naming the residual.
     """
     if n == 0:
         raise DomainError("arith", "factor(0) is undefined")
+    if budget is None:
+        budget = DEFAULT_FACTOR_BUDGET
+    elif budget < 1:
+        raise DomainError("arith", f"factor budget must be positive, got {budget}")
     sign = 1 if n > 0 else -1
     m = abs(n)
     counts: dict[int, int] = {}
@@ -303,7 +302,7 @@ def factor(n: int, budget: int | None = None) -> Factorization:
         if m <= TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT:
             counts[m] = counts.get(m, 0) + 1  # below the trial bound squared: prime
         else:
-            _split(m, counts, 1, _Budget(budget or DEFAULT_FACTOR_BUDGET))
+            _split(m, counts, 1, _Budget(budget))
     return Factorization(sign, tuple(sorted(counts.items())))
 
 

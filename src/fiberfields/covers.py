@@ -55,12 +55,20 @@ class CyclicCover:
 
 @dataclass(frozen=True)
 class PlaneCover:
-    """F(x, y) = 0, monic in y; irreducibility over Q(x) is certified only
-    when some specialization F(n, y) is irreducible of full degree."""
+    """F(x, y) = 0, monic in y and separable in y; irreducibility over Q(x)
+    is certified only when some specialization F(n, y) is irreducible of
+    full degree."""
 
     F: PlanePoly
     irreducibility_certified: bool
     irreducibility_witness: int | None
+
+    def __post_init__(self):
+        # A vanishing y-discriminant makes every fiber a branch fiber.
+        if polyring.y_discriminant(self.F).is_zero:
+            raise DomainError(
+                "covers", "plane model is not separable in y (degenerate cover)"
+            )
 
     @property
     def equation_text(self) -> str:
@@ -134,10 +142,6 @@ def branch_polynomial(cover: CoverSpec) -> IntPoly:
     if isinstance(cover, CyclicCover):
         return polyring.radical(cover.g)
     disc = polyring.y_discriminant(cover.F)
-    if disc.is_zero:
-        raise DomainError(
-            "covers", "plane model is not separable in y (degenerate cover)"
-        )
     if disc.degree < 1:
         return IntPoly((1,))
     return polyring.radical(disc)

@@ -300,17 +300,13 @@ def weak_diversity_count(
         series.append(count)
 
     return DiversityReport(
-        cover=_describe(cover),
+        cover=cover.describe(),
         N=N,
         method=method,
         series=tuple(series),
         skipped=tuple(skipped),
         assumptions=tuple(assumptions),
     )
-
-
-def _describe(cover: CoverSpec) -> dict:
-    return cover.describe()
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +417,7 @@ def strong_diversity_rank(
             reducer.add_kernel(fiber.kummer_class.kernel)
         ranks.append(reducer.rank)
     return CompositumReport(
-        cover=_describe(cover),
+        cover=cover.describe(),
         p=cover.p,
         N=N,
         ranks=tuple(ranks),
@@ -445,7 +441,10 @@ def norm_collision_check(h: IntPoly, N: int) -> tuple[int, int]:
     counts = Counter(abs(h(n)) for n in range(1, N + 1))
     max_mult = max(counts.values())
     witness = min(v for v, c in counts.items() if c == max_mult)
-    assert max_mult <= 2 * h.degree, "norm multiplicity exceeded 2*deg(h)"
+    if max_mult > 2 * h.degree:
+        raise DomainError(
+            "diversity", f"internal: norm multiplicity {max_mult} exceeds 2*deg(h)"
+        )
     return max_mult, witness
 
 
@@ -491,6 +490,11 @@ def compare_methods(
         ramified=reports["ramified-set"],
         fingerprint=reports["fingerprint"],
     )
-    assert cmp.ramified.distinct <= cmp.exact.distinct
-    assert cmp.fingerprint.distinct <= cmp.exact.distinct
+    for method, report in (("ramified-set", cmp.ramified), ("fingerprint", cmp.fingerprint)):
+        if report.distinct > cmp.exact.distinct:
+            raise DomainError(
+                "diversity",
+                f"internal: {method} count {report.distinct} exceeds the exact "
+                f"count {cmp.exact.distinct}",
+            )
     return cmp

@@ -128,12 +128,6 @@ class FieldFingerprint:
     degree: int
     splitting: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def splitting_at(self, q: int) -> tuple[int, ...] | None:
-        for prime, degrees in self.splitting:
-            if prime == q:
-                return degrees
-        return None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldFingerprint):
             return NotImplemented

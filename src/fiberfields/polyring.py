@@ -132,7 +132,11 @@ class IntPoly:
         return IntPoly([a // c for a in self.coeffs])
 
     def __call__(self, n: int) -> int:
-        return eval_poly(self, n)
+        """Exact Horner evaluation at the integer n."""
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * n + c
+        return acc
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -427,14 +431,6 @@ def format_poly(p: IntPoly | PlanePoly) -> str:
     return " ".join(chunks)
 
 
-def eval_poly(f: IntPoly, n: int) -> int:
-    """Exact Horner evaluation."""
-    acc = 0
-    for c in reversed(f.coeffs):
-        acc = acc * n + c
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # division, gcd, resultants
 # ---------------------------------------------------------------------------
@@ -603,18 +599,6 @@ def _frac_poly_mul_linear(poly: list[Fraction], c0: int) -> list[Fraction]:
     return out
 
 
-def disc_and_res(f: IntPoly | PlanePoly, g: IntPoly | None = None):
-    """Dispatching front end: resultant(f, g), discriminant(f), or the
-    y-discriminant of a plane polynomial."""
-    if g is not None:
-        if not isinstance(f, IntPoly):
-            raise DomainError("polyring", "resultant needs two univariate polynomials")
-        return resultant(f, g)
-    if isinstance(f, PlanePoly):
-        return y_discriminant(f)
-    return discriminant(f)
-
-
 # ---------------------------------------------------------------------------
 # radical and squarefree machinery
 # ---------------------------------------------------------------------------
@@ -692,9 +676,6 @@ class IrreducibleFactorization:
         for poly, mult in self.factors:
             out = out * poly.pow(mult)
         return out
-
-    def distinct_factors(self) -> tuple[IntPoly, ...]:
-        return tuple(p for p, _ in self.factors)
 
     @property
     def is_irreducible(self) -> bool:
@@ -854,8 +835,14 @@ def factor_over_Q(
 # ---------------------------------------------------------------------------
 
 
-def _root_count_prime_power(f: IntPoly, q: int, a: int) -> int:
-    """Exact number of roots of f in Z/q**a (f not identically 0 mod q**a)."""
+def root_count_mod_prime_power(f: IntPoly, q: int, a: int) -> int:
+    """Exact number of roots of f in Z/q**a (q prime, a >= 1).
+
+    Roots mod q are lifted one level at a time: a root where f' is a unit
+    mod q lifts uniquely, and the q lifts of any other root mod q**k are
+    all roots mod q**(k+1) or none are.  Exact also when f vanishes mod q
+    or mod q**a, where every residue is such a singular root.
+    """
     base_roots = _modpoly.roots_mod_prime(f.coeffs, q)
     if a == 1:
         return len(base_roots)
@@ -893,27 +880,7 @@ def roots_mod(f: IntPoly, m: int) -> int:
         if all(c % q**a == 0 for c in f.coeffs):
             total *= q**a
         else:
-            total *= _root_count_prime_power(f, q, a)
+            total *= root_count_mod_prime_power(f, q, a)
         if total == 0:
             return 0
     return total
-
-
-def root_count_mod_p2(f: IntPoly, p: int) -> int:
-    """Number of roots of f mod p**2 via base roots plus Hensel bookkeeping.
-
-    Used where exhaustion over p**2 residues would be wasteful.
-    """
-    reduced = [c % p for c in f.coeffs]
-    if not any(reduced):
-        # f vanishes identically mod p; count residues r with p^2 | f(r)
-        return sum(1 for r in range(p) if f(r) % (p * p) == 0) * p
-    der = f.derivative()
-    count = 0
-    p2 = p * p
-    for r in _modpoly.roots_mod_prime(f.coeffs, p):
-        if der(r) % p != 0:
-            count += 1
-        elif f(r) % p2 == 0:
-            count += p
-    return count

@@ -69,7 +69,9 @@ def fixed_square_primes(h: IntPoly) -> tuple[int, ...]:
     if abs(content) > 1:
         candidates |= arith.factor(content).support()
     fixed = [
-        p for p in sorted(candidates) if polyring.root_count_mod_p2(h, p) == p * p
+        p
+        for p in sorted(candidates)
+        if polyring.root_count_mod_prime_power(h, p, 2) == p * p
     ]
     return tuple(fixed)
 
@@ -216,7 +218,7 @@ def euler_density(h: IntPoly, prime_bound: int) -> Fraction:
     for p in arith.primes_up_to(prime_bound):
         if p in fixed:
             continue
-        rho = polyring.root_count_mod_p2(h, p)
+        rho = polyring.root_count_mod_prime_power(h, p, 2)
         if rho:
             out *= Fraction(p * p - rho, p * p)
     return out

@@ -54,6 +54,12 @@ def test_factor_budget_error_names_residual():
     assert exc.value.residual == p * q
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_factor_rejects_nonpositive_budget(budget):
+    with pytest.raises(DomainError, match="budget must be positive"):
+        factor(1_000_003 * 1_000_033, budget=budget)
+
+
 def test_is_prime_small_and_carmichael():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(561)  # Carmichael

@@ -131,6 +131,20 @@ def test_exit_code_domain_error(tmp_path, capsys):
     assert "N >= 1 required" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["weak-diversity", "--cover", "y^2", "--N", "5", "--method", "exact"],
+        ["weak-diversity", "--cover", "y^2", "--N", "5", "--method", "fingerprint"],
+        ["branch-check", "--cover", "y^2"],
+    ],
+)
+def test_inseparable_plane_model_rejected(args, capsys):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == "error: covers: plane model is not separable in y (degenerate cover)\n"
+
+
 def test_exit_code_parse_error(capsys):
     status = main(["weak-diversity", "--cover", "y^2 - x^^2", "--N", "5"])
     assert status == 2

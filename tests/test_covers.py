@@ -193,6 +193,15 @@ def test_specialize_plane():
     assert [f.degree for f, _ in fib8.factors] == [1, 1]
 
 
+@pytest.mark.parametrize("text", ["y^2", "(y^2 - x)^2"])
+def test_plane_cover_rejects_inseparable_model(text):
+    F = parse_poly(text)
+    with pytest.raises(DomainError, match="not separable in y"):
+        plane_cover(F)
+    with pytest.raises(DomainError, match="not separable in y"):
+        PlaneCover(F, False, None)
+
+
 def test_specialize_unresolved_on_tiny_budget():
     p = 1_000_000_007
     q = 1_000_000_033

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from fiberfields import diversity
 from fiberfields.covers import cover_from_text, normalize_cyclic, plane_cover
 from fiberfields.diversity import (
     FpRowReducer,
@@ -238,6 +240,19 @@ def test_norm_collision_bound_random():
         assert mult <= 2 * h.degree
 
 
+def test_norm_collision_bound_violation_raises():
+    class ConstantDegreeOne:
+        """Claims degree 1 but takes one value everywhere."""
+
+        degree = 1
+
+        def __call__(self, n):
+            return 7
+
+    with pytest.raises(DomainError, match="internal: norm multiplicity 3 exceeds"):
+        norm_collision_check(ConstantDegreeOne(), 3)
+
+
 def test_norm_collision_rejects_constant():
     with pytest.raises(DomainError):
         norm_collision_check(poly("7"), 10)
@@ -263,6 +278,21 @@ def test_compare_methods_cubic_cover():
     cov = normalize_cyclic(3, poly("x^2 + 1"))
     table = compare_methods(cov, 50).table()
     assert table["ramified-set"] <= table["exact-kummer"]
+
+
+@pytest.mark.parametrize("method", ["ramified-set", "fingerprint"])
+def test_compare_methods_soundness_violation_raises(method, monkeypatch):
+    real = diversity.weak_diversity_count
+
+    def inflated(cover, N, m, **kw):
+        report = real(cover, N, m, **kw)
+        if m == method:
+            report = dataclasses.replace(report, series=report.series + (10**6,))
+        return report
+
+    monkeypatch.setattr(diversity, "weak_diversity_count", inflated)
+    with pytest.raises(DomainError, match=f"internal: {method} count 1000000 exceeds"):
+        compare_methods(cover_from_text("y^2 - (x^3 - x)"), 20)
 
 
 def test_compare_methods_rejects_plane():

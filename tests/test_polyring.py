@@ -10,7 +10,6 @@ from fiberfields.polyring import (
     IntPoly,
     PlanePoly,
     discriminant,
-    eval_poly,
     exact_div,
     factor_over_Q,
     format_poly,
@@ -18,6 +17,7 @@ from fiberfields.polyring import (
     poly_gcd,
     radical,
     resultant,
+    root_count_mod_prime_power,
     roots_mod,
     squarefree_decomposition,
     y_discriminant,
@@ -92,16 +92,16 @@ def test_plane_print_round_trip():
 
 
 def test_eval_examples():
-    assert eval_poly(poly("x^3 - x"), 2) == 6
-    assert eval_poly(poly("x^3 - x"), 1) == 0
-    assert eval_poly(poly("x^2 + 1"), 10) == 101
+    assert poly("x^3 - x")(2) == 6
+    assert poly("x^3 - x")(1) == 0
+    assert poly("x^2 + 1")(10) == 101
 
 
 @given(coeff_lists, st.integers(min_value=-10**6, max_value=10**6))
 @settings(max_examples=100, deadline=None)
 def test_eval_matches_direct_sum(coeffs, n):
     p = IntPoly(coeffs)
-    assert eval_poly(p, n) == sum(c * n**i for i, c in enumerate(p.coeffs))
+    assert p(n) == sum(c * n**i for i, c in enumerate(p.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -277,22 +277,26 @@ def test_roots_mod_matches_exhaustion():
     for _ in range(40):
         f = IntPoly([rng.randint(-40, 40) for _ in range(rng.randint(1, 6))])
         m = rng.randint(2, 250)
-        brute = sum(1 for r in range(m) if eval_poly(f, r) % m == 0)
+        brute = sum(1 for r in range(m) if f(r) % m == 0)
         assert roots_mod(f, m) == brute
 
 
 def test_roots_mod_prime_power_lift_path():
-    from fiberfields.polyring import _root_count_prime_power
-
     rng = random.Random(37)
-    for _ in range(30):
-        f = IntPoly([rng.randint(-20, 20) for _ in range(rng.randint(1, 5))])
-        p = rng.choice([2, 3, 5, 7])
-        a = rng.randint(1, 3)
-        if all(c % p**a == 0 for c in f.coeffs):
-            continue
-        brute = sum(1 for r in range(p**a) if eval_poly(f, r) % p**a == 0)
-        assert _root_count_prime_power(f, p, a) == brute
+    cases = [
+        (IntPoly([rng.randint(-20, 20) for _ in range(rng.randint(1, 5))]),
+         rng.choice([2, 3, 5, 7]), rng.randint(1, 3))
+        for _ in range(30)
+    ]
+    # f vanishing mod p, and mod p**2, takes the all-lifts-or-none branch
+    cases += [
+        (poly(text), p, a)
+        for text, p in (("4x + 4", 2), ("9x^2 + 9", 3), ("3x^3 + 6", 3))
+        for a in (1, 2, 3)
+    ]
+    for f, p, a in cases:
+        brute = sum(1 for r in range(p**a) if f(r) % p**a == 0)
+        assert root_count_mod_prime_power(f, p, a) == brute, (f, p, a)
 
 
 def test_roots_mod_rejects_tiny_modulus():
