@@ -15,7 +15,12 @@ hold for every prefix):
 
 Fibers are specialized (optionally across a process pool); series folds
 are serial in increasing n, so reports are identical for every worker
-count.
+count.  Both folds do near-linear work in N: the rank fold pivots each
+row on its newest prime, so a row bringing a new prime needs no
+elimination (FpRowReducer), and the fingerprint grouper indexes its
+representatives by degree shape and by splitting types at small primes,
+so it checks a fiber only against representatives that could match
+(_FingerprintGrouper).
 """
 
 from __future__ import annotations
@@ -130,15 +135,48 @@ def _multiset_compatible(
     return all(try_assign(i, set()) for i in range(len(a)))
 
 
+# Small primes at which the grouper indexes splitting types; a fingerprint
+# lists each good prime in increasing order, so these are at its front.
+_PROBE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+def _index_keys(key: tuple[FieldFingerprint, ...]):
+    """The degree shape of a fingerprint multiset, and its signature at
+    each probe prime that every fingerprint in it lists: the sorted
+    multiset of (degree, splitting type at q)."""
+    shape = tuple(sorted(f.degree for f in key))
+    listed = [dict(f.splitting[: len(_PROBE_PRIMES)]) for f in key]
+    signatures = []
+    for q in _PROBE_PRIMES:
+        if all(q in types for types in listed):
+            signatures.append(
+                (q, tuple(sorted((f.degree, types[q]) for f, types in zip(key, listed))))
+            )
+    return shape, signatures
+
+
 class _FingerprintGrouper:
     """Counts distinct fingerprint multisets conservatively: a new fiber
     joins the first compatible representative, else becomes a new one.
     Representatives are pairwise incompatible, hence provably pairwise
-    distinct field multisets: the count is a certified lower bound."""
+    distinct field multisets: the count is a certified lower bound.
+
+    An index of rep-index bitsets skips only reps that provably cannot
+    match.  A perfect matching under fingerprint equality needs equal
+    sorted degree tuples, and, at a prime q listed by every fingerprint on
+    both sides, equal multisets of (degree, splitting type at q).  So the
+    candidates are the reps of the key's degree shape that, at each probe
+    prime the key lists throughout, either do not list q throughout or
+    have the key's signature there.  The candidates are tried in rep
+    order, and every skipped rep is incompatible, so the first compatible
+    rep, the reps list and the count are those of a scan over every rep."""
 
     def __init__(self):
         self.reps: list[tuple[FieldFingerprint, ...]] = []
         self._has_trivial = False
+        self._by_shape: dict[tuple[int, ...], int] = {}
+        self._listed: dict[int, int] = dict.fromkeys(_PROBE_PRIMES, 0)
+        self._by_signature: dict[tuple, int] = {}
 
     def add(self, key) -> bool:
         """Returns True when the count grew."""
@@ -147,10 +185,23 @@ class _FingerprintGrouper:
                 return False
             self._has_trivial = True
             return True
-        for rep in self.reps:
-            if _multiset_compatible(rep, key):
+        reps = self.reps
+        shape, signatures = _index_keys(key)
+        everyone = (1 << len(reps)) - 1
+        candidates = self._by_shape.get(shape, 0)
+        for q, sig in signatures:
+            candidates &= (everyone ^ self._listed[q]) | self._by_signature.get((q, sig), 0)
+        while candidates:
+            low = candidates & -candidates
+            if _multiset_compatible(reps[low.bit_length() - 1], key):
                 return False
-        self.reps.append(key)
+            candidates ^= low
+        bit = 1 << len(reps)
+        reps.append(key)
+        self._by_shape[shape] = self._by_shape.get(shape, 0) | bit
+        for q, sig in signatures:
+            self._listed[q] |= bit
+            self._by_signature[(q, sig)] = self._by_signature.get((q, sig), 0) | bit
         return True
 
     @property
@@ -195,9 +246,11 @@ def ramified_excluded_primes(cover: CyclicCover, budget: int | None = None) -> f
 # ---------------------------------------------------------------------------
 
 
-def _validate(cover: CoverSpec, N: int, method: str) -> None:
+def _validate(cover: CoverSpec, N: int, method: str, prime_budget: int) -> None:
     if N < 1:
         raise DomainError("diversity", "N >= 1 required")
+    if prime_budget < 1:
+        raise DomainError("diversity", "prime_budget must be positive")
     if method not in METHODS:
         raise DomainError("diversity", f"unknown method {method!r} (choose from {METHODS})")
     if method in ("exact-kummer", "ramified-set") and not isinstance(cover, CyclicCover):
@@ -246,7 +299,7 @@ def weak_diversity_count(
     Branch fibers are excluded; degenerate fibers count the field Q once;
     unresolved fibers are reported, never silently dropped.
     """
-    _validate(cover, N, method)
+    _validate(cover, N, method, prime_budget)
     fibers = _fibers if _fibers is not None else _fiber_stream(
         cover, N, jobs, budget, prime_budget
     )
@@ -317,7 +370,18 @@ def weak_diversity_count(
 class FpRowReducer:
     """Online row reduction over F_p with columns labelled by primes as
     they are discovered.  For p = 2 rows are int bitsets (bit 0 = sign);
-    for odd p rows are sparse column->coefficient dicts."""
+    for odd p rows are sparse column->coefficient dicts.
+
+    Each row pivots on its newest column, the largest column index.  The
+    rank of a set of rows does not depend on which nonzero entry each
+    pivot uses; here every stored pivot row's pivot is its largest column,
+    so each reduction step strictly lowers the top column of the row being
+    reduced and the loop ends.  Columns are numbered in order of
+    discovery, so a row holding a never-seen prime is a new pivot at once,
+    with no elimination: the singleton rule of structured Gaussian
+    elimination (LaMacchia and Odlyzko, "Solving large sparse linear
+    systems over finite fields", 1990).  Odd-p pivot rows are stored
+    scaled so that the pivot entry is 1, and without that entry."""
 
     def __init__(self, p: int):
         self.p = p
@@ -348,10 +412,10 @@ class FpRowReducer:
     def _add_bitset(self, row: int) -> bool:
         pivots = self._pivots
         while row:
-            low = row & -row
-            piv = pivots.get(low)
+            top = row.bit_length()
+            piv = pivots.get(top)
             if piv is None:
-                pivots[low] = row
+                pivots[top] = row
                 self.rank += 1
                 return True
             row ^= piv
@@ -361,23 +425,20 @@ class FpRowReducer:
         p = self.p
         pivots = self._pivots
         while row:
-            col = min(row)
+            col = max(row)
             piv = pivots.get(col)
             if piv is None:
-                inv = pow(row[col], -1, p)
-                normalized = {k: v * inv % p for k, v in row.items()}
-                pivots[col] = normalized
+                inv = pow(row.pop(col), -1, p)
+                pivots[col] = {k: v * inv % p for k, v in row.items()}
                 self.rank += 1
                 return True
-            c = row[col]
-            new = dict(row)
+            c = row.pop(col)
             for k, v in piv.items():
-                w = (new.get(k, 0) - c * v) % p
+                w = (row.get(k, 0) - c * v) % p
                 if w:
-                    new[k] = w
+                    row[k] = w
                 else:
-                    new.pop(k, None)
-            row = new
+                    del row[k]
         return False
 
 
@@ -478,6 +539,8 @@ def compare_methods(
     soundness order: ramified-set <= exact and fingerprint <= exact."""
     if not isinstance(cover, CyclicCover):
         raise DomainError("diversity", "compare_methods needs a cyclic cover")
+    for method in METHODS:
+        _validate(cover, N, method, prime_budget)
     fibers = _fiber_stream(cover, N, jobs, budget, prime_budget)
     reports = {
         method: weak_diversity_count(

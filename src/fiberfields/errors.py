@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import copyreg
+
 
 class FiberFieldsError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # The subclasses' __init__ signatures differ from their `args` (the
+        # formatted message), so rebuild without calling __init__: restore
+        # `args` and the attributes (`module`, `residual`, ...) as they are.
+        # Errors raised in a worker process then reach the caller intact.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DomainError(FiberFieldsError, ValueError):

@@ -160,8 +160,6 @@ def field_fingerprint(
 
     minpoly must be irreducible over Q (checked via factor_over_Q).
     """
-    if prime_budget < 1:
-        raise DomainError("kummer", "prime_budget must be positive")
     fact = polyring.factor_over_Q(minpoly)
     if len(fact.factors) != 1 or fact.factors[0][1] != 1 or minpoly.degree < 1:
         raise DomainError("kummer", "fingerprint needs an irreducible minimal polynomial")
@@ -171,6 +169,8 @@ def field_fingerprint(
 
 def _fingerprint_irreducible(prim: IntPoly, prime_budget: int) -> FieldFingerprint:
     """Fingerprint of a certified-irreducible primitive polynomial."""
+    if prime_budget < 1:
+        raise DomainError("kummer", "prime_budget must be positive")
     degree = prim.degree
     skip = abs(polyring.discriminant(prim)) * abs(prim.lc) if degree >= 1 else abs(prim.lc)
     splitting = []

@@ -3,8 +3,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import GF, factorint
+from sympy.polys.matrices import DomainMatrix
 
-from fiberfields import diversity
+from fiberfields import covers, diversity, kummer
+from fiberfields.arith import Factorization
 from fiberfields.covers import cover_from_text, normalize_cyclic, plane_cover
 from fiberfields.diversity import (
     FpRowReducer,
@@ -15,6 +20,7 @@ from fiberfields.diversity import (
     weak_diversity_count,
 )
 from fiberfields.errors import BudgetError, DomainError
+from fiberfields.kummer import FieldFingerprint
 from fiberfields.polyring import IntPoly, parse_poly
 
 from conftest import oracle_squarefree_kernel, poly
@@ -101,6 +107,140 @@ def test_weak_jobs_determinism():
         weak_diversity_count(cov, 120, "exact-kummer", jobs=j) for j in (1, 3, 7)
     ]
     assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("prime_budget", [0, -1])
+def test_nonpositive_prime_budget_rejected(prime_budget):
+    """A fingerprint needs at least one prime; a budget below 1 used to
+    make the prime search run forever."""
+    plane = plane_cover(parse_poly("y^3 + x*y + x^2 + 1"))
+    with pytest.raises(DomainError, match="prime_budget must be positive"):
+        weak_diversity_count(plane, 3, "fingerprint", prime_budget=prime_budget)
+    with pytest.raises(DomainError, match="prime_budget must be positive"):
+        compare_methods(cover_from_text("y^2 - (x^3 - x)"), 3, prime_budget=prime_budget)
+    with pytest.raises(DomainError, match="prime_budget must be positive"):
+        kummer._fingerprint_irreducible(poly("x^2 - 2"), prime_budget)
+
+
+def test_worker_error_reaches_caller(monkeypatch):
+    """An error raised in a pool worker is re-raised as itself in the
+    caller, not as a broken pool."""
+
+    def refuse(cover, n, budget=None, prime_budget=None):
+        raise DomainError("covers", f"refused fiber {n}")
+
+    monkeypatch.setattr(covers, "specialize", refuse)
+    with pytest.raises(DomainError, match="covers: refused fiber") as exc:
+        diversity._fiber_stream(cover_from_text("y^2 - (x^3 - x)"), 10, jobs=2)
+    assert exc.value.module == "covers"
+
+
+# ---------------------------------------------------------------------------
+# fingerprint grouper
+# ---------------------------------------------------------------------------
+
+
+def _naively_compatible(a, b) -> bool:
+    """Some ordering of b matches a fingerprint for fingerprint."""
+    return len(a) == len(b) and any(
+        all(x == y for x, y in zip(a, perm)) for perm in itertools.permutations(b)
+    )
+
+
+def _naive_group(keys):
+    """Greedy first-compatible scan over every representative."""
+    reps, has_trivial, grew = [], False, []
+    for key in keys:
+        if key == "Q":
+            grew.append(not has_trivial)
+            has_trivial = True
+        elif any(_naively_compatible(rep, key) for rep in reps):
+            grew.append(False)
+        else:
+            reps.append(key)
+            grew.append(True)
+    return grew, reps
+
+
+_GROUPER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+_PARTITIONS = {1: [(1,)], 2: [(1, 1), (2,)], 3: [(1, 1, 1), (1, 2), (3,)],
+               4: [(1, 1, 1, 1), (1, 1, 2), (1, 3), (2, 2), (4,)]}
+
+
+# A base field: degree and a splitting-type choice at each prime.
+_FIELDS = st.lists(
+    st.tuples(st.integers(1, 4), st.lists(st.integers(0, 4), min_size=10, max_size=10)),
+    min_size=1, max_size=5,
+)
+# A key: no factors for "Q", else per factor (base field, index of the
+# prime whose type changes if it is >= 0, the new type, mask of the primes
+# kept).
+_KEY_SPECS = st.lists(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(-10, 9), st.integers(0, 4),
+                  st.integers(0, 2 ** 10 - 1)),
+        max_size=3,
+    ),
+    min_size=5, max_size=30,
+)
+
+
+@st.composite
+def _fingerprint_streams(draw):
+    """Keys drawn from a few base fields, so that many keys are compatible.
+    Each factor drops some primes (as when q divides the discriminant) and
+    may change one splitting type; keys may repeat a field, and "Q" stands
+    for a degenerate fiber."""
+    fields = draw(_FIELDS)
+    keys = []
+    for spec in draw(_KEY_SPECS):
+        if not spec:
+            keys.append("Q")
+            continue
+        factors = []
+        for field, changed, new_type, kept in spec:
+            degree, choices = fields[field % len(fields)]
+            choices = list(choices)
+            if changed >= 0:
+                choices[changed] = new_type
+            partitions = _PARTITIONS[degree]
+            splitting = tuple(
+                (q, partitions[c % len(partitions)])
+                for i, (q, c) in enumerate(zip(_GROUPER_PRIMES, choices))
+                if kept >> i & 1
+            )
+            factors.append(FieldFingerprint(degree, splitting))
+        keys.append(tuple(sorted(factors, key=lambda f: (f.degree, f.splitting))))
+    return keys
+
+
+@given(_fingerprint_streams())
+@settings(max_examples=300, deadline=None)
+def test_grouper_matches_naive_scan(keys):
+    grouper = diversity._FingerprintGrouper()
+    grew = [grouper.add(key) for key in keys]
+    naive_grew, naive_reps = _naive_group(keys)
+    assert grew == naive_grew
+    assert len(grouper.reps) == len(naive_reps)
+    assert all(a is b for a, b in zip(grouper.reps, naive_reps))
+    assert grouper.count == sum(grew)
+
+
+def test_grouper_compat_checks_stay_near_linear(monkeypatch):
+    """The index keeps the grouper far from one check per (fiber, rep)
+    pair: a full scan makes 44,552 checks here."""
+    calls = 0
+    real = diversity._multiset_compatible
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    monkeypatch.setattr(diversity, "_multiset_compatible", counted)
+    rep = weak_diversity_count(cover_from_text("y^3 + x*y + x^2 + 1"), 300, "fingerprint")
+    assert rep.distinct == 299
+    assert 0 < calls < 5_000
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +346,87 @@ def test_fp_reducer_sign_column():
     assert red.add_kernel(Factorization(1, ((2, 1),)))
     assert not red.add_kernel(Factorization(-1, ((2, 1),)))  # -2 = (-1)*2
     assert red.rank == 2
+
+
+_RANK_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def _kernel_rows(draw):
+    """(p, rows): rows introduce new primes, reuse only primes already
+    seen, repeat an earlier row, or vanish mod p; the sign is random."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rows, seen = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["fresh", "old", "repeat", "zero"]))
+        sign = draw(st.sampled_from([1, -1]))
+        if kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+            continue
+        primes = draw(st.sets(st.sampled_from(seen if kind == "old" and seen else _RANK_PRIMES)))
+        if kind == "zero":
+            exps = {q: p * draw(st.integers(1, 2)) for q in primes}
+            sign = 1 if p == 2 else sign
+        else:
+            exps = {q: draw(st.integers(1, 2 * p)) for q in primes}
+        seen.extend(q for q in sorted(exps) if q not in seen)
+        rows.append(Factorization(sign, tuple(sorted(exps.items()))))
+    return p, rows
+
+
+def _sympy_prefix_ranks(p, rows):
+    K = GF(p)
+    dense = [
+        [K(int(p == 2 and f.sign == -1))]
+        + [K(dict(f.factors).get(q, 0)) for q in _RANK_PRIMES]
+        for f in rows
+    ]
+    width = 1 + len(_RANK_PRIMES)
+    return [DomainMatrix(dense[:k], (k, width), K).rank() for k in range(1, len(rows) + 1)]
+
+
+@given(_kernel_rows())
+@settings(max_examples=200, deadline=None)
+def test_fp_reducer_prefix_ranks_match_sympy(case):
+    p, rows = case
+    red = FpRowReducer(p)
+    ranks = []
+    for f in rows:
+        before = red.rank
+        grew = red.add_kernel(f)
+        assert red.rank == before + grew
+        ranks.append(red.rank)
+    assert ranks == _sympy_prefix_ranks(p, rows)
+
+
+def _factorint_prefix_ranks(values, p):
+    """Prefix F_p-ranks of the exponent vectors of `values` mod p (with a
+    sign column when p = 2), by elimination on the smallest label."""
+    basis: dict[int, dict[int, int]] = {}
+    ranks = []
+    for v in values:
+        row = {q: e % p for q, e in factorint(v).items() if e % p and (q != -1 or p == 2)}
+        while row:
+            low = min(row)
+            if low not in basis:
+                inv = pow(row[low], -1, p)
+                basis[low] = {q: e * inv % p for q, e in row.items()}
+                break
+            c = row[low]
+            for q, e in basis[low].items():
+                row[q] = (row.get(q, 0) - c * e) % p
+            row = {q: e for q, e in row.items() if e}
+        ranks.append(len(basis))
+    return ranks
+
+
+@pytest.mark.parametrize("p", [5, 2])
+def test_strong_rank_series_matches_factorint_elimination(p):
+    cov = cover_from_text(f"y^{p} - (x^4 + 3*x + 7)")
+    rep = strong_diversity_rank(cov, 80)
+    assert list(rep.ranks) == _factorint_prefix_ranks(
+        [n**4 + 3 * n + 7 for n in range(1, 81)], p
+    )
 
 
 # ---------------------------------------------------------------------------
