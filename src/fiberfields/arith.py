@@ -3,15 +3,30 @@ multiplicative kernels modulo perfect powers.
 
 All of the counting machinery upstream (Kummer classes, ramified sets,
 squarefree statistics) reduces to exact signed prime-power decompositions
-produced here.  Factorization runs trial division against a shared prime
-sieve, then a deterministic Miller-Rabin / strong-Lucas primality test,
-then Brent's variant of Pollard rho under an iteration budget.  A budget
-overrun raises UnfactoredResidualError; residuals are never reported as
-prime.
+produced here.  Factorization runs a trial stage over the primes up to
+TRIAL_DIVISION_LIMIT, then a deterministic Miller-Rabin / strong-Lucas
+primality test, then Brent's variant of Pollard rho under an iteration
+budget.  A budget overrun raises UnfactoredResidualError; residuals are
+never reported as prime.
+
+The trial stage costs a few big-integer gcds, not one Python division per
+prime.  g = gcd(m, product of all trial primes) is the product of the
+distinct trial primes dividing m; it is 1 for every value the squarefree
+sieve hands over.  g is peeled in ascending blocks of _TRIAL_BLOCK primes:
+a block is skipped when its product is coprime to what is left of g, and
+the scan stops once the block's first prime squared exceeds it, because
+the rest of g is then a single prime.  Each prime found is divided out of
+m with its full exponent.  The cofactor left over is m with every trial
+prime removed, exactly what a prime-by-prime loop leaves whenever it
+reaches rho: that loop only stops early, at p * p > m, when the rest of m
+is 1 or a prime below TRIAL_DIVISION_LIMIT**2, which both stages record
+the same way.  So rho sees the same numbers, from the same seeds, and
+spends the same budget.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import threading
@@ -29,12 +44,34 @@ SIEVE_LIMIT = 1_000_000
 TRIAL_DIVISION_LIMIT = 10_000
 DEFAULT_FACTOR_BUDGET = 2_000_000
 
-# Deterministic Miller-Rabin is a proof below this bound (12 prime bases).
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (psi, bases): Miller-Rabin to the first k prime bases proves n < psi
+# prime, where psi = psi_k is the least strong pseudoprime to all of those
+# bases (Jaeschke 1993; Sorenson and Webster 2017).  psi_8 = psi_7 and
+# psi_9 = psi_10 = psi_11, so those rows add nothing.
+_MR_THRESHOLDS = (
+    (2_047, (2,)),
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (3_215_031_751, (2, 3, 5, 7)),
+    (2_152_302_898_747, (2, 3, 5, 7, 11)),
+    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
+    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
+
+# Trial primes per block of the gcd trial stage in factor().  Sizes 16 to
+# 64 time alike on smooth, rho-bound and sieve-residual values; the gcd
+# against the product of all trial primes (~10 us) dominates.
+_TRIAL_BLOCK = 32
 
 _sieve_lock = threading.Lock()
 _prime_cache: dict[int, list[int]] = {}
+# (trial primes, their product, blocks of (first prime squared, block
+# product, block primes)), built under _sieve_lock at the first factor().
+_TrialTable = tuple[list[int], int, tuple[tuple[int, int, list[int]], ...]]
+_trial_table: _TrialTable | None = None
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -50,8 +87,19 @@ def primes_up_to(limit: int) -> list[int]:
         return cached
 
 
-def _trial_primes() -> list[int]:
-    return primes_up_to(TRIAL_DIVISION_LIMIT)
+def _trial_blocks() -> _TrialTable:
+    global _trial_table
+    table = _trial_table
+    if table is None:
+        primes = primes_up_to(TRIAL_DIVISION_LIMIT)
+        with _sieve_lock:
+            if _trial_table is None:
+                starts = range(0, len(primes), _TRIAL_BLOCK)
+                chunks = [primes[i:i + _TRIAL_BLOCK] for i in starts]
+                blocks = tuple((c[0] * c[0], math.prod(c), c) for c in chunks)
+                _trial_table = (primes, math.prod(primes), blocks)
+            table = _trial_table
+    return table
 
 
 @dataclass(frozen=True)
@@ -161,8 +209,11 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic for n below the 12-base Miller-Rabin bound (~3.3e24);
-    Baillie-PSW above it (no counterexample is known)."""
+    """Deterministic below psi_13 ~ 3.3e24: Miller-Rabin to the first k
+    prime bases, with k read from the threshold table _MR_THRESHOLDS
+    (psi_k by Jaeschke 1993 and Sorenson and Webster 2017): 6 bases below
+    3.47e12, 7 below 3.4e14, 13 at most.  Baillie-PSW above psi_13 (no
+    counterexample is known)."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -172,8 +223,9 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < _MR_DETERMINISTIC_BOUND:
-        return all(_miller_rabin_round(n, a, d, s) for a in _MR_BASES)
+    for psi, bases in _MR_THRESHOLDS:
+        if n < psi:
+            return all(_miller_rabin_round(n, a, d, s) for a in bases)
     if not _miller_rabin_round(n, 2, d, s):
         return False
     return _strong_lucas_prp(n)
@@ -200,9 +252,17 @@ def introot(n: int, k: int) -> int:
 
 def perfect_power(n: int) -> tuple[int, int] | None:
     """(b, k) with b**k == n and k prime, if any; None otherwise.  n >= 2."""
+    return _prime_power_root(n, 2)
+
+
+def _prime_power_root(n: int, least_base: int) -> tuple[int, int] | None:
+    """perfect_power(n) for n all of whose roots are >= least_base: only
+    prime exponents k with least_base**k <= n are tried."""
     for k in primes_up_to(n.bit_length()):
+        if least_base**k > n:
+            break
         b = introot(n, k)
-        if b >= 2 and b**k == n:
+        if b**k == n:
             return b, k
     return None
 
@@ -242,7 +302,7 @@ def _brent_rho(n: int, budget: _Budget) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 budget.spend(min(m, r - k), n)
                 g = math.gcd(q, n)
                 k += m
@@ -252,7 +312,7 @@ def _brent_rho(n: int, budget: _Budget) -> int:
             while g == 1:
                 ys = (ys * ys + c) % n
                 budget.spend(1, n)
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
         # unlucky parameter choice; retry with fresh (y, c)
@@ -263,7 +323,8 @@ def _split(m: int, counts: dict[int, int], mult: int, budget: _Budget) -> None:
     if is_prime(m):
         counts[m] = counts.get(m, 0) + mult
         return
-    power = perfect_power(m)
+    # Every prime factor of m exceeds the trial limit, so does any root.
+    power = _prime_power_root(m, TRIAL_DIVISION_LIMIT)
     if power is not None:
         b, k = power
         _split(b, counts, mult * k, budget)
@@ -289,15 +350,33 @@ def factor(n: int, budget: int | None = None) -> Factorization:
     sign = 1 if n > 0 else -1
     m = abs(n)
     counts: dict[int, int] = {}
-    for p in _trial_primes():
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            counts[p] = e
+    trial, product, blocks = _trial_blocks()
+    g = math.gcd(m, product)  # the product of the distinct trial primes dividing m
+    found: list[int] = []
+    for first_sq, block, primes in blocks:
+        if first_sq > g:
+            break  # every prime left in g is >= this block's first: g is 1 or a prime
+        h = math.gcd(g, block)
+        if h > 1:
+            g //= h
+            for p in primes:
+                if h % p == 0:
+                    found.append(p)
+                    h //= p
+                    if h == 1:
+                        break
+    if g > 1:
+        # Take the table's int object, not g: factorizations then share one
+        # object per trial prime (the 50k cubic-smooth-weak factorizations
+        # hold 30.7 MB instead of 32.0 MB).
+        found.append(trial[bisect.bisect_left(trial, g)])
+    for p in found:
+        m //= p
+        e = 1
+        while m % p == 0:
+            m //= p
+            e += 1
+        counts[p] = e
     if m > 1:
         if m <= TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT:
             counts[m] = counts.get(m, 0) + 1  # below the trial bound squared: prime

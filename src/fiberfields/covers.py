@@ -4,9 +4,9 @@ Two kinds of cover: a cyclic cover y^p = g(x) of prime degree p, stored
 with g normalized so every irreducible factor has multiplicity in
 [1, p-1] (removing s(x)^p divisors changes no fiber class away from the
 removed roots), and a plane cover F(x, y) = 0 monic in y.  Covers whose
-defining g is a p-th power up to constants are rejected: the curve is
-geometrically reducible and the diversity counting statements do not
-apply to it.
+defining g is a p-th power up to constants, and plane models free of x,
+are rejected: the curve is geometrically reducible and the diversity
+counting statements do not apply to it.
 
 specialize() classifies the fiber over an integer n: branch (n is a root
 of the branch polynomial), degenerate (the cyclic fiber value is a p-th
@@ -55,9 +55,13 @@ class CyclicCover:
 
 @dataclass(frozen=True)
 class PlaneCover:
-    """F(x, y) = 0, monic in y and separable in y; irreducibility over Q(x)
-    is certified only when some specialization F(n, y) is irreducible of
-    full degree."""
+    """F(x, y) = 0, monic in y, separable in y and involving x;
+    irreducibility over Q(x) is certified only when some specialization
+    F(n, y) is irreducible of full degree.
+
+    An x-free F is rejected: it splits over Q-bar into lines y = const,
+    so the curve is geometrically reducible.  Geometric irreducibility of
+    any other model is not checked."""
 
     F: PlanePoly
     irreducibility_certified: bool
@@ -68,6 +72,11 @@ class PlaneCover:
         if polyring.y_discriminant(self.F).is_zero:
             raise DomainError(
                 "covers", "plane model is not separable in y (degenerate cover)"
+            )
+        if self.F.x_degree == 0:
+            raise DomainError(
+                "covers",
+                "plane model does not involve x (the curve is geometrically reducible)",
             )
 
     @property

@@ -1,4 +1,7 @@
+import math
+
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +16,7 @@ from fiberfields.arith import (
     valuation,
 )
 from fiberfields.errors import DomainError, UnfactoredResidualError
+from fiberfields.kummer import radical_class
 
 from conftest import oracle_factor, oracle_is_prime, oracle_p_free_value, oracle_squarefree_kernel
 
@@ -149,3 +153,144 @@ def test_factorization_invariants_enforced():
         Factorization(1, ((2, 0),))  # exponent < 1
     with pytest.raises(DomainError):
         Factorization(2, ())  # bad sign
+
+
+# ---------------------------------------------------------------------------
+# factor against sympy across the trial/rho boundary
+# ---------------------------------------------------------------------------
+
+_TRIAL = arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT)
+_JUST_ABOVE_LIMIT = [10_007, 10_009, 10_037, 10_039, 10_061, 10_067, 10_069, 10_079]
+
+_smooth = st.lists(
+    st.tuples(st.sampled_from(_TRIAL), st.integers(1, 12)), min_size=1, max_size=8
+).map(lambda fs: math.prod(p**e for p, e in fs))
+# one prime from each of several trial blocks, large ones included
+_spread = st.lists(
+    st.integers(0, len(_TRIAL) - 1), min_size=2, max_size=14, unique=True
+).map(lambda idx: math.prod(_TRIAL[i] for i in idx))
+_boundary = st.sampled_from(
+    [9973**k for k in range(1, 7)] + [10007**k for k in range(1, 7)] + [9973 * 10007]
+)
+_limit_square = st.sampled_from(_JUST_ABOVE_LIMIT).map(lambda p: p * p)
+_cofactor = st.one_of(
+    st.just(1),
+    st.integers(2, 10**9),
+    st.lists(st.integers(10**4, 10**9), min_size=2, max_size=3).map(math.prod),
+)
+_oracle_values = st.one_of(
+    st.builds(
+        lambda a, b, s: s * a * b,
+        st.one_of(_smooth, _spread, _boundary, _limit_square),
+        _cofactor,
+        st.sampled_from([1, -1]),
+    ),
+    st.integers(2**64, 2**66),  # beyond 64 bits, no structure
+)
+
+
+@given(_oracle_values)
+@settings(max_examples=300, deadline=None)
+def test_factor_matches_sympy_factorint(n):
+    f = factor(n)
+    assert f.sign == (1 if n > 0 else -1)
+    assert dict(f.factors) == sympy.factorint(abs(n))
+
+
+# ---------------------------------------------------------------------------
+# Miller-Rabin threshold table
+# ---------------------------------------------------------------------------
+
+# psi_k, the least strong pseudoprime to the first k prime bases, for
+# k = 1..7, 9, 12, 13 (psi_8 = psi_7 and psi_9 = psi_10 = psi_11).
+_PSI = [
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+]
+_PSI_K = [1, 2, 3, 4, 5, 6, 7, 9, 12, 13]
+_PSI12 = _PSI[8]
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    return arith._miller_rabin_round(n, a, d, s)
+
+
+def test_mr_threshold_table_rows_are_strong_pseudoprimes():
+    assert [psi for psi, _ in arith._MR_THRESHOLDS] == _PSI
+    assert [len(bases) for _, bases in arith._MR_THRESHOLDS] == _PSI_K
+    for psi, bases in arith._MR_THRESHOLDS:
+        assert list(bases) == list(sympy.primerange(2, bases[-1] + 1))
+        assert not sympy.isprime(psi)
+        assert all(_strong_probable_prime(psi, a) for a in bases), psi
+
+
+@pytest.mark.parametrize("psi", _PSI)
+def test_is_prime_matches_sympy_around_thresholds(psi):
+    assert not is_prime(psi)
+    for n in range(psi - 2, psi + 3):
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def _chernick(k_from, count):
+    """Carmichael numbers (6k+1)(12k+1)(18k+1) with all three factors prime."""
+    out = []
+    k = k_from
+    while len(out) < count:
+        ps = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(sympy.isprime(p) for p in ps):
+            out.append(math.prod(ps))
+        k += 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "n",
+    [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+     5394826801, 232250619601, 9746347772161]
+    + _chernick(10**4, 2) + _chernick(10**7, 2) + _chernick(10**9, 2),
+)
+def test_is_prime_rejects_carmichael_numbers(n):
+    assert sympy.isprime(n) is False
+    assert not is_prime(n)
+
+
+def test_psi12_factors_into_its_two_primes():
+    assert factor(_PSI12) == Factorization(1, ((399_165_290_221, 1), (798_330_580_441, 1)))
+    # Rho needs 2,803,068 iterations here, more than the default budget: an
+    # overrun is a named failure, never the wrong kernel {399165290221, psi12}.
+    a = _PSI12 * 399_165_290_221
+    assert radical_class(a, 2, budget=3_000_000).kernel == Factorization(
+        1, ((798_330_580_441, 1),)
+    )
+    with pytest.raises(UnfactoredResidualError):
+        radical_class(a, 2)
+
+
+# ---------------------------------------------------------------------------
+# rho's budget accounting
+# ---------------------------------------------------------------------------
+
+
+# Smallest budget at which factor(p * q) succeeds.  The rho iterate sequence
+# and its budget.spend calls fix these numbers; a change to either moves
+# which fibers come out unresolved under --factor-budget.
+@pytest.mark.parametrize(
+    "p, q, least_budget",
+    [
+        (100_003, 100_019, 510),
+        (999_983, 1_000_003, 894),
+        (10_000_019, 10_000_079, 3198),
+        (12_345_701, 987_654_323, 6782),
+        (100_000_007, 100_000_037, 31486),
+        (1_000_000_007, 1_000_000_009, 31102),
+    ],
+)
+def test_rho_least_budget_pinned(p, q, least_budget):
+    assert factor(p * q, budget=least_budget) == Factorization(1, ((p, 1), (q, 1)))
+    with pytest.raises(UnfactoredResidualError):
+        factor(p * q, budget=least_budget - 1)

@@ -145,6 +145,30 @@ def test_inseparable_plane_model_rejected(args, capsys):
     assert err == "error: covers: plane model is not separable in y (degenerate cover)\n"
 
 
+@pytest.mark.parametrize("cover", ["y^2 - 5", "y^3 - 2"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["weak-diversity", "--N", "5", "--method", "fingerprint"],
+        ["weak-diversity", "--N", "5", "--method", "exact"],
+        ["branch-check"],
+    ],
+)
+def test_x_free_plane_model_rejected(args, cover, capsys):
+    assert main(args + ["--cover", cover]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: covers: plane model does not involve x (the curve is geometrically reducible)\n"
+    )
+
+
+def test_classify_radical_psi12_is_not_prime(tmp_path):
+    # 318665857834031151167461 is a strong pseudoprime to the first 12 prime bases
+    status, out = run_cli(["classify-radical", "318665857834031151167461", "2"], tmp_path)
+    assert status == 0
+    assert load(out)["summary"]["kernel"]["factors"] == [[399165290221, 1], [798330580441, 1]]
+
+
 def test_exit_code_parse_error(capsys):
     status = main(["weak-diversity", "--cover", "y^2 - x^^2", "--N", "5"])
     assert status == 2

@@ -202,6 +202,17 @@ def test_plane_cover_rejects_inseparable_model(text):
         PlaneCover(F, False, None)
 
 
+@pytest.mark.parametrize("text", ["y^2 - 5", "y^3 - 2", "y^4 + y + 1"])
+def test_plane_cover_rejects_x_free_model(text):
+    F = parse_poly(text)
+    with pytest.raises(DomainError, match="does not involve x"):
+        plane_cover(F)
+    with pytest.raises(DomainError, match="does not involve x"):
+        PlaneCover(F, False, None)
+    with pytest.raises(DomainError, match="does not involve x"):
+        cover_from_text(text)
+
+
 def test_specialize_unresolved_on_tiny_budget():
     p = 1_000_000_007
     q = 1_000_000_033
