@@ -147,7 +147,7 @@ def _run_weak(cfg: RunConfig):
         "ratio": report.ratio,
     }
     doc = _envelope(config, {"D": list(report.series)}, summary, report.skipped, report.assumptions)
-    return doc, _series_csv(report.series, report.skipped, "D")
+    return doc, lambda: _series_csv(report.series, report.skipped, "D")
 
 
 def _run_strong(cfg: RunConfig):
@@ -170,7 +170,7 @@ def _run_strong(cfg: RunConfig):
     }
     series = {"r": list(report.ranks), "log_degree": report.log_degree_series()}
     doc = _envelope(config, series, summary, report.skipped, ())
-    return doc, _series_csv(report.ranks, report.skipped, "r")
+    return doc, lambda: _series_csv(report.ranks, report.skipped, "r")
 
 
 def _run_sieve(cfg: RunConfig):
@@ -199,12 +199,7 @@ def _run_sieve(cfg: RunConfig):
         "residuals_factored": report.residuals_factored,
     }
     doc = _envelope(config, {}, summary, (), ())
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["n", "squarefree"])
-    for i, flag in enumerate(report.flags):
-        writer.writerow([i + 1, flag])
-    return doc, buf.getvalue()
+    return doc, lambda: _flags_csv(report.flags)
 
 
 def _run_classify(cfg: RunConfig):
@@ -303,6 +298,17 @@ def _series_csv(series, skipped, column: str) -> str:
     return buf.getvalue()
 
 
+def _flags_csv(flags) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(["n", "squarefree"])
+    for i, flag in enumerate(flags):
+        writer.writerow([i + 1, flag])
+    return buf.getvalue()
+
+
+# Each runner returns (JSON document, CSV renderer or None); the CSV text
+# is built only under --output csv.
 _RUNNERS = {
     "weak-diversity": _run_weak,
     "strong-diversity": _run_strong,
@@ -317,7 +323,7 @@ def run(cfg: RunConfig) -> tuple[int, str | None]:
     """Execute a validated config; returns (exit status, rendered report)."""
     try:
         cfg.validate()
-        doc, csv_text = _RUNNERS[cfg.subcommand](cfg)
+        doc, render_csv = _RUNNERS[cfg.subcommand](cfg)
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2, None
@@ -325,13 +331,13 @@ def run(cfg: RunConfig) -> tuple[int, str | None]:
         print(f"error: {err}", file=sys.stderr)
         return 3, None
     if cfg.output == "csv":
-        if csv_text is None:
+        if render_csv is None:
             print(
                 f"error: cli: csv output is not available for {cfg.subcommand}",
                 file=sys.stderr,
             )
             return 2, None
-        rendered = csv_text
+        rendered = render_csv()
     else:
         rendered = json.dumps(doc, indent=2) + "\n"
     if cfg.out_path:

@@ -13,9 +13,14 @@ hold for every prefix):
                  are provably pairwise non-isomorphic, so the group count is
                  again a certified lower bound.
 
-Fibers are specialized (optionally across a process pool); series folds
-are serial in increasing n, so reports are identical for every worker
-count.  Both folds do near-linear work in N: the rank fold pivots each
+Fibers are specialized in one lazy pass over n = 1..N (optionally by a
+process pool, chunk by chunk) and each fiber is folded as it arrives, so
+no fold holds the fibers: a weak fold keeps one int per distinct class
+(exact-kummer: the canonical value of the Kummer class; ramified-set:
+the product of the ramified primes), and compare_methods feeds its three
+folds from the same pass.  Folds are serial in increasing n, so reports
+are identical for every worker count.  Both the rank fold and the
+fingerprint grouper do near-linear work in N: the rank fold pivots each
 row on its newest prime, so a row bringing a new prime needs no
 elimination (FpRowReducer), and the fingerprint grouper indexes its
 representatives by degree shape and by splitting types at small primes,
@@ -25,8 +30,11 @@ so it checks a fiber only against representatives that could match
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 from . import arith, covers, kummer, polyring
@@ -69,8 +77,6 @@ class CompositumReport:
         return self.ranks[-1]
 
     def log_degree_series(self) -> list[float]:
-        import math
-
         lp = math.log(self.p)
         return [r * lp for r in self.ranks]
 
@@ -91,19 +97,27 @@ def _fiber_stream(
     jobs: int = 1,
     budget: int | None = None,
     prime_budget: int = kummer.DEFAULT_PRIME_BUDGET,
-) -> list[FiberSpec]:
+) -> Iterator[FiberSpec]:
+    """The fibers over x = 1..N in increasing n, specialized lazily.
+
+    With jobs > 1 a process pool specializes chunks of n and the stream
+    yields each chunk in order as it arrives.  Closing the stream early
+    cancels the chunks no worker has started."""
     if jobs <= 1:
-        return _specialize_range((cover, 1, N + 1, budget, prime_budget))
+        for n in range(1, N + 1):
+            yield covers.specialize(cover, n, budget, prime_budget)
+        return
     chunk = max(1, -(-N // (jobs * 4)))
     tasks = [
         (cover, n0, min(n0 + chunk, N + 1), budget, prime_budget)
         for n0 in range(1, N + 1, chunk)
     ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        out: list[FiberSpec] = []
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
         for part in pool.map(_specialize_range, tasks):
-            out.extend(part)
-    return out
+            yield from part
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +299,78 @@ def _base_assumptions(cover: CoverSpec, method: str) -> list[str]:
     return notes
 
 
+class _WeakFold:
+    """The series of one weak method, fed the fibers one at a time in
+    increasing n.
+
+    Exact-kummer keys a class by its canonical value, a signed product of
+    distinct primes with exponents in [1, p-1], and ramified-set by the
+    product of its ramified primes (1 for none): one int per distinct
+    class, injective by unique factorization (the canonical value is the
+    one in KummerClass.key()).  Degenerate fibers share the key "Q"."""
+
+    def __init__(
+        self, cover: CoverSpec, method: str, budget: int | None, prime_budget: int
+    ):
+        self.cover = cover
+        self.method = method
+        self.prime_budget = prime_budget
+        self.assumptions = _base_assumptions(cover, method)
+        self.excluded: frozenset[int] = frozenset()
+        if method == "ramified-set":
+            self.excluded = ramified_excluded_primes(cover, budget)
+            self.assumptions.append(
+                "ramified-set exclusions: " + ", ".join(map(str, sorted(self.excluded)))
+            )
+        self.series: list[int] = []
+        self.skipped: list[tuple[int, str]] = []
+        self._seen: set = set()
+        self._grouper = _FingerprintGrouper()
+        self._count = 0
+
+    def add(self, fiber: FiberSpec) -> None:
+        if fiber.status in ("branch", "unresolved"):
+            self.skipped.append((fiber.n, fiber.status))
+            self.series.append(self._count)
+            return
+        cover, method = self.cover, self.method
+        if fiber.status == "degenerate":
+            self.skipped.append((fiber.n, "degenerate-counted-as-Q"))
+            key = "Q"
+        elif method == "fingerprint":
+            if isinstance(cover, CyclicCover):
+                a = fiber.kummer_class.canonical.reconstruct()
+                fp = kummer._fingerprint_irreducible(
+                    _radical_minpoly(cover.p, a), self.prime_budget
+                )
+                key = (fp,)
+            else:
+                key = _sorted_fingerprints(fiber.factors)
+        elif method == "exact-kummer":
+            key = fiber.kummer_class.canonical.reconstruct()
+        else:  # ramified-set; the exclusions hold p
+            factors = fiber.kummer_class.kernel.factors
+            key = math.prod(q for q, _ in factors if q not in self.excluded)
+
+        if method == "fingerprint":
+            if self._grouper.add(key):
+                self._count += 1
+        elif key not in self._seen:
+            self._seen.add(key)
+            self._count += 1
+        self.series.append(self._count)
+
+    def report(self, N: int) -> DiversityReport:
+        return DiversityReport(
+            cover=self.cover.describe(),
+            N=N,
+            method=self.method,
+            series=tuple(self.series),
+            skipped=tuple(self.skipped),
+            assumptions=tuple(self.assumptions),
+        )
+
+
 def weak_diversity_count(
     cover: CoverSpec,
     N: int,
@@ -292,7 +378,6 @@ def weak_diversity_count(
     jobs: int = 1,
     budget: int | None = None,
     prime_budget: int = kummer.DEFAULT_PRIME_BUDGET,
-    _fibers: list[FiberSpec] | None = None,
 ) -> DiversityReport:
     """Distinct residue fields over the fibers at x = 1..N, per method.
 
@@ -300,66 +385,11 @@ def weak_diversity_count(
     unresolved fibers are reported, never silently dropped.
     """
     _validate(cover, N, method, prime_budget)
-    fibers = _fibers if _fibers is not None else _fiber_stream(
-        cover, N, jobs, budget, prime_budget
-    )
-    skipped: list[tuple[int, str]] = []
-    series: list[int] = []
-    assumptions = _base_assumptions(cover, method)
-
-    excluded: frozenset[int] = frozenset()
-    if method == "ramified-set":
-        excluded = ramified_excluded_primes(cover, budget)
-        assumptions.append(
-            "ramified-set exclusions: " + ", ".join(map(str, sorted(excluded)))
-        )
-
-    seen: set = set()
-    grouper = _FingerprintGrouper()
-    count = 0
-    for fiber in fibers:
-        if fiber.status == "branch":
-            skipped.append((fiber.n, "branch"))
-            series.append(count)
-            continue
-        if fiber.status == "unresolved":
-            skipped.append((fiber.n, "unresolved"))
-            series.append(count)
-            continue
-        if fiber.status == "degenerate":
-            skipped.append((fiber.n, "degenerate-counted-as-Q"))
-            key = "Q"
-        elif method == "fingerprint":
-            if isinstance(cover, CyclicCover):
-                a = fiber.kummer_class.canonical.reconstruct()
-                fp = kummer._fingerprint_irreducible(
-                    _radical_minpoly(cover.p, a), prime_budget
-                )
-                key = (fp,)
-            else:
-                key = _sorted_fingerprints(fiber.factors)
-        elif method == "exact-kummer":
-            key = fiber.kummer_class.key()
-        else:  # ramified-set
-            key = frozenset(fiber.kummer_class.kernel.support()) - excluded - {cover.p}
-
-        if method == "fingerprint":
-            if grouper.add(key):
-                count += 1
-        else:
-            if key not in seen:
-                seen.add(key)
-                count += 1
-        series.append(count)
-
-    return DiversityReport(
-        cover=cover.describe(),
-        N=N,
-        method=method,
-        series=tuple(series),
-        skipped=tuple(skipped),
-        assumptions=tuple(assumptions),
-    )
+    fold = _WeakFold(cover, method, budget, prime_budget)
+    with closing(_fiber_stream(cover, N, jobs, budget, prime_budget)) as fibers:
+        for fiber in fibers:
+            fold.add(fiber)
+    return fold.report(N)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +477,6 @@ def strong_diversity_rank(
     N: int,
     jobs: int = 1,
     budget: int | None = None,
-    _fibers: list[FiberSpec] | None = None,
 ) -> CompositumReport:
     """Rank over F_p of the kernel exponent vectors of g(1..n); the
     compositum of the fiber fields has degree p**rank over Q (adjoining
@@ -462,21 +491,22 @@ def strong_diversity_rank(
         raise DomainError("diversity", "strong_diversity_rank needs a cyclic cover")
     if N < 1:
         raise DomainError("diversity", "N >= 1 required")
-    fibers = _fibers if _fibers is not None else _fiber_stream(cover, N, jobs, budget)
     reducer = FpRowReducer(cover.p)
     ranks: list[int] = []
     skipped: list[tuple[int, str]] = []
-    for fiber in fibers:
-        if fiber.status == "unresolved":
-            raise BudgetError(
-                "diversity",
-                f"strong_diversity_rank aborted: fiber n = {fiber.n} unresolved ({fiber.note})",
-            )
-        if fiber.status == "branch":
-            skipped.append((fiber.n, "branch"))
-        else:
-            reducer.add_kernel(fiber.kummer_class.kernel)
-        ranks.append(reducer.rank)
+    with closing(_fiber_stream(cover, N, jobs, budget)) as fibers:
+        for fiber in fibers:
+            if fiber.status == "unresolved":
+                raise BudgetError(
+                    "diversity",
+                    f"strong_diversity_rank aborted: fiber n = {fiber.n} unresolved "
+                    f"({fiber.note})",
+                )
+            if fiber.status == "branch":
+                skipped.append((fiber.n, "branch"))
+            else:
+                reducer.add_kernel(fiber.kummer_class.kernel)
+            ranks.append(reducer.rank)
     return CompositumReport(
         cover=cover.describe(),
         p=cover.p,
@@ -535,24 +565,19 @@ def compare_methods(
     budget: int | None = None,
     prime_budget: int = kummer.DEFAULT_PRIME_BUDGET,
 ) -> MethodComparison:
-    """Run all three methods on one shared fiber scan and check the
+    """Run all three methods on one pass over the fibers and check the
     soundness order: ramified-set <= exact and fingerprint <= exact."""
     if not isinstance(cover, CyclicCover):
         raise DomainError("diversity", "compare_methods needs a cyclic cover")
     for method in METHODS:
         _validate(cover, N, method, prime_budget)
-    fibers = _fiber_stream(cover, N, jobs, budget, prime_budget)
-    reports = {
-        method: weak_diversity_count(
-            cover, N, method, budget=budget, prime_budget=prime_budget, _fibers=fibers
-        )
-        for method in METHODS
-    }
-    cmp = MethodComparison(
-        exact=reports["exact-kummer"],
-        ramified=reports["ramified-set"],
-        fingerprint=reports["fingerprint"],
-    )
+    folds = [_WeakFold(cover, method, budget, prime_budget) for method in METHODS]
+    with closing(_fiber_stream(cover, N, jobs, budget, prime_budget)) as fibers:
+        for fiber in fibers:
+            for fold in folds:
+                fold.add(fiber)
+    exact, ramified, fingerprint = (fold.report(N) for fold in folds)
+    cmp = MethodComparison(exact=exact, ramified=ramified, fingerprint=fingerprint)
     for method, report in (("ramified-set", cmp.ramified), ("fingerprint", cmp.fingerprint)):
         if report.distinct > cmp.exact.distinct:
             raise DomainError(

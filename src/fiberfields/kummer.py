@@ -43,9 +43,11 @@ class KummerClass:
         """True when the underlying rational is a p-th power (field is Q)."""
         return not self.kernel.factors and self.kernel.sign == 1
 
-    def key(self) -> tuple:
-        """Hashable isomorphism invariant."""
-        return (self.p, self.canonical.sign, self.canonical.factors)
+    def key(self) -> tuple[int, int]:
+        """Hashable isomorphism invariant: (p, canonical value).  The
+        canonical form is a signed product of distinct primes with
+        exponents in [1, p-1], so its value determines it."""
+        return (self.p, self.canonical.reconstruct())
 
 
 def _kernel_of_rational(a: Fraction, p: int, budget: int | None) -> Factorization:

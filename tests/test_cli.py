@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fiberfields import __version__, cli
 from fiberfields.cli import REPORT_SCHEMA, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -208,6 +209,24 @@ def test_weak_csv_row_count(tmp_path):
     assert len(lines) - 1 == 50 - skipped
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["weak-diversity", "--cover", "y^2 - (x^3 - x)", "--N", "20"],
+        ["strong-diversity", "--cover", "y^2 - (x^3 - x)", "--N", "20"],
+        ["squarefree-density", "--poly", "x^2 + 1", "--N", "20"],
+    ],
+)
+def test_json_output_builds_no_csv(args, tmp_path, monkeypatch):
+    def refuse(*a, **kw):
+        raise AssertionError("csv rendered for --output json")
+
+    monkeypatch.setattr(cli.csv, "writer", refuse)
+    out = tmp_path / "out.json"
+    assert main(args + ["--out", str(out)]) == 0
+    validate_schema(load(out))
+
+
 def test_sieve_csv_rows(tmp_path):
     out = tmp_path / "sf.csv"
     status = main(
@@ -260,3 +279,13 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["summary"]["canonical_value"] == 3
+
+
+def test_package_runs_as_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fiberfields", "--version"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == __version__

@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import GF, factorint
 from sympy.polys.matrices import DomainMatrix
@@ -12,6 +14,7 @@ from fiberfields import covers, diversity, kummer
 from fiberfields.arith import Factorization
 from fiberfields.covers import cover_from_text, normalize_cyclic, plane_cover
 from fiberfields.diversity import (
+    METHODS,
     FpRowReducer,
     compare_methods,
     norm_collision_check,
@@ -131,8 +134,93 @@ def test_worker_error_reaches_caller(monkeypatch):
 
     monkeypatch.setattr(covers, "specialize", refuse)
     with pytest.raises(DomainError, match="covers: refused fiber") as exc:
-        diversity._fiber_stream(cover_from_text("y^2 - (x^3 - x)"), 10, jobs=2)
+        list(diversity._fiber_stream(cover_from_text("y^2 - (x^3 - x)"), 10, jobs=2))
     assert exc.value.module == "covers"
+
+
+def test_pooled_stream_cancels_pending_chunks_on_early_exit(monkeypatch):
+    shutdowns = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            shutdowns.append(cancel_futures)
+            super().shutdown(wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(diversity, "ProcessPoolExecutor", RecordingPool)
+    stream = diversity._fiber_stream(cover_from_text("y^2 - (x^3 - x)"), 40, jobs=2)
+    assert next(stream).n == 1
+    stream.close()
+    assert shutdowns == [True]
+
+
+def _old_key_series(cover, N, method):
+    """The weak series of a fold over a materialised fiber list, keyed by
+    (p, sign, factors) tuples and ramified-prime frozensets."""
+    fibers = [covers.specialize(cover, n) for n in range(1, N + 1)]
+    excluded = ramified_excluded_primes(cover)
+    seen, count, series = set(), 0, []
+    for fiber in fibers:
+        if fiber.status in ("branch", "unresolved"):
+            series.append(count)
+            continue
+        cls = fiber.kummer_class
+        if fiber.status == "degenerate":
+            key = "Q"
+        elif method == "exact-kummer":
+            key = (cover.p, cls.canonical.sign, cls.canonical.factors)
+        else:
+            key = frozenset(cls.kernel.support()) - excluded - {cover.p}
+        if key not in seen:
+            seen.add(key)
+            count += 1
+        series.append(count)
+    return tuple(series)
+
+
+@st.composite
+def _cyclic_covers(draw):
+    """y^p = c * prod (x - r)^m, times x^2 + d or not: roots in 1..N give
+    branch fibers, c < 0 or roots past n give negative values, and values
+    that are p-th powers (as often for few roots) give degenerate fibers."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    c = draw(st.integers(-12, 12).filter(bool))
+    g = IntPoly((c,))
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.integers(-5, 40))
+        for _ in range(draw(st.integers(1, p - 1))):
+            g = g * IntPoly((-r, 1))
+    if draw(st.booleans()):
+        g = g * IntPoly((draw(st.integers(-6, 6)), 0, 1))
+    try:
+        return normalize_cyclic(p, g)
+    except DomainError:
+        assume(False)
+
+
+@given(_cyclic_covers(), st.integers(1, 60))
+@settings(max_examples=150, deadline=None)
+@example(normalize_cyclic(2, poly("-x^2 + 4x")), 12)  # degenerate n = 2, branch n = 4
+@example(normalize_cyclic(3, poly("x")), 30)  # cubes degenerate
+def test_int_keys_match_tuple_and_frozenset_keys(cover, N):
+    for method in ("exact-kummer", "ramified-set"):
+        assert weak_diversity_count(cover, N, method).series == _old_key_series(cover, N, method)
+
+
+@pytest.mark.parametrize("method", ["exact-kummer", "ramified-set"])
+def test_weak_fold_memory_per_fiber(method):
+    """The weak fold holds one int per distinct class, not the fibers."""
+    cov = cover_from_text("y^2 - (x^3 - x)")
+    N = 20_000
+    weak_diversity_count(cov, 10, method)  # build the lazy tables first
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = weak_diversity_count(cov, N, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.series) == N
+    assert (peak - base) / N < 400
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +401,13 @@ def test_strong_jobs_determinism():
     assert reps[0] == reps[1]
 
 
-def test_strong_aborts_on_unresolved():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_strong_aborts_on_unresolved(jobs):
     p = 1_000_000_007
     q = 1_000_000_033
     cov = normalize_cyclic(2, IntPoly((p * q - 1, 0, 0, 1)))  # g(1) = p*q
     with pytest.raises(BudgetError) as exc:
-        strong_diversity_rank(cov, 3, budget=4)
+        strong_diversity_rank(cov, 3, jobs=jobs, budget=4)
     assert "n = 1" in str(exc.value)
 
 
@@ -503,17 +592,34 @@ def test_compare_methods_cubic_cover():
 
 @pytest.mark.parametrize("method", ["ramified-set", "fingerprint"])
 def test_compare_methods_soundness_violation_raises(method, monkeypatch):
-    real = diversity.weak_diversity_count
+    real = diversity._WeakFold.report
 
-    def inflated(cover, N, m, **kw):
-        report = real(cover, N, m, **kw)
-        if m == method:
+    def inflated(fold, N):
+        report = real(fold, N)
+        if fold.method == method:
             report = dataclasses.replace(report, series=report.series + (10**6,))
         return report
 
-    monkeypatch.setattr(diversity, "weak_diversity_count", inflated)
+    monkeypatch.setattr(diversity._WeakFold, "report", inflated)
     with pytest.raises(DomainError, match=f"internal: {method} count 1000000 exceeds"):
         compare_methods(cover_from_text("y^2 - (x^3 - x)"), 20)
+
+
+def test_compare_methods_specializes_each_fiber_once(monkeypatch):
+    calls = []
+    real = covers.specialize
+
+    def counted(cover, n, *args):
+        calls.append(n)
+        return real(cover, n, *args)
+
+    monkeypatch.setattr(covers, "specialize", counted)
+    cov = cover_from_text("y^2 - (x^3 - x)")
+    cmp = compare_methods(cov, 60)
+    assert calls == list(range(1, 61))
+    monkeypatch.undo()
+    for method, report in zip(METHODS, (cmp.exact, cmp.ramified, cmp.fingerprint)):
+        assert report == weak_diversity_count(cov, 60, method)
 
 
 def test_compare_methods_rejects_plane():
