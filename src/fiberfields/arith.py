@@ -4,10 +4,37 @@ multiplicative kernels modulo perfect powers.
 All of the counting machinery upstream (Kummer classes, ramified sets,
 squarefree statistics) reduces to exact signed prime-power decompositions
 produced here.  Factorization runs a trial stage over the primes up to
-TRIAL_DIVISION_LIMIT, then a deterministic Miller-Rabin / strong-Lucas
-primality test, then Brent's variant of Pollard rho under an iteration
-budget.  A budget overrun raises UnfactoredResidualError; residuals are
-never reported as prime.
+TRIAL_DIVISION_LIMIT, then a primality test, then Brent's variant of
+Pollard rho under an iteration budget.  A budget overrun raises
+UnfactoredResidualError; residuals are never reported as prime.
+
+is_prime is a proof below psi_13 ~ 3.3e24 and a probable-prime test
+above it:
+
+  n < psi_6 = 3,474,749,660,383      Miller-Rabin to the first k prime
+                                     bases, k from _MR_THRESHOLDS (the
+                                     psi_k of Jaeschke, "On strong
+                                     pseudoprimes to several bases", 1993)
+  psi_6 <= n < 2**64                 Baillie-PSW: Miller-Rabin to base 2
+                                     and a strong Lucas test with
+                                     Selfridge's parameters (Baillie and
+                                     Wagstaff, "Lucas pseudoprimes",
+                                     1980).  Feitsma's list of the base-2
+                                     strong pseudoprimes below 2**64 has
+                                     no strong Lucas pseudoprime in it,
+                                     so the test is exact there.
+  2**64 <= n < psi_13                Miller-Rabin to the first 12 or 13
+                                     prime bases (psi_12 and psi_13 by
+                                     Sorenson and Webster, "Strong
+                                     pseudoprimes to twelve prime bases",
+                                     2017)
+  psi_13 <= n                        Baillie-PSW; no counterexample is
+                                     known
+
+On primes, Baillie-PSW costs about as much as Miller-Rabin to 5 bases
+near 1e11 and wins from 6 bases on (1.3x at 3e12, 1.5x at 1e13, 2x at
+1e16), so it takes the whole range from psi_6 to 2**64, and the table
+keeps its rows below psi_6.
 
 The trial stage costs a few big-integer gcds, not one Python division per
 prime.  g = gcd(m, product of all trial primes) is the product of the
@@ -21,7 +48,9 @@ prime removed, exactly what a prime-by-prime loop leaves whenever it
 reaches rho: that loop only stops early, at p * p > m, when the rest of m
 is 1 or a prime below TRIAL_DIVISION_LIMIT**2, which both stages record
 the same way.  So rho sees the same numbers, from the same seeds, and
-spends the same budget.
+spends the same budget.  Every part of that cofactor that is at most
+TRIAL_DIVISION_LIMIT**2 is prime, since all its prime factors exceed the
+limit, so it is recorded without a test (_split).
 """
 
 from __future__ import annotations
@@ -46,8 +75,9 @@ DEFAULT_FACTOR_BUDGET = 2_000_000
 
 # (psi, bases): Miller-Rabin to the first k prime bases proves n < psi
 # prime, where psi = psi_k is the least strong pseudoprime to all of those
-# bases (Jaeschke 1993; Sorenson and Webster 2017).  psi_8 = psi_7 and
-# psi_9 = psi_10 = psi_11, so those rows add nothing.
+# bases (Jaeschke 1993; Sorenson and Webster 2017).  Baillie-PSW proves
+# [psi_6, 2**64) (see the module docstring), so the rows for psi_7 and
+# psi_9 are never read and the table skips from psi_6 to psi_12.
 _MR_THRESHOLDS = (
     (2_047, (2,)),
     (1_373_653, (2, 3)),
@@ -55,11 +85,12 @@ _MR_THRESHOLDS = (
     (3_215_031_751, (2, 3, 5, 7)),
     (2_152_302_898_747, (2, 3, 5, 7, 11)),
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
     (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
     (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
+# Baillie-PSW is a proof on [_BPSW_PROVEN_FROM, _BPSW_PROVEN_BELOW).
+_BPSW_PROVEN_FROM = 3_474_749_660_383
+_BPSW_PROVEN_BELOW = 2**64
 
 # Trial primes per block of the gcd trial stage in factor().  Sizes 16 to
 # 64 time alike on smooth, rho-bound and sieve-residual values; the gcd
@@ -209,11 +240,12 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic below psi_13 ~ 3.3e24: Miller-Rabin to the first k
-    prime bases, with k read from the threshold table _MR_THRESHOLDS
-    (psi_k by Jaeschke 1993 and Sorenson and Webster 2017): 6 bases below
-    3.47e12, 7 below 3.4e14, 13 at most.  Baillie-PSW above psi_13 (no
-    counterexample is known)."""
+    """Deterministic below psi_13 ~ 3.3e24 (the ranges and their sources
+    are in the module docstring): Miller-Rabin to the first k prime bases
+    from _MR_THRESHOLDS below psi_6 ~ 3.47e12 (6 bases at most),
+    Baillie-PSW from psi_6 to 2**64, Miller-Rabin to 12 or 13 bases from
+    2**64 to psi_13.  Baillie-PSW above psi_13 (no counterexample is
+    known)."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -223,9 +255,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for psi, bases in _MR_THRESHOLDS:
-        if n < psi:
-            return all(_miller_rabin_round(n, a, d, s) for a in bases)
+    if not _BPSW_PROVEN_FROM <= n < _BPSW_PROVEN_BELOW:
+        for psi, bases in _MR_THRESHOLDS:
+            if n < psi:
+                return all(_miller_rabin_round(n, a, d, s) for a in bases)
     if not _miller_rabin_round(n, 2, d, s):
         return False
     return _strong_lucas_prp(n)
@@ -319,8 +352,13 @@ def _brent_rho(n: int, budget: _Budget) -> int:
 
 
 def _split(m: int, counts: dict[int, int], mult: int, budget: _Budget) -> None:
-    """Accumulate the prime factorization of m (> 1, no small factors) into counts."""
-    if is_prime(m):
+    """Accumulate the prime factorization of m (> 1) into counts.
+
+    m has no prime factor up to TRIAL_DIVISION_LIMIT, and neither has any
+    part of it split off below.  So a part at most TRIAL_DIVISION_LIMIT**2
+    is prime without a test: a composite one would be at least the square
+    of a prime above the limit."""
+    if m <= TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT or is_prime(m):
         counts[m] = counts.get(m, 0) + mult
         return
     # Every prime factor of m exceeds the trial limit, so does any root.
@@ -378,10 +416,7 @@ def factor(n: int, budget: int | None = None) -> Factorization:
             e += 1
         counts[p] = e
     if m > 1:
-        if m <= TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT:
-            counts[m] = counts.get(m, 0) + 1  # below the trial bound squared: prime
-        else:
-            _split(m, counts, 1, _Budget(budget))
+        _split(m, counts, 1, _Budget(budget))
     return Factorization(sign, tuple(sorted(counts.items())))
 
 

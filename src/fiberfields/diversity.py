@@ -31,11 +31,12 @@ so it checks a fiber only against representatives that could match
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 
 from . import arith, covers, kummer, polyring
 from .covers import CoverSpec, CyclicCover, FiberSpec, PlaneCover
@@ -101,21 +102,31 @@ def _fiber_stream(
     """The fibers over x = 1..N in increasing n, specialized lazily.
 
     With jobs > 1 a process pool specializes chunks of n and the stream
-    yields each chunk in order as it arrives.  Closing the stream early
-    cancels the chunks no worker has started."""
+    yields each chunk in order as it arrives.  At most 2 * jobs chunks are
+    submitted and not yet fully yielded, so finished chunks cannot pile up
+    in the parent while the fold lags behind the workers.  Closing the
+    stream early cancels the chunks no worker has started."""
     if jobs <= 1:
         for n in range(1, N + 1):
             yield covers.specialize(cover, n, budget, prime_budget)
         return
-    chunk = max(1, -(-N // (jobs * 4)))
-    tasks = [
+    # 16 chunks a worker, so the window of 2 * jobs chunks holds at most an
+    # eighth of the fibers.
+    chunk = max(1, -(-N // (jobs * 16)))
+    tasks = (
         (cover, n0, min(n0 + chunk, N + 1), budget, prime_budget)
         for n0 in range(1, N + 1, chunk)
-    ]
+    )
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
-        for part in pool.map(_specialize_range, tasks):
-            yield from part
+        window = deque(
+            pool.submit(_specialize_range, task) for task in islice(tasks, 2 * jobs)
+        )
+        while window:
+            yield from window.popleft().result()
+            task = next(tasks, None)
+            if task is not None:
+                window.append(pool.submit(_specialize_range, task))
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -19,8 +19,10 @@ deliberately not structural.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import _modpoly, arith, polyring
 from .arith import Factorization
@@ -32,11 +34,23 @@ DEFAULT_PRIME_BUDGET = 32
 
 @dataclass(frozen=True)
 class KummerClass:
-    """Class of a nonzero rational in Q*/(Q*)^p up to exponent twist."""
+    """Class of a nonzero rational in Q*/(Q*)^p up to exponent twist.
+
+    The fields are p and the kernel (arith.p_free_kernel).  The canonical
+    form is a function of them, built on first read and cached in the
+    instance: the weak isomorphism count reads it, the rank fold and the
+    ramified sets do not.  Equality and hashing see only p and the kernel,
+    so a class, pickled or not, compares equal whether or not its
+    canonical form was read."""
 
     p: int
     kernel: Factorization
-    canonical: Factorization
+
+    @cached_property
+    def canonical(self) -> Factorization:
+        """The exponent twist of the kernel with the smallest absolute
+        value (ties broken on the exponent tuple)."""
+        return _canonicalize(self.kernel, self.p)
 
     @property
     def is_trivial(self) -> bool:
@@ -50,40 +64,33 @@ class KummerClass:
         return (self.p, self.canonical.reconstruct())
 
 
-def _kernel_of_rational(a: Fraction, p: int, budget: int | None) -> Factorization:
-    # a and a * den^p have the same class; num * den^(p-1) is integral
-    n = a.numerator * a.denominator ** (p - 1)
-    return arith.p_free_kernel(n, p, budget)
-
-
-def _twist(kernel: Factorization, j: int, p: int) -> Factorization:
-    factors = tuple((q, (e * j) % p) for q, e in kernel.factors)
-    # j is invertible mod p and e in [1, p-1], so no exponent collapses
-    return Factorization(kernel.sign, factors)
-
-
 def _canonicalize(kernel: Factorization, p: int) -> Factorization:
+    """The twist kernel^j, j in [1, p-1], exponents reduced mod p, that is
+    least on (absolute value, exponent tuple).  j is invertible mod p and
+    each exponent is in [1, p-1], so no exponent collapses to 0."""
     if p == 2 or not kernel.factors:
         return kernel
-    best = None
-    best_key = None
-    for j in range(1, p):
-        cand = _twist(kernel, j, p)
-        key = (abs(cand.reconstruct()), tuple(e for _, e in cand.factors))
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
+    primes, exponents = zip(*kernel.factors)
+    twists = (tuple(e * j % p for e in exponents) for j in range(1, p))
+    _, best = min((math.prod(map(pow, primes, t)), t) for t in twists)
+    if best == exponents:
+        return kernel
+    return Factorization(kernel.sign, tuple(zip(primes, best)))
 
 
 def radical_class(a, p: int, budget: int | None = None) -> KummerClass:
-    """Canonical Kummer class of the nonzero rational a for the prime p."""
-    a = Fraction(a)
+    """Kummer class of the nonzero rational a for the prime p; its
+    canonical form is built when first read."""
+    if not isinstance(a, int):
+        a = Fraction(a)
     if a == 0:
         raise DomainError("kummer", "radical_class needs a nonzero rational")
     if not arith.is_prime(p):
         raise DomainError("kummer", f"radical_class needs a prime, got {p}")
-    kernel = _kernel_of_rational(a, p, budget)
-    return KummerClass(p, kernel, _canonicalize(kernel, p))
+    if isinstance(a, Fraction):
+        # a and a * den^p have the same class; num * den^(p-1) is integral
+        a = a.numerator * a.denominator ** (p - 1)
+    return KummerClass(p, arith.p_free_kernel(a, p, budget))
 
 
 def radical_fields_isomorphic(a, b, p: int, budget: int | None = None) -> bool:

@@ -209,7 +209,7 @@ _PSI = [
     3_317_044_064_679_887_385_961_981,
 ]
 _PSI_K = [1, 2, 3, 4, 5, 6, 7, 9, 12, 13]
-_PSI12 = _PSI[8]
+_PSI6, _PSI9, _PSI12 = _PSI[5], _PSI[7], _PSI[8]
 
 
 def _strong_probable_prime(n, a):
@@ -221,8 +221,13 @@ def _strong_probable_prime(n, a):
 
 
 def test_mr_threshold_table_rows_are_strong_pseudoprimes():
-    assert [psi for psi, _ in arith._MR_THRESHOLDS] == _PSI
-    assert [len(bases) for _, bases in arith._MR_THRESHOLDS] == _PSI_K
+    # Baillie-PSW covers [psi_6, 2**64), so the table keeps the psi_k
+    # below psi_6 and above 2**64: psi_7 and psi_9 fall in the window.
+    assert (arith._BPSW_PROVEN_FROM, arith._BPSW_PROVEN_BELOW) == (_PSI6, 2**64)
+    kept = [i for i, psi in enumerate(_PSI) if psi <= _PSI6 or psi > 2**64]
+    assert [_PSI_K[i] for i in kept] == [1, 2, 3, 4, 5, 6, 12, 13]
+    assert [psi for psi, _ in arith._MR_THRESHOLDS] == [_PSI[i] for i in kept]
+    assert [len(bases) for _, bases in arith._MR_THRESHOLDS] == [_PSI_K[i] for i in kept]
     for psi, bases in arith._MR_THRESHOLDS:
         assert list(bases) == list(sympy.primerange(2, bases[-1] + 1))
         assert not sympy.isprime(psi)
@@ -234,6 +239,77 @@ def test_is_prime_matches_sympy_around_thresholds(psi):
     assert not is_prime(psi)
     for n in range(psi - 2, psi + 3):
         assert is_prime(n) == sympy.isprime(n), n
+
+
+# ---------------------------------------------------------------------------
+# Baillie-PSW on [psi_6, 2**64) and trial-implied primes, against sympy
+# ---------------------------------------------------------------------------
+
+
+def test_is_prime_rejects_psi9_inside_the_bpsw_window():
+    # A strong pseudoprime to every base up to 23, so Miller-Rabin to the
+    # first nine prime bases calls it prime; the Lucas half must not.
+    assert _PSI6 <= _PSI9 < 2**64
+    assert all(_strong_probable_prime(_PSI9, a) for a in sympy.primerange(2, 24))
+    assert sympy.isprime(_PSI9) is False
+    assert not is_prime(_PSI9)
+
+
+_WINDOW_PRIMES = [
+    sympy.nextprime(_PSI6), sympy.nextprime(10**15), sympy.nextprime(2**32 * 10**6),
+    sympy.prevprime(2**63), sympy.nextprime(2**63), sympy.prevprime(2**64),
+]
+
+
+@pytest.mark.parametrize("q", _WINDOW_PRIMES)
+def test_is_prime_on_primes_in_the_window(q):
+    assert _PSI6 <= q < 2**64
+    for n in range(q - 30, q + 31):
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+# primes just above sqrt(psi_6) = 1,864,068.4 and just below 2**32
+_SQUARE_ROOTS = [sympy.nextprime(1_864_068 + 1000 * i) for i in range(4)] + [
+    sympy.prevprime(2**32 - 10**6), sympy.prevprime(2**32)
+]
+
+
+@pytest.mark.parametrize("r", _SQUARE_ROOTS)
+def test_is_prime_rejects_prime_squares_in_the_window(r):
+    assert _PSI6 <= r * r < 2**64
+    assert sympy.isprime(r * r) is False
+    assert not is_prime(r * r)
+
+
+def test_is_prime_matches_sympy_around_2_to_64():
+    below = [sympy.prevprime(2**64 - k * 10**6) for k in range(3)]
+    above = [sympy.nextprime(2**64 + k * 10**6) for k in range(3)]
+    for q in below + above:
+        assert is_prime(q)
+    for n in range(2**64 - 60, 2**64 + 60):
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+@given(st.integers(_PSI6, 2**64 - 1))
+@settings(max_examples=400, deadline=None)
+def test_is_prime_matches_sympy_in_bpsw_window(n):
+    assert is_prime(n) == sympy.isprime(n)
+    q = sympy.nextprime(n)
+    if q < 2**64:
+        assert is_prime(q)
+
+
+@given(
+    st.integers(10**4, 10**8).map(sympy.nextprime).filter(lambda p: p <= 10**8),
+    st.integers(10**8, 10**12).map(sympy.nextprime),
+    st.integers(0, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_factor_of_two_large_primes_matches_sympy(p, q, k):
+    # rho splits p * q, and the part p <= TRIAL_DIVISION_LIMIT**2 is
+    # recorded as prime without a test; k adds a power of p
+    n = p ** (k + 1) * q
+    assert dict(factor(n).factors) == sympy.factorint(n)
 
 
 def _chernick(k_from, count):

@@ -170,6 +170,39 @@ def test_classify_radical_psi12_is_not_prime(tmp_path):
     assert load(out)["summary"]["kernel"]["factors"] == [[399165290221, 1], [798330580441, 1]]
 
 
+# Summaries of classify-radical as the release that built every class's
+# canonical form eagerly wrote them; odd p with nontrivial twists.
+_CLASSIFY_PINNED = [
+    (["72", "5", "--isomorphic-to", "1944"],
+     {"a": "72", "p": 5, "trivial": False,
+      "kernel": {"sign": 1, "factors": [[2, 3], [3, 2]]},
+      "canonical": {"sign": 1, "factors": [[2, 4], [3, 1]]}, "canonical_value": 48,
+      "isomorphic_to": {"b": "1944", "isomorphic": False}}),
+    (["--", "-1800/7", "5"],
+     {"a": "-1800/7", "p": 5, "trivial": False,
+      "kernel": {"sign": 1, "factors": [[2, 3], [3, 2], [5, 2], [7, 4]]},
+      "canonical": {"sign": 1, "factors": [[2, 4], [3, 1], [5, 1], [7, 2]]},
+      "canonical_value": 11760}),
+    (["--", "2250/11", "7"],
+     {"a": "2250/11", "p": 7, "trivial": False,
+      "kernel": {"sign": 1, "factors": [[2, 1], [3, 2], [5, 3], [11, 6]]},
+      "canonical": {"sign": 1, "factors": [[2, 5], [3, 3], [5, 1], [11, 2]]},
+      "canonical_value": 522720}),
+    (["--", "-999999000001", "3"],
+     {"a": "-999999000001", "p": 3, "trivial": False,
+      "kernel": {"sign": 1, "factors": [[999999000001, 1]]},
+      "canonical": {"sign": 1, "factors": [[999999000001, 1]]},
+      "canonical_value": 999999000001}),
+]
+
+
+@pytest.mark.parametrize("args, summary", _CLASSIFY_PINNED)
+def test_classify_radical_summary_pinned(tmp_path, args, summary):
+    out = tmp_path / "c.json"
+    assert main(["classify-radical", "--out", str(out)] + args) == 0
+    assert load(out)["summary"] == summary
+
+
 def test_exit_code_parse_error(capsys):
     status = main(["weak-diversity", "--cover", "y^2 - x^^2", "--N", "5"])
     assert status == 2

@@ -3,6 +3,7 @@ import itertools
 import random
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -151,6 +152,26 @@ def test_pooled_stream_cancels_pending_chunks_on_early_exit(monkeypatch):
     assert next(stream).n == 1
     stream.close()
     assert shutdowns == [True]
+
+
+def test_pooled_stream_bounds_chunks_in_flight(monkeypatch):
+    submitted = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args[0][1])
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(diversity, "ProcessPoolExecutor", RecordingPool)
+    cover = cover_from_text("y^2 - (x^3 - x)")
+    jobs, N = 2, 40
+    with closing(diversity._fiber_stream(cover, N, jobs=jobs)) as stream:
+        assert next(stream).n == 1
+        assert 0 < len(submitted) <= 2 * jobs
+        rest = list(stream)
+    assert [f.n for f in rest] == list(range(2, N + 1))
+    assert submitted[0] == 1 and submitted == sorted(submitted) and len(submitted) > 2 * jobs
+    assert rest == list(diversity._fiber_stream(cover, N))[1:]
 
 
 def _old_key_series(cover, N, method):

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiberfields import kummer
+from fiberfields.arith import Factorization
+from fiberfields.covers import cover_from_text
+from fiberfields.diversity import strong_diversity_rank, weak_diversity_count
 from fiberfields.errors import DomainError
 from fiberfields.kummer import (
+    KummerClass,
     field_fingerprint,
     radical_class,
     radical_fields_isomorphic,
@@ -71,6 +77,81 @@ def test_isomorphic_examples():
 def test_isomorphic_rejects_degenerate():
     with pytest.raises(DomainError):
         radical_fields_isomorphic(8, 2, 3)
+
+
+def _old_twist(kernel, j, p):
+    return Factorization(kernel.sign, tuple((q, (e * j) % p) for q, e in kernel.factors))
+
+
+def _old_canonicalize(kernel, p):
+    """The twist selection as first written: one Factorization per twist,
+    keyed on (absolute value, exponent tuple)."""
+    if p == 2 or not kernel.factors:
+        return kernel
+    best = None
+    best_key = None
+    for j in range(1, p):
+        cand = _old_twist(kernel, j, p)
+        key = (abs(cand.reconstruct()), tuple(e for _, e in cand.factors))
+        if best_key is None or key < best_key:
+            best, best_key = cand, key
+    return best
+
+
+@st.composite
+def _kernels(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 101, 9973, 10007,
+                                            999_999_000_001]),
+                           max_size=6, unique=True))
+    factors = tuple((q, draw(st.integers(1, p - 1))) for q in sorted(primes))
+    return Factorization(draw(st.sampled_from([1, -1])), factors), p
+
+
+@given(_kernels())
+@settings(max_examples=300, deadline=None)
+def test_canonicalize_matches_one_factorization_per_twist(kernel_p):
+    kernel, p = kernel_p
+    assert kummer._canonicalize(kernel, p) == _old_canonicalize(kernel, p)
+    assert KummerClass(p, kernel).canonical == _old_canonicalize(kernel, p)
+
+
+def test_canonical_is_not_built_by_the_rank_fold(monkeypatch):
+    calls = []
+    original = kummer._canonicalize
+
+    def counting(kernel, p):
+        calls.append(p)
+        return original(kernel, p)
+
+    monkeypatch.setattr(kummer, "_canonicalize", counting)
+    cover = cover_from_text("y^5 - (x^4 + 3*x + 7)")
+    assert strong_diversity_rank(cover, 300).rank > 0
+    assert calls == []
+    weak_diversity_count(cover, 30, "ramified-set")
+    assert calls == []
+    weak_diversity_count(cover, 30, "exact-kummer")
+    assert len(calls) == 30
+
+
+@pytest.mark.parametrize("a, p", [(72, 5), (Fraction(-1800, 7), 5), (12, 2), (8, 3)])
+def test_kummer_class_pickles_with_or_without_canonical(a, p):
+    fresh, read = radical_class(a, p), radical_class(a, p)
+    canonical = read.canonical
+    assert "canonical" not in vars(fresh) and "canonical" in vars(read)
+    assert fresh == read and hash(fresh) == hash(read)
+    for cls in (fresh, read):
+        back = pickle.loads(pickle.dumps(cls))
+        assert back == fresh == read and hash(back) == hash(read)
+        assert back.canonical == canonical
+        assert back.key() == read.key()
+
+
+def test_integer_and_rational_inputs_give_the_same_class():
+    for a in (72, -1800, 2250, 10**12 + 39, -(3**7 * 5**2)):
+        for p in (2, 3, 5, 7):
+            assert radical_class(a, p) == radical_class(Fraction(a), p)
+            assert radical_class(a, p).canonical == radical_class(Fraction(a), p).canonical
 
 
 @given(
