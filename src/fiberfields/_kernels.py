@@ -1,8 +1,10 @@
 """Hot numeric loops: prime sieving, brute-force polynomial roots mod m,
 and the squarefree division scan over polynomial value ranges.
 
-Everything here works on int64 numpy arrays and is exact only when the
-caller has checked the int64 envelope (see sieve.squarefree_value_count).
+The root and prime kernels work on int64 arrays.  eval_poly_range and
+squarefree_scan follow the dtype of the coefficient array: int64 when the
+caller has checked that every value fits the int64 envelope, object arrays
+of Python ints outside it (see sieve.squarefree_value_count).
 `backend.name` names the implementation ("numpy") for benchmark records.
 """
 
@@ -39,8 +41,9 @@ def poly_roots_mod(coeffs: np.ndarray, m: int) -> np.ndarray:
 
 
 def eval_poly_range(coeffs: np.ndarray, n_start: int, count: int) -> np.ndarray:
-    xs = np.arange(n_start, n_start + count, dtype=np.int64)
-    acc = np.zeros(count, dtype=np.int64)
+    """h(n) for n_start <= n < n_start + count, in the dtype of coeffs."""
+    xs = np.arange(n_start, n_start + count, dtype=coeffs.dtype)
+    acc = np.zeros(count, dtype=coeffs.dtype)
     for k in range(coeffs.shape[0] - 1, -1, -1):
         acc = acc * xs + coeffs[k]
     return acc

@@ -37,10 +37,6 @@ class CyclicCover:
     g: IntPoly
     removed: tuple[tuple[IntPoly, int], ...] = ()
 
-    @property
-    def equation_text(self) -> str:
-        return f"y^{self.p} - ({polyring.format_poly(self.g)})"
-
     def describe(self) -> dict:
         return {
             "kind": "cyclic",
@@ -206,11 +202,11 @@ def specialize(
     return FiberSpec(n, "regular", factors=pairs)
 
 
-def plane_cover(F: PlanePoly, sample_points: int = _IRRED_SAMPLE_POINTS) -> PlaneCover:
+def plane_cover(F: PlanePoly) -> PlaneCover:
     """Wrap a plane polynomial as a cover, hunting for an irreducible
     specialization F(n, y) as a finite irreducibility certificate."""
     witness = None
-    for n in range(1, sample_points + 1):
+    for n in range(1, _IRRED_SAMPLE_POINTS + 1):
         fy = F.specialize_x(n)
         fact = polyring.factor_over_Q(fy)
         if len(fact.factors) == 1 and fact.factors[0][1] == 1:

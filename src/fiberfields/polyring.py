@@ -838,11 +838,15 @@ def factor_over_Q(
 def root_count_mod_prime_power(f: IntPoly, q: int, a: int) -> int:
     """Exact number of roots of f in Z/q**a (q prime, a >= 1).
 
-    Roots mod q are lifted one level at a time: a root where f' is a unit
-    mod q lifts uniquely, and the q lifts of any other root mod q**k are
-    all roots mod q**(k+1) or none are.  Exact also when f vanishes mod q
-    or mod q**a, where every residue is such a singular root.
+    When q**a divides every coefficient, every residue is a root and the
+    count is q**a at once.  Otherwise roots mod q are lifted one level at a
+    time: a root where f' is a unit mod q lifts uniquely, and the q lifts
+    of any other root mod q**k are all roots mod q**(k+1) or none are.
+    Exact also when f vanishes mod q, where every residue is such a
+    singular root.
     """
+    if all(c % q**a == 0 for c in f.coeffs):
+        return q**a
     base_roots = _modpoly.roots_mod_prime(f.coeffs, q)
     if a == 1:
         return len(base_roots)
@@ -869,18 +873,12 @@ def roots_mod(f: IntPoly, m: int) -> int:
     """
     if m < 2:
         raise DomainError("polyring", "roots_mod needs modulus >= 2")
-    reduced = [c % m for c in f.coeffs]
-    if not any(reduced):
-        return m
     if m <= _ROOTS_BRUTE_BOUND:
-        arr = np.array(reduced, dtype=np.int64)
+        arr = np.array([c % m for c in f.coeffs], dtype=np.int64)
         return int(_kernels.poly_roots_mod(arr, m).shape[0])
     total = 1
     for q, a in arith.factor(m).factors:
-        if all(c % q**a == 0 for c in f.coeffs):
-            total *= q**a
-        else:
-            total *= root_count_mod_prime_power(f, q, a)
+        total *= root_count_mod_prime_power(f, q, a)
         if total == 0:
             return 0
     return total

@@ -6,7 +6,9 @@ square divides every value; the finite obstruction that gets divided out
 rather than counted against h).  The scan is exact:
 
   1. primes q <= T are divided out of every value along the root
-     progressions of h mod q (int64 kernel or big-int fallback, segmented),
+     progressions of h mod q, segmented, by one array scan: int64 arrays
+     when every |h(n)| fits the int64 envelope, object arrays of Python
+     ints otherwise,
   2. the surviving cofactor has all prime factors > T, so below T**3 a
      perfect-square test decides squarefreeness, and
   3. the rare cofactors >= T**3 are fully factored (budgeted).
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels, _modpoly, arith, polyring
+from . import _kernels, arith, polyring
 from .errors import BudgetError, DomainError, UnfactoredResidualError
 from .polyring import IntPoly
 
@@ -60,11 +62,12 @@ def _coefficient_bound(h: IntPoly, N: int) -> int:
 def fixed_square_primes(h: IntPoly) -> tuple[int, ...]:
     """Primes p with p**2 dividing h(n) for every integer n.
 
-    Any such p divides the content or is at most deg h (h mod p must induce
-    the zero function on Z/p); the candidate scan is padded up to 1000
-    anyway, then each candidate is confirmed by an exact root count mod p**2.
+    Any such p divides the content or is at most deg h: otherwise h mod p
+    is a nonzero polynomial of degree < p, so it cannot vanish at every
+    residue.  Only those candidates are tried, each confirmed by an exact
+    root count mod p**2.
     """
-    candidates = set(arith.primes_up_to(max(1000, h.degree)))
+    candidates = set(arith.primes_up_to(h.degree))
     content = h.content()
     if abs(content) > 1:
         candidates |= arith.factor(content).support()
@@ -77,19 +80,18 @@ def fixed_square_primes(h: IntPoly) -> tuple[int, ...]:
 
 
 def _divide_out(values, p):
-    """Divide the full p-part out of every entry of an int64 array."""
+    """Divide the full p-part out of every entry of a value array."""
     mask = (values != 0) & (values % p == 0)
     while np.any(mask):
         np.floor_divide(values, p, out=values, where=mask)
         mask = mask & (values % p == 0)
 
 
-def _scan_int64(h, n0, count, primes, fixed, big_fixed):
-    coeffs = np.array(h.coeffs, dtype=np.int64)
+def _scan(h, n0, count, primes, fixed, big_fixed, dtype):
+    coeffs = np.array(h.coeffs, dtype=dtype)
     values = _kernels.eval_poly_range(coeffs, n0, count)
     np.absolute(values, out=values)
-    flags = np.ones(count, dtype=np.bool_)
-    flags[values == 0] = False
+    flags = values != 0
     for p in big_fixed:
         _divide_out(values, p)
     _kernels.squarefree_scan(
@@ -103,43 +105,11 @@ def _scan_int64(h, n0, count, primes, fixed, big_fixed):
     return values.tolist(), flags
 
 
-def _scan_bigint(h, n0, count, primes, fixed, big_fixed):
-    fixed_set = set(fixed)
-    values = [abs(h(n)) for n in range(n0, n0 + count)]
-    flags = np.ones(count, dtype=np.bool_)
-    for i, v in enumerate(values):
-        if v == 0:
-            flags[i] = False
-    for p in big_fixed:
-        for i, v in enumerate(values):
-            while v and v % p == 0:
-                v //= p
-            values[i] = v
-    for q in primes:
-        roots = _modpoly.roots_mod_prime(h.coeffs, q)
-        skip_flag = q in fixed_set
-        for r in roots:
-            start = (r - n0) % q
-            for i in range(start, count, q):
-                v = values[i]
-                if v == 0:
-                    continue
-                e = 0
-                while v % q == 0:
-                    v //= q
-                    e += 1
-                values[i] = v
-                if e >= 2 and not skip_flag:
-                    flags[i] = False
-    return values, flags
-
-
 def squarefree_value_count(
     h: IntPoly,
     N: int,
     budget: int | None = None,
     euler_bound: int = DEFAULT_EULER_BOUND,
-    _force_bigint: bool = False,
 ) -> SieveReport:
     """Exact count of n <= N with h(n) squarefree away from the fixed set."""
     if h.degree < 1:
@@ -152,11 +122,8 @@ def squarefree_value_count(
     primes = [q for q in arith.primes_up_to(T)]
     small_fixed = [p for p in fixed if p <= T]
     big_fixed = [p for p in fixed if p > T]
-    int64_ok = (
-        not _force_bigint
-        and bound < (1 << 62)
-        and all(abs(c) < (1 << 62) for c in h.coeffs)
-    )
+    # bound also caps every coefficient and every Horner partial sum
+    dtype = np.int64 if bound < (1 << 62) else object
 
     flags_all = bytearray()
     residuals = 0
@@ -164,10 +131,7 @@ def squarefree_value_count(
     t2, t3 = T * T, T * T * T
     for n0 in range(1, N + 1, _SEGMENT):
         seg = min(_SEGMENT, N + 1 - n0)
-        if int64_ok:
-            cofactors, flags = _scan_int64(h, n0, seg, primes, small_fixed, big_fixed)
-        else:
-            cofactors, flags = _scan_bigint(h, n0, seg, primes, small_fixed, big_fixed)
+        cofactors, flags = _scan(h, n0, seg, primes, small_fixed, big_fixed, dtype)
         for i, c in enumerate(cofactors):
             if not flags[i] or c <= 1 or c < t2:
                 continue  # 1 or a prime: squarefree either way
@@ -206,20 +170,16 @@ def squarefree_value_count(
 
 def euler_density(h: IntPoly, prime_bound: int) -> Fraction:
     """Truncated prediction prod_{p <= B, p not fixed} (1 - rho_h(p^2)/p^2),
-    with rho the exact root count mod p^2.  Non-separable h is replaced by
-    its radical first."""
+    with rho the exact root count mod p^2, taken for the radical of h (h
+    itself when h is separable).  A prime is fixed for the radical exactly
+    when rho = p^2, so the fixed primes are skipped by that test."""
     if h.degree < 1:
         raise DomainError("sieve", "euler_density needs a non-constant polynomial")
-    fp = h.primitive()
-    if polyring.poly_gcd(fp, fp.derivative()).degree > 0:
-        h = polyring.radical(h)
-    fixed = set(fixed_square_primes(h))
+    h = polyring.radical(h)
     out = Fraction(1)
     for p in arith.primes_up_to(prime_bound):
-        if p in fixed:
-            continue
         rho = polyring.root_count_mod_prime_power(h, p, 2)
-        if rho:
+        if 0 < rho < p * p:
             out *= Fraction(p * p - rho, p * p)
     return out
 

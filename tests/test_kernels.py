@@ -57,20 +57,25 @@ def _scan_oracle(coeffs, n0, count, primes, fixed):
     return cofactors, flags
 
 
-def test_squarefree_scan_agree():
+@pytest.mark.parametrize(
+    "dtype, scale",
+    [(np.int64, 1), (object, 10**20)],  # object arrays hold values beyond int64
+    ids=["int64", "object"],
+)
+def test_squarefree_scan_agree(dtype, scale):
     rng = random.Random(11)
     primes = [2, 3, 5, 7, 11, 13]
     for _ in range(20):
         deg = rng.randint(1, 4)
-        coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
+        coeffs = [rng.randint(-9 * scale, 9 * scale) for _ in range(deg)] + [rng.randint(1, 9)]
         n0 = rng.randint(1, 50)
         count = rng.randint(1, 200)
         fixed = sorted(rng.sample([2, 3, 5], rng.randint(0, 2)))
-        arr = np.array(coeffs, dtype=np.int64)
+        arr = np.array(coeffs, dtype=dtype)
         values = _kernels.eval_poly_range(arr, n0, count)
+        assert values.dtype == arr.dtype
         np.absolute(values, out=values)
-        flags = np.ones(count, dtype=np.bool_)
-        flags[values == 0] = False
+        flags = values != 0
         _kernels.squarefree_scan(
             arr, n0, values, flags,
             np.array(primes, dtype=np.int64), np.array(fixed, dtype=np.int64),

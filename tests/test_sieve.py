@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from fiberfields import arith
-from fiberfields.errors import DomainError
+from fiberfields.cli import main
+from fiberfields.errors import BudgetError, DomainError
 from fiberfields.polyring import IntPoly, parse_poly
 from fiberfields.sieve import (
     euler_density,
@@ -90,16 +92,49 @@ def test_sieve_agrees_with_full_factorization():
         done += 1
 
 
-def test_bigint_path_agrees_with_int64_path():
-    h = poly("x^3 - 7x + 3")
-    fast = squarefree_value_count(h, 500)
-    slow = squarefree_value_count(h, 500, _force_bigint=True)
-    assert fast.count == slow.count
-    assert fast.flags == slow.flags
+def sympy_flags(h, N, fixed):
+    return bytes(
+        h(n) != 0
+        and all(e <= 1 for q, e in sympy.factorint(abs(h(n))).items() if q not in fixed)
+        for n in range(1, N + 1)
+    )
+
+
+def test_residual_above_cube_of_sieve_bound_with_repeated_large_prime():
+    # T is capped at 10,000; h(1) = 10007**2 * 10009 >= T**3 is factored
+    h = IntPoly((10007**2 * 10009 - 1, 1))
+    rep = squarefree_value_count(h, 5)
+    assert list(rep.flags) == [0, 1, 1, 0, 1]
+    assert rep.count == 3
+    assert rep.flags == sympy_flags(h, 5, ())
+    assert rep.residuals_factored >= 1
+
+
+def test_residual_over_budget_is_named(tmp_path, capsys):
+    c = 10007 * 10009 * 10037
+    with pytest.raises(BudgetError) as exc:
+        squarefree_value_count(IntPoly((c - 1, 1)), 5, budget=1)
+    assert str(exc.value).endswith("at n = 1")
+    args = ["squarefree-density", "--poly", f"x + {c - 1}", "--N", "5", "--factor-budget", "1"]
+    assert main(args + ["--out", str(tmp_path / "out.json")]) == 3
+    assert "n = 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "constant, N, count",
+    [(1, 50, 44), (10**20, 30, 11)],
+    ids=["int64", "object"],  # values inside, then beyond the int64 envelope
+)
+def test_fixed_prime_above_sieve_bound_is_divided_out(constant, N, count):
+    h = IntPoly((10007**2 * constant, 0, 10007**2))
+    rep = squarefree_value_count(h, N)
+    assert rep.fixed_square_primes == (10007,)
+    assert rep.count == count
+    assert rep.flags == sympy_flags(h, N, {10007})
 
 
 def test_bigint_path_for_huge_coefficients():
-    c = 10**25  # forces the big-int route
+    c = 10**25  # beyond the int64 envelope: the scan runs on object arrays
     h = IntPoly((c + 1, 1))  # x + (10^25+1)
     rep = squarefree_value_count(h, 50)
     assert rep.count == oracle_count_via_arith(h, 50, rep.fixed_square_primes)
