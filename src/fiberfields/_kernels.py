@@ -1,10 +1,12 @@
 """Hot numeric loops: prime sieving, brute-force polynomial roots mod m,
 and the squarefree division scan over polynomial value ranges.
 
-The root and prime kernels work on int64 arrays.  eval_poly_range and
-squarefree_scan follow the dtype of the coefficient array: int64 when the
-caller has checked that every value fits the int64 envelope, object arrays
-of Python ints outside it (see sieve.squarefree_value_count).
+The root and prime kernels work on int64 arrays; the root kernel reduces
+its coefficients mod m first, so it also takes object coefficients.
+eval_poly_range and squarefree_scan follow the dtype of the coefficient
+array: int64 when the caller has checked that every value fits the int64
+envelope, object arrays of Python ints outside it (see
+sieve.squarefree_value_count).
 `backend.name` names the implementation ("numpy") for benchmark records.
 """
 
@@ -27,16 +29,37 @@ def prime_flags(limit: int) -> np.ndarray:
     return flags
 
 
+def _reduce_mod(acc: np.ndarray, m: int) -> None:
+    """acc %= m in place for acc >= 0, as acc - (acc // m) * m: numpy's
+    int64 floor division by a scalar runs about 5x faster than its
+    remainder (10^4 entries: 7 us against 34 us)."""
+    quot = acc // m
+    quot *= m
+    acc -= quot
+
+
 def _horner_mod(coeffs: np.ndarray, xs: np.ndarray, m: int) -> np.ndarray:
-    acc = np.zeros(xs.shape[0], dtype=np.int64)
-    for k in range(coeffs.shape[0] - 1, -1, -1):
-        acc = (acc * xs + coeffs[k] % m) % m
+    """f(xs) mod m for xs in [0, m).  The coefficients are reduced mod m
+    first (so object coefficients work too), and acc is reduced only when
+    the next Horner step could leave int64: top bounds acc."""
+    cs = [c % m for c in coeffs.tolist()] or [0]
+    acc = np.full(xs.shape[0], cs[-1], dtype=np.int64)
+    top = m - 1
+    for c in reversed(cs[:-1]):
+        if top * m >= 1 << 63:
+            _reduce_mod(acc, m)
+            top = m - 1
+        acc *= xs
+        acc += c
+        top = top * m  # >= top * (m - 1) + (m - 1)
+    _reduce_mod(acc, m)
     return acc
 
 
-def poly_roots_mod(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """All r in [0, m) with f(r) = 0 mod m, by exhaustion.  Needs m*m < 2**63."""
-    xs = np.arange(m, dtype=np.int64)
+def poly_roots_mod(coeffs: np.ndarray, m: int, stop: int | None = None) -> np.ndarray:
+    """All r in [0, m) with f(r) = 0 mod m, by exhaustion; with stop, only
+    those r < stop.  Needs m*m < 2**63."""
+    xs = np.arange(m if stop is None else min(m, stop), dtype=np.int64)
     return xs[_horner_mod(coeffs, xs, m) == 0]
 
 

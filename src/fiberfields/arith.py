@@ -36,19 +36,31 @@ near 1e11 and wins from 6 bases on (1.3x at 3e12, 1.5x at 1e13, 2x at
 1e16), so it takes the whole range from psi_6 to 2**64, and the table
 keeps its rows below psi_6.
 
-The trial stage costs a few big-integer gcds, not one Python division per
-prime.  g = gcd(m, product of all trial primes) is the product of the
-distinct trial primes dividing m; it is 1 for every value the squarefree
-sieve hands over.  g is peeled in ascending blocks of _TRIAL_BLOCK primes:
-a block is skipped when its product is coprime to what is left of g, and
-the scan stops once the block's first prime squared exceeds it, because
-the rest of g is then a single prime.  Each prime found is divided out of
-m with its full exponent.  The cofactor left over is m with every trial
-prime removed, exactly what a prime-by-prime loop leaves whenever it
-reaches rho: that loop only stops early, at p * p > m, when the rest of m
-is 1 or a prime below TRIAL_DIVISION_LIMIT**2, which both stages record
-the same way.  So rho sees the same numbers, from the same seeds, and
-spends the same budget.  Every part of that cofactor that is at most
+The trial stage finds the distinct primes up to TRIAL_DIVISION_LIMIT
+that divide m, in ascending order; each is then divided out of m with its
+full exponent.  A caller that already knows them passes them to factor as
+trial_primes and the stage is skipped: the sieve finds them along the root
+progressions of a polynomial (sieve.trial_root_table), and its squarefree
+residuals have none.  They must be exactly the primes <= the limit that
+divide m, ascending and distinct.  That is the caller's obligation, as
+primality of the listed primes is the producer's for Factorization: a
+missing prime reaches _split and is recorded as a prime part, and a listed
+non-divisor corrupts the cofactor.
+
+Without trial_primes the stage costs a few big-integer gcds, not one
+Python division per prime.  g = gcd(m, product of all trial primes) is the
+product of the distinct trial primes dividing m.  g is peeled in
+ascending blocks of _TRIAL_BLOCK primes: a block is skipped when its
+product is coprime to what is left of g, and the scan stops once the
+block's first prime squared exceeds it, because the rest of g is then a
+single prime.
+
+Either way the cofactor left over is m with every trial prime removed,
+exactly what a prime-by-prime loop leaves whenever it reaches rho: that
+loop only stops early, at p * p > m, when the rest of m is 1 or a prime
+below TRIAL_DIVISION_LIMIT**2, which _split records the same way.  So
+rho sees the same numbers, from the same seeds, and spends the same
+budget.  Every part of that cofactor that is at most
 TRIAL_DIVISION_LIMIT**2 is prime, since all its prime factors exceed the
 limit, so it is recorded without a test (_split).
 """
@@ -59,6 +71,7 @@ import bisect
 import math
 import random
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,22 +385,9 @@ def _split(m: int, counts: dict[int, int], mult: int, budget: _Budget) -> None:
     _split(m // d, counts, mult, budget)
 
 
-def factor(n: int, budget: int | None = None) -> Factorization:
-    """Complete signed prime factorization of a nonzero integer.
-
-    budget (None for DEFAULT_FACTOR_BUDGET, else >= 1) bounds the number
-    of rho iterations spent on hard cofactors; running out raises
-    UnfactoredResidualError naming the residual.
-    """
-    if n == 0:
-        raise DomainError("arith", "factor(0) is undefined")
-    if budget is None:
-        budget = DEFAULT_FACTOR_BUDGET
-    elif budget < 1:
-        raise DomainError("arith", f"factor budget must be positive, got {budget}")
-    sign = 1 if n > 0 else -1
-    m = abs(n)
-    counts: dict[int, int] = {}
+def _trial_stage(m: int) -> list[int]:
+    """The distinct primes <= TRIAL_DIVISION_LIMIT dividing m (> 0),
+    ascending, by the gcd scan of the module docstring."""
     trial, product, blocks = _trial_blocks()
     g = math.gcd(m, product)  # the product of the distinct trial primes dividing m
     found: list[int] = []
@@ -408,7 +408,33 @@ def factor(n: int, budget: int | None = None) -> Factorization:
         # object per trial prime (the 50k cubic-smooth-weak factorizations
         # hold 30.7 MB instead of 32.0 MB).
         found.append(trial[bisect.bisect_left(trial, g)])
-    for p in found:
+    return found
+
+
+def factor(
+    n: int, budget: int | None = None, trial_primes: Sequence[int] | None = None
+) -> Factorization:
+    """Complete signed prime factorization of a nonzero integer.
+
+    budget (None for DEFAULT_FACTOR_BUDGET, else >= 1) bounds the number
+    of rho iterations spent on hard cofactors; running out raises
+    UnfactoredResidualError naming the residual.  trial_primes, when
+    given, are the ascending distinct primes <= TRIAL_DIVISION_LIMIT that
+    divide n (the caller's obligation, see the module docstring), and the
+    trial stage is skipped.
+    """
+    if n == 0:
+        raise DomainError("arith", "factor(0) is undefined")
+    if budget is None:
+        budget = DEFAULT_FACTOR_BUDGET
+    elif budget < 1:
+        raise DomainError("arith", f"factor budget must be positive, got {budget}")
+    sign = 1 if n > 0 else -1
+    m = abs(n)
+    if trial_primes is None:
+        trial_primes = _trial_stage(m)
+    counts: dict[int, int] = {}
+    for p in trial_primes:
         m //= p
         e = 1
         while m % p == 0:
@@ -453,7 +479,11 @@ def p_free_kernel(n: int, p: int, budget: int | None = None) -> Factorization:
     (-1 is then a p-th power)."""
     if not is_prime(p):
         raise DomainError("arith", f"p_free_kernel requires a prime, got {p}")
-    f = factor(n, budget)
+    return _p_free(factor(n, budget), p)
+
+
+def _p_free(f: Factorization, p: int) -> Factorization:
+    """p_free_kernel of the number f factors, for p already proven prime."""
     reduced = tuple((q, e % p) for q, e in f.factors if e % p != 0)
     sign = f.sign if p == 2 else 1
     return Factorization(sign, reduced)

@@ -19,6 +19,7 @@ fingerprints (plane).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import kummer, polyring
@@ -177,20 +178,27 @@ def specialize(
     n: int,
     budget: int | None = None,
     prime_budget: int = kummer.DEFAULT_PRIME_BUDGET,
+    trial_primes: Sequence[int] | None = None,
 ) -> FiberSpec:
-    """Classify the fiber over x = n; never silently skips a fiber."""
+    """Classify the fiber over x = n; never silently skips a fiber.
+
+    trial_primes, for a cyclic cover only, are the ascending distinct
+    primes <= arith.TRIAL_DIVISION_LIMIT dividing g(n), handed to
+    arith.factor (see sieve.trial_prime_lists)."""
     if isinstance(cover, CyclicCover):
         value = cover.g(n)
         if value == 0:
             return FiberSpec(n, "branch", value=0)
         try:
-            cls = kummer.radical_class(value, cover.p, budget)
+            cls = kummer.radical_class(value, cover.p, budget, trial_primes)
         except BudgetError as err:
             return FiberSpec(n, "unresolved", value=value, note=str(err))
         if cls.is_trivial:
             return FiberSpec(n, "degenerate", value=value, kummer_class=cls)
         return FiberSpec(n, "regular", value=value, kummer_class=cls)
 
+    if trial_primes is not None:
+        raise DomainError("covers", "trial_primes applies to cyclic covers only")
     fy = cover.F.specialize_x(n)
     fact = polyring.factor_over_Q(fy)
     if any(mult >= 2 for _, mult in fact.factors):

@@ -14,7 +14,11 @@ hold for every prefix):
                  again a certified lower bound.
 
 Fibers are specialized in one lazy pass over n = 1..N (optionally by a
-process pool, chunk by chunk) and each fiber is folded as it arrives, so
+process pool, chunk by chunk).  On a cyclic cover the value g(n) reaches
+arith.factor with its trial primes already known: the roots of g modulo
+every trial prime are found once per pass (sieve.trial_root_table), and
+each segment of n collects its primes along those root progressions
+(sieve.trial_prime_lists).  Each fiber is folded as it arrives, so
 no fold holds the fibers: a weak fold keeps one int per distinct class
 (exact-kummer: the canonical value of the Kummer class; ramified-set:
 the product of the ramified primes), and compare_methods feeds its three
@@ -36,9 +40,9 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 
-from . import arith, covers, kummer, polyring
+from . import arith, covers, kummer, polyring, sieve
 from .covers import CoverSpec, CyclicCover, FiberSpec, PlaneCover
 from .errors import BudgetError, DomainError
 from .kummer import FieldFingerprint
@@ -87,9 +91,24 @@ class CompositumReport:
 # ---------------------------------------------------------------------------
 
 
+# Fibers per segment of trial-prime lists on the serial path: the lists of
+# a segment are live at once, and each segment walks every root progression.
+_SEGMENT = 1024
+
+
+def _specialized(cover, n0, n1, budget, prime_budget, table):
+    """The fibers over n0 <= n < n1, each cyclic value handed its trial
+    primes from the root table (None for a plane cover)."""
+    if table is None:
+        lists = repeat(None)
+    else:
+        lists = sieve.trial_prime_lists(table, n0, n1 - n0)
+    for n, primes in zip(range(n0, n1), lists):
+        yield covers.specialize(cover, n, budget, prime_budget, primes)
+
+
 def _specialize_range(args):
-    cover, n0, n1, budget, prime_budget = args
-    return [covers.specialize(cover, n, budget, prime_budget) for n in range(n0, n1)]
+    return list(_specialized(*args))
 
 
 def _fiber_stream(
@@ -101,20 +120,27 @@ def _fiber_stream(
 ) -> Iterator[FiberSpec]:
     """The fibers over x = 1..N in increasing n, specialized lazily.
 
-    With jobs > 1 a process pool specializes chunks of n and the stream
-    yields each chunk in order as it arrives.  At most 2 * jobs chunks are
-    submitted and not yet fully yielded, so finished chunks cannot pile up
-    in the parent while the fold lags behind the workers.  Closing the
-    stream early cancels the chunks no worker has started."""
+    For a cyclic cover the trial root table of g is built once, and each
+    segment of n gets its values' trial primes from the root progressions
+    (sieve.trial_prime_lists), so arith.factor skips its trial stage.
+
+    With jobs > 1 a process pool specializes chunks of n, each task
+    carrying the parent's table, and the stream yields each chunk in order
+    as it arrives.  At most 2 * jobs chunks are submitted and not yet
+    fully yielded, so finished chunks cannot pile up in the parent while
+    the fold lags behind the workers.  Closing the stream early cancels
+    the chunks no worker has started."""
+    table = sieve.trial_root_table(cover.g, N) if isinstance(cover, CyclicCover) else None
     if jobs <= 1:
-        for n in range(1, N + 1):
-            yield covers.specialize(cover, n, budget, prime_budget)
+        for n0 in range(1, N + 1, _SEGMENT):
+            n1 = min(n0 + _SEGMENT, N + 1)
+            yield from _specialized(cover, n0, n1, budget, prime_budget, table)
         return
     # 16 chunks a worker, so the window of 2 * jobs chunks holds at most an
     # eighth of the fibers.
     chunk = max(1, -(-N // (jobs * 16)))
     tasks = (
-        (cover, n0, min(n0 + chunk, N + 1), budget, prime_budget)
+        (cover, n0, min(n0 + chunk, N + 1), budget, prime_budget, table)
         for n0 in range(1, N + 1, chunk)
     )
     pool = ProcessPoolExecutor(max_workers=jobs)

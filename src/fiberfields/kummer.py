@@ -20,6 +20,7 @@ deliberately not structural.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -78,10 +79,15 @@ def _canonicalize(kernel: Factorization, p: int) -> Factorization:
     return Factorization(kernel.sign, tuple(zip(primes, best)))
 
 
-def radical_class(a, p: int, budget: int | None = None) -> KummerClass:
+def radical_class(
+    a, p: int, budget: int | None = None, trial_primes: Sequence[int] | None = None
+) -> KummerClass:
     """Kummer class of the nonzero rational a for the prime p; its
-    canonical form is built when first read."""
+    canonical form is built when first read.  trial_primes, for an int a
+    only, is passed to arith.factor; p is proven prime here, once."""
     if not isinstance(a, int):
+        if trial_primes is not None:
+            raise DomainError("kummer", "trial_primes needs an integer a")
         a = Fraction(a)
     if a == 0:
         raise DomainError("kummer", "radical_class needs a nonzero rational")
@@ -90,7 +96,7 @@ def radical_class(a, p: int, budget: int | None = None) -> KummerClass:
     if isinstance(a, Fraction):
         # a and a * den^p have the same class; num * den^(p-1) is integral
         a = a.numerator * a.denominator ** (p - 1)
-    return KummerClass(p, arith.p_free_kernel(a, p, budget))
+    return KummerClass(p, arith._p_free(arith.factor(a, budget, trial_primes), p))
 
 
 def radical_fields_isomorphic(a, b, p: int, budget: int | None = None) -> bool:

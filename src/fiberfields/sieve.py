@@ -1,4 +1,5 @@
-"""Squarefree-value statistics for integer polynomial sequences.
+"""Squarefree-value statistics for integer polynomial sequences, and the
+trial primes of polynomial values by root progressions.
 
 squarefree_value_count marks every n <= N whose value h(n) has
 v_q(h(n)) <= 1 for all primes q outside the fixed-square set (primes whose
@@ -11,7 +12,17 @@ rather than counted against h).  The scan is exact:
      ints otherwise,
   2. the surviving cofactor has all prime factors > T, so below T**3 a
      perfect-square test decides squarefreeness, and
-  3. the rare cofactors >= T**3 are fully factored (budgeted).
+  3. the rare cofactors >= T**3 are fully factored (budgeted); T is then
+     arith.TRIAL_DIVISION_LIMIT, so they have no trial prime and
+     arith.factor skips its trial stage.
+
+The same progressions give the cyclic fibers their trial primes (line
+sieving; Pomerance, "A tale of two sieves", 1996).  A prime q divides g(n)
+exactly when n mod q is a root of g mod q.  trial_root_table finds those
+roots for every q <= arith.TRIAL_DIVISION_LIMIT once, with the scan's root
+kernel on g's coefficients mod q, and trial_prime_lists walks the
+progressions over a segment of n, so arith.factor receives each g(n)'s
+trial primes instead of finding them by gcds.
 
 euler_density gives the truncated prediction prod (1 - rho(p^2)/p^2) as an
 exact fraction, and exact_order_prime_ratio counts the large primes
@@ -30,7 +41,9 @@ from . import _kernels, arith, polyring
 from .errors import BudgetError, DomainError, UnfactoredResidualError
 from .polyring import IntPoly
 
-_SIEVE_PRIME_CAP = 10_000
+# Residual cofactors have no prime factor up to this cap, which is what lets
+# arith.factor skip its trial stage on them.
+_SIEVE_PRIME_CAP = arith.TRIAL_DIVISION_LIMIT
 _SEGMENT = 1 << 20
 DEFAULT_EULER_BOUND = 1_000
 
@@ -55,22 +68,66 @@ class SieveReport:
         return float(self.euler_product)
 
 
+# Trial root table: (q, the roots r in [0, q) of g mod q that some n <= N
+# meets) for every trial prime q dividing some value g(n), n <= N,
+# ascending in q.
+TrialRootTable = tuple[tuple[int, tuple[int, ...]], ...]
+
+
 def _coefficient_bound(h: IntPoly, N: int) -> int:
     return sum(abs(c) * N**i for i, c in enumerate(h.coeffs))
 
 
-def fixed_square_primes(h: IntPoly) -> tuple[int, ...]:
+def trial_root_table(g: IntPoly, N: int) -> TrialRootTable:
+    """The residues n mod q at which q divides g(n), for every prime
+    q <= arith.TRIAL_DIVISION_LIMIT, valid for 1 <= n <= N.
+
+    They are the roots of g mod q, found by the kernel the squarefree scan
+    uses, from g's coefficients mod q, so every g is evaluated in int64.
+    When N < q, n <= N meets the residues 1..N only.  A prime dividing no
+    value g(n), n <= N, is left out."""
+    coeffs = np.array(g.coeffs, dtype=object)
+    table = []
+    for q in arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT):
+        if q <= N:
+            roots = _kernels.poly_roots_mod(coeffs, q)
+        else:
+            roots = _kernels.poly_roots_mod(coeffs, q, N + 1)
+            roots = roots[roots > 0]
+        if roots.size:
+            table.append((q, tuple(roots.tolist())))
+    return tuple(table)
+
+
+def trial_prime_lists(table: TrialRootTable, n0: int, count: int) -> list[list[int]]:
+    """lists[i]: the ascending distinct primes <= arith.TRIAL_DIVISION_LIMIT
+    dividing g(n0 + i), for the table of g and 1 <= n0 + i <= its N."""
+    lists: list[list[int]] = [[] for _ in range(count)]
+    for q, residues in table:
+        if q < count:
+            for r in residues:
+                for i in range((r - n0) % q, count, q):
+                    lists[i].append(q)
+        else:  # at most one hit per residue: skip building a range
+            for r in residues:
+                i = (r - n0) % q
+                if i < count:
+                    lists[i].append(q)
+    return lists
+
+
+def fixed_square_primes(h: IntPoly, budget: int | None = None) -> tuple[int, ...]:
     """Primes p with p**2 dividing h(n) for every integer n.
 
     Any such p divides the content or is at most deg h: otherwise h mod p
     is a nonzero polynomial of degree < p, so it cannot vanish at every
     residue.  Only those candidates are tried, each confirmed by an exact
-    root count mod p**2.
+    root count mod p**2.  budget bounds the factorization of the content.
     """
     candidates = set(arith.primes_up_to(h.degree))
     content = h.content()
     if abs(content) > 1:
-        candidates |= arith.factor(content).support()
+        candidates |= arith.factor(content, budget).support()
     fixed = [
         p
         for p in sorted(candidates)
@@ -116,7 +173,7 @@ def squarefree_value_count(
         raise DomainError("sieve", "squarefree_value_count needs a non-constant polynomial")
     if N < 1:
         raise DomainError("sieve", "N >= 1 required")
-    fixed = fixed_square_primes(h)
+    fixed = fixed_square_primes(h, budget)
     bound = _coefficient_bound(h, N)
     T = max(37, min(_SIEVE_PRIME_CAP, arith.introot(bound, 3) + 1))
     primes = [q for q in arith.primes_up_to(T)]
@@ -139,9 +196,11 @@ def squarefree_value_count(
             if s * s == c:
                 flags[i] = False
             elif c >= t3:
+                # c <= bound < T**3 unless T is the cap, so c has no
+                # prime factor up to arith.TRIAL_DIVISION_LIMIT
                 residuals += 1
                 try:
-                    fact = arith.factor(c, budget)
+                    fact = arith.factor(c, budget, trial_primes=())
                 except UnfactoredResidualError:
                     bad.append(n0 + i)
                     continue

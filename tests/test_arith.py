@@ -105,6 +105,29 @@ def test_squarefree_kernel_square_invariance(n, k):
     assert squarefree_kernel(n * k * k) == squarefree_kernel(n)
 
 
+def oracle_trial_primes(n: int) -> list[int]:
+    return [q for q in arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT) if n % q == 0]
+
+
+@given(st.integers(min_value=-10**15, max_value=10**15).filter(lambda n: n != 0))
+@settings(max_examples=150, deadline=None)
+def test_factor_with_trial_primes_skips_only_the_trial_stage(n):
+    primes = oracle_trial_primes(n)
+    assert factor(n, trial_primes=primes) == factor(n)
+
+
+@pytest.mark.parametrize("n", [1, -1, 10007, 10007 * 10009, -(10007**3) * 99991, 2**61 - 1])
+def test_factor_without_trial_primes_by_contract(n):
+    assert oracle_trial_primes(n) == []
+    assert factor(n, trial_primes=()) == factor(n)
+    assert factor(n, trial_primes=()).reconstruct() == n
+
+
+def test_p_free_kernel_needs_a_prime():
+    with pytest.raises(DomainError, match="arith: p_free_kernel requires a prime, got 4"):
+        p_free_kernel(12, 4)
+
+
 def test_p_free_kernel_examples():
     assert p_free_kernel(8, 3) == Factorization(1, ())
     assert p_free_kernel(12, 3) == Factorization(1, ((2, 2), (3, 1)))

@@ -288,6 +288,27 @@ def test_reports_byte_identical_across_jobs(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["strong-diversity", "--cover", "y^5 - (x^4 + 3*x + 7)", "--N", "300"],
+        # values beyond the int64 envelope: the trial root table is built on
+        # an object array
+        ["weak-diversity", "--cover", "y^3 - (x^5 + 100000000000000000000*x + 1)",
+         "--N", "40", "--method", "exact"],
+        ["weak-diversity", "--cover", "y^2 - (x^3 - x)", "--N", "120", "--method", "ramified"],
+    ],
+    ids=["strong", "weak-object", "ramified"],
+)
+def test_pooled_reports_byte_identical_to_serial(args, tmp_path):
+    blobs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"r{jobs}.json"
+        assert main(args + ["--jobs", jobs, "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_golden_weak_diversity(tmp_path):
     out = tmp_path / "golden.json"
     status = main(["weak-diversity", "--cover", "y^2 - (x^3 - x)", "--N", "1000",

@@ -170,6 +170,15 @@ def test_specialize_cyclic():
     assert specialize(cx, 4).status == "degenerate"
 
 
+def test_specialize_trial_primes():
+    c = normalize_cyclic(2, poly("x^3 - x"))
+    assert specialize(c, 6, trial_primes=[2, 3, 5, 7]) == specialize(c, 6)
+    with pytest.raises(DomainError, match="covers: trial_primes applies to cyclic covers only"):
+        specialize(plane_cover(parse_poly("y^3 + x*y + x^2 + 1")), 2, trial_primes=[])
+    with pytest.raises(DomainError, match="kummer: radical_class needs a prime"):
+        specialize(CyclicCover(4, poly("x + 1")), 2, trial_primes=[3])
+
+
 def test_specialize_cross_module_consistency():
     c = cover_from_text("y^2 - (x^3 - x)")
     for n in range(2, 40):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sympy import GF, factorint
 from sympy.polys.matrices import DomainMatrix
 
-from fiberfields import covers, diversity, kummer
+from fiberfields import arith, covers, diversity, kummer
 from fiberfields.arith import Factorization
 from fiberfields.covers import cover_from_text, normalize_cyclic, plane_cover
 from fiberfields.diversity import (
@@ -130,13 +130,50 @@ def test_worker_error_reaches_caller(monkeypatch):
     """An error raised in a pool worker is re-raised as itself in the
     caller, not as a broken pool."""
 
-    def refuse(cover, n, budget=None, prime_budget=None):
+    def refuse(cover, n, budget=None, prime_budget=None, trial_primes=None):
         raise DomainError("covers", f"refused fiber {n}")
 
     monkeypatch.setattr(covers, "specialize", refuse)
     with pytest.raises(DomainError, match="covers: refused fiber") as exc:
         list(diversity._fiber_stream(cover_from_text("y^2 - (x^3 - x)"), 10, jobs=2))
     assert exc.value.module == "covers"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cyclic_stream_hands_every_factor_its_trial_primes(jobs, monkeypatch, tmp_path):
+    """No cyclic fiber falls back to arith.factor's gcd trial stage, in the
+    serial stream or in a pool worker.  Workers append to a shared log, so
+    a call they made unpatched would be missing from it."""
+    log = tmp_path / "factor-calls"
+    real = arith.factor
+
+    def recording(n, budget=None, trial_primes=None):
+        with open(log, "a") as fh:
+            fh.write(f"{n} {trial_primes is not None}\n")
+        return real(n, budget, trial_primes)
+
+    monkeypatch.setattr(arith, "factor", recording)
+    cover = cover_from_text("y^2 - (x^3 - x)")
+    fibers = list(diversity._fiber_stream(cover, 70, jobs=jobs))
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(int(n) for n, _ in calls) == sorted(
+        f.value for f in fibers if f.status != "branch"
+    )
+    assert {hinted for _, hinted in calls} == {"True"}
+
+
+def test_cyclic_fiber_proves_p_once(monkeypatch):
+    cover = normalize_cyclic(5, poly("x^4 + 3x + 7"))
+    proofs = []
+    real = arith.is_prime
+
+    def recording(n):
+        proofs.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", recording)
+    fibers = list(diversity._fiber_stream(cover, 40))
+    assert proofs.count(5) == len(fibers) == 40
 
 
 def test_pooled_stream_cancels_pending_chunks_on_early_exit(monkeypatch):

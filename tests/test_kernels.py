@@ -31,6 +31,24 @@ def test_poly_roots_mod_agree():
         assert got == brute, (coeffs.tolist(), m)
 
 
+@pytest.mark.parametrize("dtype, scale", [(np.int64, 1), (object, 10**20)], ids=["int64", "object"])
+def test_poly_roots_mod_below_stop_agree(dtype, scale):
+    """Large moduli and degrees, where Horner reduces acc only when the
+    next step could leave int64, and object coefficients beyond int64."""
+    rng = random.Random(13)
+    for _ in range(40):
+        deg = rng.randint(0, 8)
+        coeffs = [rng.randint(-50 * scale, 50 * scale) for _ in range(deg + 1)]
+        m = rng.choice([rng.randint(2, 400), rng.randint(400, 10**4), 3_037_000_493])
+        stop = rng.randint(1, 300)
+        brute = [
+            r for r in range(min(m, stop)) if sum(c * r**i for i, c in enumerate(coeffs)) % m == 0
+        ]
+        got = _kernels.poly_roots_mod(np.array(coeffs, dtype=dtype), m, stop)
+        assert got.tolist() == brute, (coeffs, m, stop)
+    assert _kernels.poly_roots_mod(np.array([], dtype=np.int64), 5).tolist() == [0, 1, 2, 3, 4]
+
+
 def test_eval_poly_range_agree():
     coeffs = np.array([3, -2, 0, 1], dtype=np.int64)
     vals = _kernels.eval_poly_range(coeffs, -5, 11)

@@ -54,8 +54,11 @@ def test_radical_class_rational_inputs():
     assert radical_class(Fraction(2, 9), 2).key() == radical_class(2, 2).key()
     with pytest.raises(DomainError):
         radical_class(0, 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="kummer: radical_class needs a prime, got 4"):
         radical_class(5, 4)
+    with pytest.raises(DomainError, match="kummer: trial_primes needs an integer a"):
+        radical_class(Fraction(2, 9), 2, trial_primes=[2])
+    assert radical_class(12, 3, trial_primes=[2, 3]) == radical_class(12, 3)
 
 
 def test_canonical_picks_smallest_twist():

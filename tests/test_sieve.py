@@ -4,16 +4,20 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fiberfields import arith
+from fiberfields import arith, sieve
 from fiberfields.cli import main
-from fiberfields.errors import BudgetError, DomainError
+from fiberfields.errors import BudgetError, DomainError, UnfactoredResidualError
 from fiberfields.polyring import IntPoly, parse_poly
 from fiberfields.sieve import (
     euler_density,
     exact_order_prime_ratio,
     fixed_square_primes,
     squarefree_value_count,
+    trial_prime_lists,
+    trial_root_table,
 )
 
 from conftest import oracle_factor, poly
@@ -110,6 +114,41 @@ def test_residual_above_cube_of_sieve_bound_with_repeated_large_prime():
     assert rep.residuals_factored >= 1
 
 
+def test_residuals_skip_the_trial_stage(monkeypatch):
+    """Every residual cofactor is free of the trial primes, so it reaches
+    arith.factor with trial_primes=() and factors as it would without."""
+    assert sieve._SIEVE_PRIME_CAP == arith.TRIAL_DIVISION_LIMIT
+    trial_product = math.prod(arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT))
+    calls = []
+    real = arith.factor
+
+    def recording(n, budget=None, trial_primes=None):
+        calls.append((n, trial_primes))
+        return real(n, budget, trial_primes)
+
+    monkeypatch.setattr(arith, "factor", recording)
+    h = IntPoly((10007**2 * 10009 - 1, 1))
+    rep = squarefree_value_count(h, 40)
+    assert rep.flags == sympy_flags(h, 40, ())
+    assert len(calls) == rep.residuals_factored >= 1
+    for c, trial_primes in calls:
+        assert trial_primes == ()
+        assert math.gcd(c, trial_product) == 1
+        assert real(c, trial_primes=()) == real(c)
+
+
+def test_fixed_square_primes_honours_the_budget(tmp_path, capsys):
+    c = 10007 * 10009  # the content; rho needs more than 1 iteration
+    h = IntPoly((c, c))
+    assert fixed_square_primes(h, budget=100_000) == ()
+    with pytest.raises(UnfactoredResidualError, match=r"\(1 iterations\)"):
+        fixed_square_primes(h, budget=1)
+    args = ["squarefree-density", "--poly", f"{c}x + {c}", "--N", "5", "--factor-budget", "1"]
+    assert main(args + ["--out", str(tmp_path / "out.json")]) == 3
+    err = capsys.readouterr().err
+    assert "(1 iterations)" in err and str(c) in err
+
+
 def test_residual_over_budget_is_named(tmp_path, capsys):
     c = 10007 * 10009 * 10037
     with pytest.raises(BudgetError) as exc:
@@ -157,6 +196,76 @@ def test_sieve_rejects_bad_inputs():
         squarefree_value_count(poly("3"), 10)
     with pytest.raises(DomainError):
         squarefree_value_count(poly("x"), 0)
+
+
+# ---------------------------------------------------------------------------
+# trial primes along root progressions
+# ---------------------------------------------------------------------------
+
+TRIAL_PRIMES = arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT)
+
+
+def oracle_trial_primes(value: int) -> list[int]:
+    return [q for q in TRIAL_PRIMES if value % q == 0]
+
+
+def sieved_lists(g: IntPoly, N: int, cuts) -> list[list[int]]:
+    """The trial-prime lists of g(1..N), segmented at the cut points."""
+    table = trial_root_table(g, N)
+    bounds = sorted({1, N + 1, *(c for c in cuts if 1 < c <= N)})
+    lists = []
+    for n0, n1 in zip(bounds, bounds[1:]):
+        lists += trial_prime_lists(table, n0, n1 - n0)
+    return lists
+
+
+@given(
+    coeffs=st.lists(st.integers(-60, 60), min_size=2, max_size=5).filter(lambda c: c[-1] != 0),
+    shift=st.sampled_from([0, -(2**63), 10**20]),
+    N=st.integers(1, 90),
+    cuts=st.lists(st.integers(2, 90), max_size=4),
+)
+@example(coeffs=[6, 0, 0, 6], shift=0, N=40, cuts=[7])  # 2 and 3 divide every value
+@example(coeffs=[0, -1, 0, 1], shift=0, N=30, cuts=[2])  # branch fibers: g(1) = 0
+@example(coeffs=[-5, 3, -1], shift=0, N=25, cuts=[])  # every value negative
+@example(coeffs=[-7, 8], shift=0, N=1, cuts=[])  # g(1) = 1: the table is empty
+@example(coeffs=[1, 0, 0, 0, 1], shift=10**20, N=60, cuts=[13, 14])  # object dtype
+@settings(max_examples=40, deadline=None)
+def test_trial_prime_lists_match_oracles(coeffs, shift, N, cuts):
+    """The sieved lists equal the trial primes found by division, and the
+    hinted factorizations equal the unhinted ones and sympy's."""
+    g = IntPoly([coeffs[0] + shift] + coeffs[1:])
+    lists = sieved_lists(g, N, cuts)
+    assert len(lists) == N
+    for n, primes in enumerate(lists, 1):
+        value = g(n)
+        assert primes == oracle_trial_primes(value), (n, value)
+        if value == 0 or n > 8:  # factor a few values of every example
+            continue
+        f = arith.factor(value, trial_primes=primes)
+        assert f == arith.factor(value)
+        assert dict(f.factors) == sympy.factorint(abs(value))
+        assert f.sign == (1 if value > 0 else -1)
+
+
+def test_trial_root_table_examples():
+    assert trial_root_table(poly("6x^3 + 6"), 10)[:2] == ((2, (0, 1)), (3, (0, 1, 2)))
+    assert trial_root_table(poly("8x - 7"), 1) == ()
+    assert trial_prime_lists((), 1, 1) == [[]]
+    # N < q: only the residues met by n <= N are kept
+    assert 9973 not in dict(trial_root_table(poly("x - 9973"), 5))
+    assert dict(trial_root_table(poly("x - 9976"), 5))[9973] == (3,)
+
+
+def test_trial_prime_lists_beyond_the_value_window():
+    """N above TRIAL_DIVISION_LIMIT: the table comes from g(1..10^4) and the
+    progressions carry it to every n."""
+    g = poly("x^2 + 1")
+    N = 20_000
+    table = trial_root_table(g, N)
+    for n0, count in ((1, 50), (9_990, 40), (10_000, 3), (19_960, 41)):
+        lists = trial_prime_lists(table, n0, count)
+        assert lists == [oracle_trial_primes(g(n)) for n in range(n0, n0 + count)]
 
 
 # ---------------------------------------------------------------------------
