@@ -1,5 +1,6 @@
 """Hot numeric loops: prime sieving, brute-force polynomial roots mod m,
-and the squarefree division scan over polynomial value ranges.
+the roots of a linear polynomial mod many primes at once, and the
+squarefree division scan over polynomial value ranges.
 
 The root and prime kernels work on int64 arrays; the root kernel reduces
 its coefficients mod m first, so it also takes object coefficients.
@@ -61,6 +62,41 @@ def poly_roots_mod(coeffs: np.ndarray, m: int, stop: int | None = None) -> np.nd
     those r < stop.  Needs m*m < 2**63."""
     xs = np.arange(m if stop is None else min(m, stop), dtype=np.int64)
     return xs[_horner_mod(coeffs, xs, m) == 0]
+
+
+def _int_mod(a: int, qs: np.ndarray) -> np.ndarray:
+    """a mod q for every q in qs (0 < q < 2**31), for any Python int a:
+    Horner over a's base-2**31 digits, the top one below 2**62, keeps
+    every step in int64."""
+    m, digits = abs(a), []
+    while m >> 62:
+        digits.append(m & 0x7FFFFFFF)
+        m >>= 31
+    acc = np.int64(m) % qs
+    for d in reversed(digits):
+        acc <<= 31
+        acc += d
+        acc %= qs
+    return acc if a >= 0 else (qs - acc) % qs
+
+
+def linear_roots_mod(b: int, c: int, qs: np.ndarray) -> np.ndarray:
+    """For every prime q in qs (int64, q < 2**31), the root r in [0, q) of
+    b*x + c mod q, or -1 when q divides b.  b's inverse is b**(q-2) mod q,
+    by square-and-multiply across all q at once; b = +-1 is its own."""
+    if abs(b) == 1:
+        return _int_mod(-b * c, qs)
+    bq = _int_mod(b, qs)
+    inv = np.ones_like(qs)
+    base, exps = bq, qs - 2
+    while exps.any():
+        odd = (exps & 1) == 1
+        inv[odd] = inv[odd] * base[odd] % qs[odd]
+        base = base * base % qs
+        exps = exps >> 1
+    roots = _int_mod(-c, qs) * inv % qs
+    roots[bq == 0] = -1
+    return roots
 
 
 def eval_poly_range(coeffs: np.ndarray, n_start: int, count: int) -> np.ndarray:

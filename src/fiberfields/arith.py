@@ -38,14 +38,17 @@ keeps its rows below psi_6.
 
 The trial stage finds the distinct primes up to TRIAL_DIVISION_LIMIT
 that divide m, in ascending order; each is then divided out of m with its
-full exponent.  A caller that already knows them passes them to factor as
-trial_primes and the stage is skipped: the sieve finds them along the root
-progressions of a polynomial (sieve.trial_root_table), and its squarefree
-residuals have none.  They must be exactly the primes <= the limit that
-divide m, ascending and distinct.  That is the caller's obligation, as
+full exponent.  A caller that already knows m's small primes passes them
+to factor as trial_primes and the stage is skipped: the sieve finds them
+along the root progressions of a polynomial (sieve.trial_root_table),
+together with every prime of its linear factors' values up to
+SIEVE_LIMIT and the large primes of its content, and its squarefree
+residuals have none.  trial_primes are ascending distinct primes dividing
+m, and they include every prime <= the limit that divides m; primes above
+the limit may be listed too.  That is the caller's obligation, as
 primality of the listed primes is the producer's for Factorization: a
-missing prime reaches _split and is recorded as a prime part, and a listed
-non-divisor corrupts the cofactor.
+missing small prime reaches _split and is recorded as a prime part, and a
+listed non-divisor corrupts the cofactor.
 
 Without trial_primes the stage costs a few big-integer gcds, not one
 Python division per prime.  g = gcd(m, product of all trial primes) is the
@@ -55,14 +58,17 @@ product is coprime to what is left of g, and the scan stops once the
 block's first prime squared exceeds it, because the rest of g is then a
 single prime.
 
-Either way the cofactor left over is m with every trial prime removed,
-exactly what a prime-by-prime loop leaves whenever it reaches rho: that
-loop only stops early, at p * p > m, when the rest of m is 1 or a prime
-below TRIAL_DIVISION_LIMIT**2, which _split records the same way.  So
-rho sees the same numbers, from the same seeds, and spends the same
-budget.  Every part of that cofactor that is at most
-TRIAL_DIVISION_LIMIT**2 is prime, since all its prime factors exceed the
-limit, so it is recorded without a test (_split).
+Either way the cofactor left over is m with every prime <= the limit
+removed, and possibly some larger primes too.  Every part of it that is
+at most TRIAL_DIVISION_LIMIT**2 is therefore prime, since all its prime
+factors exceed the limit, so it is recorded without a test (_split).
+Without listed large primes it is exactly what a prime-by-prime loop
+leaves whenever it reaches rho (that loop only stops early, at p * p > m,
+when the rest of m is 1 or a prime below TRIAL_DIVISION_LIMIT**2, which
+_split records the same way), so rho sees the same numbers, from the
+same seeds, and spends the same budget.  A listed large prime only
+shrinks the cofactor; when the list holds all of m's primes, nothing
+reaches _split.
 """
 
 from __future__ import annotations
@@ -146,7 +152,7 @@ def _trial_blocks() -> _TrialTable:
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factorization:
     """Signed prime-power decomposition: sign * prod(p**e).
 
@@ -419,9 +425,11 @@ def factor(
     budget (None for DEFAULT_FACTOR_BUDGET, else >= 1) bounds the number
     of rho iterations spent on hard cofactors; running out raises
     UnfactoredResidualError naming the residual.  trial_primes, when
-    given, are the ascending distinct primes <= TRIAL_DIVISION_LIMIT that
-    divide n (the caller's obligation, see the module docstring), and the
-    trial stage is skipped.
+    given, are ascending distinct primes dividing n that include every
+    prime <= TRIAL_DIVISION_LIMIT dividing n (the caller's obligation, see
+    the module docstring), and the trial stage is skipped.  What is left
+    after dividing them out has no prime factor up to the limit, so
+    _split's T**2 rule still holds for it.
     """
     if n == 0:
         raise DomainError("arith", "factor(0) is undefined")
@@ -441,8 +449,9 @@ def factor(
             m //= p
             e += 1
         counts[p] = e
-    if m > 1:
-        _split(m, counts, 1, _Budget(budget))
+    if m == 1:  # the listed primes are ascending already
+        return Factorization(sign, tuple(counts.items()))
+    _split(m, counts, 1, _Budget(budget))
     return Factorization(sign, tuple(sorted(counts.items())))
 
 
@@ -483,10 +492,17 @@ def p_free_kernel(n: int, p: int, budget: int | None = None) -> Factorization:
 
 
 def _p_free(f: Factorization, p: int) -> Factorization:
-    """p_free_kernel of the number f factors, for p already proven prime."""
-    reduced = tuple((q, e % p) for q, e in f.factors if e % p != 0)
-    sign = f.sign if p == 2 else 1
-    return Factorization(sign, reduced)
+    """p_free_kernel of the number f factors, for p already proven prime.
+    f itself when it is reduced already: every exponent below p, and the
+    sign kept (p = 2, or f positive)."""
+    factors = f.factors
+    if p == 2:
+        if all(e == 1 for _, e in factors):
+            return f
+        return Factorization(f.sign, tuple([(q, 1) for q, e in factors if e & 1]))
+    if all(e < p for _, e in factors):
+        return f if f.sign == 1 else Factorization(1, factors)
+    return Factorization(1, tuple([(q, e % p) for q, e in factors if e % p]))
 
 
 def exact_order_primes(n: int, min_prime: int, budget: int | None = None) -> set[int]:

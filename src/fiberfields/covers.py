@@ -93,7 +93,7 @@ class PlaneCover:
 CoverSpec = CyclicCover | PlaneCover
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiberSpec:
     """Classification of the fiber over x = n."""
 
@@ -182,20 +182,20 @@ def specialize(
 ) -> FiberSpec:
     """Classify the fiber over x = n; never silently skips a fiber.
 
-    trial_primes, for a cyclic cover only, are the ascending distinct
-    primes <= arith.TRIAL_DIVISION_LIMIT dividing g(n), handed to
-    arith.factor (see sieve.trial_prime_lists)."""
+    trial_primes, for a cyclic cover only, are ascending distinct primes
+    dividing g(n), every one <= arith.TRIAL_DIVISION_LIMIT among them,
+    handed to arith.factor (see sieve.trial_prime_lists)."""
     if isinstance(cover, CyclicCover):
         value = cover.g(n)
         if value == 0:
-            return FiberSpec(n, "branch", value=0)
+            return FiberSpec(n, "branch", 0)
         try:
             cls = kummer.radical_class(value, cover.p, budget, trial_primes)
         except BudgetError as err:
-            return FiberSpec(n, "unresolved", value=value, note=str(err))
+            return FiberSpec(n, "unresolved", value, note=str(err))
         if cls.is_trivial:
-            return FiberSpec(n, "degenerate", value=value, kummer_class=cls)
-        return FiberSpec(n, "regular", value=value, kummer_class=cls)
+            return FiberSpec(n, "degenerate", value, cls)
+        return FiberSpec(n, "regular", value, cls)
 
     if trial_primes is not None:
         raise DomainError("covers", "trial_primes applies to cyclic covers only")

@@ -16,13 +16,16 @@ hold for every prefix):
 Fibers are specialized in one lazy pass over n = 1..N (optionally by a
 process pool, chunk by chunk).  On a cyclic cover the value g(n) reaches
 arith.factor with its trial primes already known: the roots of g modulo
-every trial prime are found once per pass (sieve.trial_root_table), and
-each segment of n collects its primes along those root progressions
-(sieve.trial_prime_lists).  Each fiber is folded as it arrives, so
-no fold holds the fibers: a weak fold keeps one int per distinct class
-(exact-kummer: the canonical value of the Kummer class; ramified-set:
-the product of the ramified primes), and compare_methods feeds its three
-folds from the same pass.  Folds are serial in increasing n, so reports
+every trial prime, and modulo every larger prime up to arith.SIEVE_LIMIT
+that divides a value of one of g's linear factors (the linear rows), are
+found once per pass (sieve.trial_root_table).  The content of g is
+factored once per pass too, and its large primes are listed for every
+fiber.  Each segment of n collects its primes along those root
+progressions (sieve.trial_prime_lists).  Each fiber is folded as it
+arrives, so no fold holds the fibers: a weak fold keeps one int per
+distinct class (exact-kummer: the canonical value of the Kummer class;
+ramified-set: the product of the ramified primes), and compare_methods
+feeds its three folds from the same pass.  Folds are serial in increasing n, so reports
 are identical for every worker count.  Both the rank fold and the
 fingerprint grouper do near-linear work in N: the rank fold pivots each
 row on its newest prime, so a row bringing a new prime needs no
@@ -44,7 +47,7 @@ from itertools import islice, repeat
 
 from . import arith, covers, kummer, polyring, sieve
 from .covers import CoverSpec, CyclicCover, FiberSpec, PlaneCover
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, UnfactoredResidualError
 from .kummer import FieldFingerprint
 from .polyring import IntPoly
 
@@ -92,8 +95,10 @@ class CompositumReport:
 
 
 # Fibers per segment of trial-prime lists on the serial path: the lists of
-# a segment are live at once, and each segment walks every root progression.
-_SEGMENT = 1024
+# a segment are live at once, and each segment walks every root progression
+# (5,133 rows for x^3 - x at N = 5e4, most of them linear rows of primes
+# above the segment, which cost a step per root and segment).
+_SEGMENT = 4096
 
 
 def _specialized(cover, n0, n1, budget, prime_budget, table):
@@ -111,6 +116,22 @@ def _specialize_range(args):
     return list(_specialized(*args))
 
 
+def _trial_table(g: IntPoly, N: int, budget: int | None) -> sieve.TrialRootTable:
+    """The trial root table of g, with a row for each large prime of g's
+    content from one factorization of the content under the caller's
+    budget.  If that overruns, the table lists none of them, and each
+    fiber's factorization finds them as before."""
+    table = sieve.trial_root_table(g, N)
+    content = g.content()
+    if abs(content) <= arith.TRIAL_DIVISION_LIMIT:
+        return table  # no prime of the content is large
+    try:
+        factored = arith.factor(content, budget)
+    except UnfactoredResidualError:
+        return table
+    return sieve.with_content_rows(table, factored)
+
+
 def _fiber_stream(
     cover: CoverSpec,
     N: int,
@@ -120,9 +141,11 @@ def _fiber_stream(
 ) -> Iterator[FiberSpec]:
     """The fibers over x = 1..N in increasing n, specialized lazily.
 
-    For a cyclic cover the trial root table of g is built once, and each
-    segment of n gets its values' trial primes from the root progressions
-    (sieve.trial_prime_lists), so arith.factor skips its trial stage.
+    For a cyclic cover the trial root table of g, with its linear rows
+    and its content's large primes, is built once, and each segment of n
+    gets its values' trial primes from the root progressions
+    (sieve.trial_prime_lists), so arith.factor skips its trial stage; a
+    value whose primes are all listed never reaches rho.
 
     With jobs > 1 a process pool specializes chunks of n, each task
     carrying the parent's table, and the stream yields each chunk in order
@@ -130,7 +153,7 @@ def _fiber_stream(
     fully yielded, so finished chunks cannot pile up in the parent while
     the fold lags behind the workers.  Closing the stream early cancels
     the chunks no worker has started."""
-    table = sieve.trial_root_table(cover.g, N) if isinstance(cover, CyclicCover) else None
+    table = _trial_table(cover.g, N, budget) if isinstance(cover, CyclicCover) else None
     if jobs <= 1:
         for n0 in range(1, N + 1, _SEGMENT):
             n1 = min(n0 + _SEGMENT, N + 1)
@@ -366,12 +389,14 @@ class _WeakFold:
         self._count = 0
 
     def add(self, fiber: FiberSpec) -> None:
-        if fiber.status in ("branch", "unresolved"):
-            self.skipped.append((fiber.n, fiber.status))
+        cover, method, status = self.cover, self.method, fiber.status
+        if status == "regular" and method == "exact-kummer":
+            key = fiber.kummer_class.canonical.reconstruct()
+        elif status in ("branch", "unresolved"):
+            self.skipped.append((fiber.n, status))
             self.series.append(self._count)
             return
-        cover, method = self.cover, self.method
-        if fiber.status == "degenerate":
+        elif status == "degenerate":
             self.skipped.append((fiber.n, "degenerate-counted-as-Q"))
             key = "Q"
         elif method == "fingerprint":
@@ -383,8 +408,6 @@ class _WeakFold:
                 key = (fp,)
             else:
                 key = _sorted_fingerprints(fiber.factors)
-        elif method == "exact-kummer":
-            key = fiber.kummer_class.canonical.reconstruct()
         else:  # ramified-set; the exclusions hold p
             factors = fiber.kummer_class.kernel.factors
             key = math.prod(q for q, _ in factors if q not in self.excluded)

@@ -85,7 +85,7 @@ def radical_class(
     """Kummer class of the nonzero rational a for the prime p; its
     canonical form is built when first read.  trial_primes, for an int a
     only, is passed to arith.factor; p is proven prime here, once."""
-    if not isinstance(a, int):
+    if type(a) is not int:  # a plain int skips both conversions
         if trial_primes is not None:
             raise DomainError("kummer", "trial_primes needs an integer a")
         a = Fraction(a)
@@ -93,7 +93,7 @@ def radical_class(
         raise DomainError("kummer", "radical_class needs a nonzero rational")
     if not arith.is_prime(p):
         raise DomainError("kummer", f"radical_class needs a prime, got {p}")
-    if isinstance(a, Fraction):
+    if type(a) is not int:
         # a and a * den^p have the same class; num * den^(p-1) is integral
         a = a.numerator * a.denominator ** (p - 1)
     return KummerClass(p, arith._p_free(arith.factor(a, budget, trial_primes), p))

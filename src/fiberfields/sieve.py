@@ -19,10 +19,15 @@ rather than counted against h).  The scan is exact:
 The same progressions give the cyclic fibers their trial primes (line
 sieving; Pomerance, "A tale of two sieves", 1996).  A prime q divides g(n)
 exactly when n mod q is a root of g mod q.  trial_root_table finds those
-roots for every q <= arith.TRIAL_DIVISION_LIMIT once, with the scan's root
-kernel on g's coefficients mod q, and trial_prime_lists walks the
-progressions over a segment of n, so arith.factor receives each g(n)'s
-trial primes instead of finding them by gcds.
+roots once per pass: for every q <= arith.TRIAL_DIVISION_LIMIT with the
+scan's root kernel on g's coefficients mod q, and for every larger prime
+q <= arith.SIEVE_LIMIT that can divide a value of a linear factor b*x + c
+of g, as -c/b mod q (the linear rows).  with_content_rows adds the large
+primes of g's content, which divide every value.  trial_prime_lists walks
+the progressions over a segment of n, so arith.factor receives each
+g(n)'s trial primes instead of finding them by gcds.  When g is a
+content times linear factors whose values stay below arith.SIEVE_LIMIT,
+the lists hold every prime of g(n) and nothing is left for rho.
 
 euler_density gives the truncated prediction prod (1 - rho(p^2)/p^2) as an
 exact fraction, and exact_order_prime_ratio counts the large primes
@@ -69,9 +74,10 @@ class SieveReport:
 
 
 # Trial root table: (q, the roots r in [0, q) of g mod q that some n <= N
-# meets) for every trial prime q dividing some value g(n), n <= N,
-# ascending in q.
-TrialRootTable = tuple[tuple[int, tuple[int, ...]], ...]
+# meets) for every prime q listed for some value g(n), n <= N, ascending
+# in q; the roots are None when q divides every value (a large prime of
+# g's content).
+TrialRootTable = tuple[tuple[int, tuple[int, ...] | None], ...]
 
 
 def _coefficient_bound(h: IntPoly, N: int) -> int:
@@ -79,13 +85,19 @@ def _coefficient_bound(h: IntPoly, N: int) -> int:
 
 
 def trial_root_table(g: IntPoly, N: int) -> TrialRootTable:
-    """The residues n mod q at which q divides g(n), for every prime
-    q <= arith.TRIAL_DIVISION_LIMIT, valid for 1 <= n <= N.
+    """The residues n mod q at which q divides g(n), valid for 1 <= n <= N,
+    for every prime q <= arith.TRIAL_DIVISION_LIMIT and for the larger
+    primes q <= arith.SIEVE_LIMIT of the linear factors' values.
 
-    They are the roots of g mod q, found by the kernel the squarefree scan
-    uses, from g's coefficients mod q, so every g is evaluated in int64.
-    When N < q, n <= N meets the residues 1..N only.  A prime dividing no
-    value g(n), n <= N, is left out."""
+    Below the limit they are the roots of g mod q, found by the kernel the
+    squarefree scan uses, from g's coefficients mod q, so every g is
+    evaluated in int64.  Above it each linear factor b*x + c of g over Q
+    (from one factor_over_Q) gives the root -c/b mod q for every prime q
+    up to max |b*n + c|, n <= N, that does not divide b: a larger prime
+    divides no nonzero value of the factor, and a prime dividing b divides
+    none, as the factor is primitive.  When N < q, n <= N meets the
+    residues 1..N only.  A prime dividing no value g(n), n <= N, is left
+    out."""
     coeffs = np.array(g.coeffs, dtype=object)
     table = []
     for q in arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT):
@@ -96,15 +108,56 @@ def trial_root_table(g: IntPoly, N: int) -> TrialRootTable:
             roots = roots[roots > 0]
         if roots.size:
             table.append((q, tuple(roots.tolist())))
-    return tuple(table)
+    return tuple(table) + _linear_rows(g, N)
+
+
+def _linear_rows(g: IntPoly, N: int) -> TrialRootTable:
+    """The rows of trial_root_table above arith.TRIAL_DIVISION_LIMIT."""
+    linear = [f.coeffs for f, _ in polyring.factor_over_Q(g).factors if f.degree == 1]
+    reach = [min(max(abs(b + c), abs(b * N + c)), arith.SIEVE_LIMIT) for c, b in linear]
+    if max(reach, default=0) <= arith.TRIAL_DIVISION_LIMIT:
+        return ()
+    start = arith.TRIAL_DIVISION_LIMIT + 1 | 1  # the odd numbers above the limit
+    primes = start + 2 * np.flatnonzero(_kernels.prime_flags(max(reach))[start::2])
+    shift = arith.SIEVE_LIMIT.bit_length()  # every root r < q < 2**shift
+    keys = []
+    for (c, b), top in zip(linear, reach):
+        qs = primes[primes <= top]
+        roots = _kernels.linear_roots_mod(b, c, qs)
+        # n <= N meets every residue mod q <= N, and only 1..N mod a larger q
+        keep = (roots >= 0) & ((qs <= N) | ((roots >= 1) & (roots <= N)))
+        keys.append((qs[keep] << shift) | roots[keep])
+    keys = np.sort(np.concatenate(keys))  # ascending in q, then in r
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # factors sharing a root mod q
+    key_qs = keys >> shift
+    starts = np.flatnonzero(np.diff(key_qs, prepend=-1)).tolist()
+    key_roots = (keys & ((1 << shift) - 1)).tolist()
+    ends = starts[1:] + [len(key_roots)]
+    return tuple(
+        (q, tuple(key_roots[i:j])) for q, i, j in zip(key_qs[starts].tolist(), starts, ends)
+    )
+
+
+def with_content_rows(table: TrialRootTable, content: arith.Factorization) -> TrialRootTable:
+    """The table of g with a row (q, None) for each prime q of g's content
+    (factored by the caller) above arith.TRIAL_DIVISION_LIMIT, in place of
+    q's linear row if it has one.  The content's smaller primes have rows
+    already: every residue is a root of g mod them."""
+    rows = dict(table)
+    rows.update((q, None) for q, _ in content.factors if q > arith.TRIAL_DIVISION_LIMIT)
+    return tuple(sorted(rows.items()))
 
 
 def trial_prime_lists(table: TrialRootTable, n0: int, count: int) -> list[list[int]]:
-    """lists[i]: the ascending distinct primes <= arith.TRIAL_DIVISION_LIMIT
-    dividing g(n0 + i), for the table of g and 1 <= n0 + i <= its N."""
+    """lists[i]: the ascending primes of the table dividing g(n0 + i), for
+    the table of g and 1 <= n0 + i <= its N.  Every prime
+    <= arith.TRIAL_DIVISION_LIMIT dividing g(n0 + i) is among them."""
     lists: list[list[int]] = [[] for _ in range(count)]
     for q, residues in table:
-        if q < count:
+        if residues is None:
+            for primes in lists:
+                primes.append(q)
+        elif q < count:
             for r in residues:
                 for i in range((r - n0) % q, count, q):
                     lists[i].append(q)

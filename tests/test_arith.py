@@ -148,6 +148,21 @@ def test_squarefree_kernel_is_2_free_kernel(n):
     assert squarefree_kernel(n) == oracle_p_free_value(n, 2)
 
 
+@pytest.mark.parametrize(
+    "n, p, same",
+    [(30, 2, True), (-30, 2, True), (12, 2, False), (-12, 3, False), (12, 3, True),
+     (2**4 * 3**2 * 7, 5, True), (2**5 * 3, 5, False), (1, 2, True), (-1, 3, False)],
+)
+def test_p_free_returns_a_reduced_factorization_itself(n, p, same):
+    """A factorization with every exponent below p and the sign kept is its
+    own p-free kernel, the same object; otherwise a new one is built."""
+    f = factor(n)
+    kernel = arith._p_free(f, p)
+    assert (kernel is f) == same
+    assert kernel == p_free_kernel(n, p)
+    assert kernel.reconstruct() == oracle_p_free_value(n, p)
+
+
 def test_p_free_kernel_exponent_range():
     f = p_free_kernel(2**9 * 3**5 * 5, 5)
     assert all(1 <= e <= 4 for _, e in f.factors)

@@ -12,6 +12,7 @@ from sympy import GF, factorint
 from sympy.polys.matrices import DomainMatrix
 
 from fiberfields import arith, covers, diversity, kummer
+from fiberfields.cli import main
 from fiberfields.arith import Factorization
 from fiberfields.covers import cover_from_text, normalize_cyclic, plane_cover
 from fiberfields.diversity import (
@@ -160,6 +161,50 @@ def test_cyclic_stream_hands_every_factor_its_trial_primes(jobs, monkeypatch, tm
         f.value for f in fibers if f.status != "branch"
     )
     assert {hinted for _, hinted in calls} == {"True"}
+
+
+@pytest.fixture
+def rho_log(monkeypatch, tmp_path):
+    """A log file with a line for every arith._split and arith._brent_rho
+    call, in this process or in a pool worker forked from it."""
+    log = tmp_path / "rho-calls"
+    log.touch()
+    for name in ("_split", "_brent_rho"):
+        real = getattr(arith, name)
+
+        def recording(*args, real=real, name=name):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {args[0]}\n")
+            return real(*args)
+
+        monkeypatch.setattr(arith, name, recording)
+    return log
+
+
+def test_split_values_never_reach_rho(rho_log, tmp_path):
+    """y^2 = x^3 - x: every prime of (n - 1) n (n + 1) is on a linear row,
+    so no value is left for _split or rho, serially or in a pool, and the
+    two reports are byte-identical.  N is past TRIAL_DIVISION_LIMIT, so
+    primes above it (10007 to 10099) divide some values."""
+    blobs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}.json"
+        assert main(["weak-diversity", "--cover", "y^2 - (x^3 - x)", "--N", "10100",
+                     "--method", "exact", "--jobs", jobs, "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert rho_log.read_text() == ""
+    assert blobs[0] == blobs[1]
+
+
+def test_large_content_prime_is_factored_once(rho_log):
+    """100160063 = 10007 * 10009 is split once per pass, not once a fiber."""
+    cover = cover_from_text("y^2 - 100160063*(x^3 - x)")
+    fibers = list(diversity._fiber_stream(cover, 300))
+    calls = rho_log.read_text().splitlines()
+    assert [c for c in calls if c.startswith("_brent_rho")] == ["_brent_rho 100160063"]
+    assert all(
+        f.kummer_class.kernel.support() >= {10007, 10009} for f in fibers if f.status == "regular"
+    )
 
 
 def test_cyclic_fiber_proves_p_once(monkeypatch):

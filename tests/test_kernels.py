@@ -49,6 +49,23 @@ def test_poly_roots_mod_below_stop_agree(dtype, scale):
     assert _kernels.poly_roots_mod(np.array([], dtype=np.int64), 5).tolist() == [0, 1, 2, 3, 4]
 
 
+def test_linear_roots_mod_agree():
+    """The root of b*x + c mod each prime, against pow(b, -1, q) in Python
+    ints: b = +-1 and other b, q dividing b, |b| and |c| beyond int64, and
+    primes up to just below 2**31."""
+    rng = random.Random(17)
+    qs = np.array(
+        [q for q in range(2, 3000) if oracle_is_prime(q)] + [10007, 999_983, 2_147_483_647],
+        dtype=np.int64,
+    )
+    for _ in range(40):
+        b = rng.choice([1, -1, rng.randint(-60, 60) or 7, 10007 * rng.randint(1, 9),
+                        rng.randint(-(10**30), 10**30)])
+        c = rng.choice([rng.randint(-60, 60), rng.randint(-(10**40), 10**40)])
+        want = [-1 if b % q == 0 else -c * pow(b, -1, q) % q for q in qs.tolist()]
+        assert _kernels.linear_roots_mod(b, c, qs).tolist() == want, (b, c)
+
+
 def test_eval_poly_range_agree():
     coeffs = np.array([3, -2, 0, 1], dtype=np.int64)
     vals = _kernels.eval_poly_range(coeffs, -5, 11)

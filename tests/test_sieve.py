@@ -7,7 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fiberfields import arith, sieve
+from fiberfields import arith, diversity, sieve
 from fiberfields.cli import main
 from fiberfields.errors import BudgetError, DomainError, UnfactoredResidualError
 from fiberfields.polyring import IntPoly, parse_poly
@@ -203,19 +203,58 @@ def test_sieve_rejects_bad_inputs():
 # ---------------------------------------------------------------------------
 
 TRIAL_PRIMES = arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT)
+LIMIT = arith.TRIAL_DIVISION_LIMIT
 
 
 def oracle_trial_primes(value: int) -> list[int]:
     return [q for q in TRIAL_PRIMES if value % q == 0]
 
 
+def oracle_listed_primes(g: IntPoly, n: int) -> list[int]:
+    """What the lists must hold for a nonzero g(n): every prime <= LIMIT
+    dividing it, every prime <= SIEVE_LIMIT of the value of a linear
+    factor of g, and every prime of g's content, each found by division
+    or sympy rather than along progressions."""
+    value = g(n)
+    listed = set(oracle_trial_primes(value))
+    for f, _ in sympy.factor_list(sympy.Poly(list(reversed(g.coeffs)), sympy.Symbol("x")))[1]:
+        if f.degree() == 1:
+            listed |= {q for q in sympy.factorint(abs(f.eval(n))) if q <= arith.SIEVE_LIMIT}
+    listed |= set(sympy.factorint(math.gcd(*g.coeffs)))
+    return sorted(listed)
+
+
 def sieved_lists(g: IntPoly, N: int, cuts) -> list[list[int]]:
-    """The trial-prime lists of g(1..N), segmented at the cut points."""
-    table = trial_root_table(g, N)
+    """The trial-prime lists of g(1..N), segmented at the cut points, from
+    the table a cyclic pass builds (content rows included)."""
+    table = diversity._trial_table(g, N, None)
     bounds = sorted({1, N + 1, *(c for c in cuts if 1 < c <= N)})
     lists = []
     for n0, n1 in zip(bounds, bounds[1:]):
         lists += trial_prime_lists(table, n0, n1 - n0)
+    return lists
+
+
+def check_lists(g: IntPoly, N: int, cuts, factored: int = 8) -> list[list[int]]:
+    """The lists of g(1..N) against the oracles, and the hinted
+    factorizations of the first `factored` values against the unhinted
+    ones and sympy's."""
+    lists = sieved_lists(g, N, cuts)
+    assert len(lists) == N
+    for n, primes in enumerate(lists, 1):
+        value = g(n)
+        assert primes == sorted(set(primes)), (n, primes)  # ascending, distinct
+        if value == 0:  # a branch fiber: every trial prime divides 0
+            assert set(TRIAL_PRIMES) <= set(primes)
+            continue
+        assert all(value % q == 0 for q in primes), (n, value)
+        assert set(oracle_trial_primes(value)) <= set(primes), (n, value)
+        assert primes == oracle_listed_primes(g, n), (n, value)
+        if n <= factored:
+            f = arith.factor(value, trial_primes=primes)
+            assert f == arith.factor(value)
+            assert dict(f.factors) == sympy.factorint(abs(value))
+            assert f.sign == (1 if value > 0 else -1)
     return lists
 
 
@@ -230,22 +269,58 @@ def sieved_lists(g: IntPoly, N: int, cuts) -> list[list[int]]:
 @example(coeffs=[-5, 3, -1], shift=0, N=25, cuts=[])  # every value negative
 @example(coeffs=[-7, 8], shift=0, N=1, cuts=[])  # g(1) = 1: the table is empty
 @example(coeffs=[1, 0, 0, 0, 1], shift=10**20, N=60, cuts=[13, 14])  # object dtype
+@example(coeffs=[3, 7], shift=10**20, N=40, cuts=[9])  # a linear g beyond SIEVE_LIMIT
 @settings(max_examples=40, deadline=None)
 def test_trial_prime_lists_match_oracles(coeffs, shift, N, cuts):
-    """The sieved lists equal the trial primes found by division, and the
-    hinted factorizations equal the unhinted ones and sympy's."""
-    g = IntPoly([coeffs[0] + shift] + coeffs[1:])
-    lists = sieved_lists(g, N, cuts)
-    assert len(lists) == N
-    for n, primes in enumerate(lists, 1):
-        value = g(n)
-        assert primes == oracle_trial_primes(value), (n, value)
-        if value == 0 or n > 8:  # factor a few values of every example
-            continue
-        f = arith.factor(value, trial_primes=primes)
-        assert f == arith.factor(value)
-        assert dict(f.factors) == sympy.factorint(abs(value))
-        assert f.sign == (1 if value > 0 else -1)
+    """Every listed prime divides g(n), every prime <= LIMIT dividing g(n)
+    is listed, and so is every prime <= SIEVE_LIMIT of a linear factor's
+    value and of the content, and nothing else; hinted factorizations
+    equal the unhinted ones and sympy's."""
+    check_lists(IntPoly([coeffs[0] + shift] + coeffs[1:]), N, cuts)
+
+
+linear_factor = st.tuples(
+    st.sampled_from([1, 1, 2, 3, 7, 10007, 2 * 10009]),  # b, with primes > LIMIT
+    st.one_of(st.integers(-60, 60), st.integers(-(3 * 10**6), 3 * 10**6)),  # c
+    st.integers(1, 3),  # multiplicity
+)
+
+
+@given(
+    content=st.sampled_from([1, -1, 6, -10007, 100160063, 2 * 10009**2]),
+    linear=st.lists(linear_factor, min_size=1, max_size=3),
+    twin=st.sampled_from([None, 10007, 10009, 49999]),
+    rest=st.sampled_from([None, "x^2 + 1", "x^2 - 2"]),
+    N=st.integers(1, 60),
+    cuts=st.lists(st.integers(2, 60), max_size=3),
+)
+@example(content=10007, linear=[(1, -3, 1)], twin=None, rest=None, N=20, cuts=[])
+@example(content=1, linear=[(1, -3, 1)], twin=10007, rest=None, N=20, cuts=[5])
+@example(content=1, linear=[(10007, 1, 2)], twin=None, rest="x^2 + 1", N=30, cuts=[])
+@example(content=-1, linear=[(3, -20, 1), (1, -2 * 10**6, 1)], twin=None, rest=None, N=40, cuts=[])
+@settings(max_examples=40, deadline=None)
+def test_linear_rows_list_every_prime_of_linear_values(content, linear, twin, rest, N, cuts):
+    """g = content * prod (b x + c)^m [* a quadratic]: non-monic factors,
+    primes > LIMIT dividing b, values beyond SIEVE_LIMIT, two factors
+    congruent mod a large prime (twin), multiplicities, branch fibers and
+    negative values.  With no quadratic, the lists are exactly the primes
+    of g(n) up to SIEVE_LIMIT and those of the content."""
+    if twin is not None:
+        b, c, _ = linear[0]
+        linear = linear + [(b, c + b * twin, 1)]
+    g = IntPoly((content,))
+    for b, c, m in linear:
+        g = g * IntPoly((c, b)).pow(m)
+    if rest is not None:
+        g = g * poly(rest)
+    lists = check_lists(g, N, cuts, factored=4)
+    if rest is None:
+        for n, primes in enumerate(lists, 1):
+            if g(n):
+                assert primes == [
+                    q for q in sorted(sympy.factorint(abs(g(n))))
+                    if q <= arith.SIEVE_LIMIT or content % q == 0
+                ]
 
 
 def test_trial_root_table_examples():
@@ -255,6 +330,30 @@ def test_trial_root_table_examples():
     # N < q: only the residues met by n <= N are kept
     assert 9973 not in dict(trial_root_table(poly("x - 9973"), 5))
     assert dict(trial_root_table(poly("x - 9976"), 5))[9973] == (3,)
+    # linear rows: the roots 1, 0, -1 of x^3 - x, for q up to N + 1
+    rows = dict(trial_root_table(poly("x^3 - x"), 20_000))
+    assert rows[10007] == (0, 1, 10006) and max(rows) == 19_997
+    assert 10007 not in dict(trial_root_table(poly("10007x + 1"), 10))  # q | b
+    # values beyond SIEVE_LIMIT: rows stop there, and keep residues 1..N
+    rows = trial_root_table(poly("x - 1000000000000"), 100)
+    assert rows[-1][0] <= arith.SIEVE_LIMIT
+    assert all(1 <= r <= 100 for q, roots in rows if q > 100 for r in roots)
+
+
+def test_content_rows_replace_linear_rows():
+    """A large content prime divides every value, so its row holds None in
+    place of the linear factor's root; a content whose factorization
+    overruns the budget leaves the table as it was."""
+    g = poly("10007x - 30021")  # 10007 (x - 3)
+    assert dict(trial_root_table(g, 20_000))[10007] == (3,)
+    table = diversity._trial_table(g, 20_000, None)
+    assert [q for q, _ in table].count(10007) == 1 and dict(table)[10007] is None
+    lists = trial_prime_lists(table, 1, 30)
+    assert all(10007 in primes for primes in lists)
+    big = 1_000_003 * 1_000_033
+    g = IntPoly((big, big))  # big (x + 1)
+    assert dict(diversity._trial_table(g, 10, None))[1_000_033] is None
+    assert diversity._trial_table(g, 10, 1) == trial_root_table(g, 10)
 
 
 def test_trial_prime_lists_beyond_the_value_window():
