@@ -1,6 +1,7 @@
 """Hot numeric loops: prime sieving, brute-force polynomial roots mod m,
-the roots of a linear polynomial mod many primes at once, and the
-squarefree division scan over polynomial value ranges.
+the roots of a linear polynomial mod many primes at once, the squarefree
+division scan over polynomial value ranges, and Brent's rho on many
+numbers below 2**50 in lockstep (exact int64 products mod n by mulmod).
 
 The root and prime kernels work on int64 arrays; the root kernel reduces
 its coefficients mod m first, so it also takes object coefficients.
@@ -106,6 +107,101 @@ def eval_poly_range(coeffs: np.ndarray, n_start: int, count: int) -> np.ndarray:
     for k in range(coeffs.shape[0] - 1, -1, -1):
         acc = acc * xs + coeffs[k]
     return acc
+
+
+# mulmod, and so brent_rho_lanes, is exact for moduli below this bound.
+LANES_BELOW = 1 << 50
+
+
+def mulmod(a: np.ndarray, b: np.ndarray, n: np.ndarray, ninv: np.ndarray) -> np.ndarray:
+    """a * b mod n elementwise, for int64 arrays with 0 <= a, b < n < 2**50
+    (LANES_BELOW) and ninv = 1.0 / n in float64.  The quotient
+    q = trunc(a * ninv * b) is within 3/8 of a*b/n (three roundings of
+    relative error 2**-53 each, of a number below 2**50), so r = a*b - q*n,
+    computed in wrapping int64, lies in [-n, 2n), and one correction each
+    way makes it exact."""
+    q = (a * ninv * b).astype(np.int64)
+    r = a * b
+    r -= q * n
+    r += n & (r >> 63)  # [0, 2n)
+    r -= n
+    r += n & (r >> 63)  # [0, n)
+    return r
+
+
+def _rho_step(y: np.ndarray, c: np.ndarray, n: np.ndarray, ninv: np.ndarray) -> np.ndarray:
+    """(y * y + c) mod n for 0 <= y, c < n < 2**50."""
+    y = mulmod(y, y, n, ninv)
+    y += c
+    y -= n
+    y += n & (y >> 63)
+    return y
+
+
+RhoLane = tuple[int, int, int, int, int]
+
+
+def brent_rho_lanes(
+    ns: list[int], ys: list[int], cs: list[int], limit: int, block: int, hand_off: int
+) -> tuple[list[int], list[int], list[RhoLane | None]]:
+    """Brent's rho with the schedule of arith._brent_rho, on every odd
+    composite n < 2**50 of ns at once, each a lane of int64 arrays started
+    from its own (y, c).
+
+    The lanes share the iteration counter, so they share the schedule: in
+    round r, x is y, y moves r steps, then blocks of `block` steps each
+    multiply |x - y| into q and end with gcd(q, n).  A lane leaves when its
+    gcd is not 1.  Returns (found, spent, lanes), one entry per n:
+
+      found[i] > 0      the factor 1 < gcd < n, found after spent[i] steps;
+      lanes[i] given    the scalar loop resumes lane i from (x, y, q, r, k),
+                        the start of the block at offset k of round r, with
+                        spent[i] steps behind it: when its gcd was n (the
+                        block is run again, and backtracks), or when fewer
+                        than hand_off lanes were left;
+      neither           spent would pass limit, as scalar rho would.
+    """
+    count = len(ns)
+    found, spent_at = [0] * count, [0] * count
+    lanes: list[RhoLane | None] = [None] * count
+    live = np.arange(count)
+    n = np.array(ns, dtype=np.int64)
+    ninv = 1.0 / n
+    c = np.array(cs, dtype=np.int64)
+    x = np.array(ys, dtype=np.int64)
+    q = np.ones(count, dtype=np.int64)
+    r, k, spent = 1, 0, 1
+    y = _rho_step(x, c, n, ninv)  # round 1: y moves one step from x
+    while live.size >= hand_off and live.size:
+        steps = min(block, r - k)
+        if spent + steps > limit:
+            return found, spent_at, lanes
+        y0, q0 = y, q
+        for _ in range(steps):
+            y = _rho_step(y, c, n, ninv)
+            d = x - y
+            d += n & (d >> 63)
+            q = mulmod(q, d, n, ninv)
+        g = np.gcd(q, n)
+        for i in np.flatnonzero(g == n).tolist():
+            lanes[live[i]] = (int(x[i]), int(y0[i]), int(q0[i]), r, k)
+            spent_at[live[i]] = spent
+        spent += steps
+        for i in np.flatnonzero((g != 1) & (g != n)).tolist():
+            found[live[i]] = int(g[i])
+            spent_at[live[i]] = spent
+        stay = g == 1
+        live, n, ninv, c, x, y, q = (a[stay] for a in (live, n, ninv, c, x, y, q))
+        k += block
+        if k >= r:  # a round past limit is caught at its first block
+            x, r, k = y, 2 * r, 0
+            for _ in range(r):
+                y = _rho_step(y, c, n, ninv)
+            spent += r
+    for i, lane in enumerate(live.tolist()):
+        lanes[lane] = (int(x[i]), int(y[i]), int(q[i]), r, k)
+        spent_at[lane] = spent
+    return found, spent_at, lanes
 
 
 def squarefree_scan(

@@ -69,6 +69,21 @@ _split records the same way), so rho sees the same numbers, from the
 same seeds, and spends the same budget.  A listed large prime only
 shrinks the cofactor; when the list holds all of m's primes, nothing
 reaches _split.
+
+A caller holding many such cofactors at once (the squarefree sieve's
+residuals, the values of exact_order_prime_ratio) splits them first with
+split_cofactors and hands each one's primes to factor.  The composites
+below 2**50, the envelope of the kernel's float-assisted mulmod, run
+Brent's rho together, one lane of int64 arrays each
+(_kernels.brent_rho_lanes), on _brent_rho's seeds and schedule: the lanes
+share the step counter, so a lane's steps, gcds and spend are those of
+_brent_rho on it alone.  A lane whose gcd is n, and every lane once fewer
+than _RHO_HAND_OFF are left, resumes in _brent_rho from its (x, y, q, r,
+k) with its spend carried over, so the backtrack and the retries stay
+there.  A list comes back only when its parts are prime and the one rho
+call fit the budget, which is when factor would make that same call;
+everything else gets None and goes through factor as before, so the
+factorizations and the UnfactoredResidualErrors are the same either way.
 """
 
 from __future__ import annotations
@@ -115,6 +130,14 @@ _BPSW_PROVEN_BELOW = 2**64
 # 64 time alike on smooth, rho-bound and sieve-residual values; the gcd
 # against the product of all trial primes (~10 us) dominates.
 _TRIAL_BLOCK = 32
+
+# Rho's steps between two gcds (Brent's m).
+_RHO_BLOCK = 128
+# split_cofactors runs rho on its composites below _kernels.LANES_BELOW in
+# lockstep, each a lane of _kernels.brent_rho_lanes, until fewer than
+# _RHO_HAND_OFF lanes are left; then each resumes in _brent_rho, whose
+# Python step is cheaper than a numpy step over that few lanes.
+_RHO_HAND_OFF = 48
 
 _sieve_lock = threading.Lock()
 _prime_cache: dict[int, list[int]] = {}
@@ -332,33 +355,41 @@ class _Budget:
             raise UnfactoredResidualError(residual, self.total)
 
 
-def _brent_rho(n: int, budget: _Budget) -> int:
+def _brent_rho(n: int, budget: _Budget, lane: _kernels.RhoLane | None = None) -> int:
     """A nontrivial factor of odd composite n, Brent cycle detection.
 
     Seeded deterministically from n so repeated runs factor identically.
+    Round r sets x to y and moves y r steps; blocks of _RHO_BLOCK steps
+    then multiply |x - y| into q, each ending with gcd(q, n).  lane, from
+    _kernels.brent_rho_lanes, resumes the first (y, c) at the start of a
+    block, (x, y, q, r, k), its steps already spent from budget.
     """
     rng = random.Random(n)
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
+        if lane is None:
+            x, q, r, k = y, 1, 1, 0
+            y = (y * y + c) % n  # round 1
+            budget.spend(1, n)
+        else:
+            x, y, q, r, k = lane
+            lane = None
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
+            ys = y
+            steps = min(_RHO_BLOCK, r - k)
+            for _ in range(steps):
                 y = (y * y + c) % n
-            budget.spend(r, n)
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
+                q = q * (x - y) % n
+            budget.spend(steps, n)
+            g = math.gcd(q, n)
+            k += _RHO_BLOCK
+            if g == 1 and k >= r:
+                x, r, k = y, 2 * r, 0
+                for _ in range(r):
                     y = (y * y + c) % n
-                    q = q * (x - y) % n
-                budget.spend(min(m, r - k), n)
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
+                budget.spend(r, n)
         if g == n:
             g = 1
             while g == 1:
@@ -417,6 +448,65 @@ def _trial_stage(m: int) -> list[int]:
     return found
 
 
+def _budget_total(budget: int | None) -> int:
+    if budget is None:
+        return DEFAULT_FACTOR_BUDGET
+    if budget < 1:
+        raise DomainError("arith", f"factor budget must be positive, got {budget}")
+    return budget
+
+
+def split_cofactors(ms: Sequence[int], budget: int | None = None) -> list[list[int] | None]:
+    """For each m (> 1, with no prime factor up to TRIAL_DIVISION_LIMIT,
+    as _split takes it), the ascending distinct primes of m, or None.
+
+    _split's own checks run first: the T**2 rule, is_prime and
+    _prime_power_root.  The composites below _kernels.LANES_BELOW run
+    Brent's rho together (_kernels.brent_rho_lanes), from the seeds and on
+    the schedule of _brent_rho, the last lanes and those whose gcd is n
+    finishing in _brent_rho itself.  A list is returned only when its
+    parts are prime and the one rho call spent at most budget, that is,
+    when factor(m, budget, trial_primes=()) makes that same call and finds
+    the same primes; factor(m, budget, trial_primes=primes) then gives
+    the same Factorization.  None covers a value at or above
+    _kernels.LANES_BELOW, a part still composite, and a spend past budget: a
+    caller hands factor () for those, and it decides them as before.
+    """
+    total = _budget_total(budget)
+    small = TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT
+    primes: list[list[int] | None] = [None] * len(ms)
+    composite = []
+    for i, m in enumerate(ms):
+        if m <= small or is_prime(m):
+            primes[i] = [m]
+            continue
+        power = _prime_power_root(m, TRIAL_DIVISION_LIMIT)
+        if power is not None:
+            b = power[0]
+            if b <= small or is_prime(b):
+                primes[i] = [b]
+        elif m < _kernels.LANES_BELOW:
+            composite.append(i)
+    ns = [ms[i] for i in composite]
+    ys, cs = [], []
+    for n in ns:  # one generator at a time: each holds a 2.5 KB state
+        rng = random.Random(n)
+        ys.append(rng.randrange(1, n))
+        cs.append(rng.randrange(1, n))
+    found, spent, lanes = _kernels.brent_rho_lanes(ns, ys, cs, total, _RHO_BLOCK, _RHO_HAND_OFF)
+    for i, n, d, s, lane in zip(composite, ns, found, spent, lanes):
+        if lane is not None:
+            left = _Budget(total)
+            try:
+                left.spend(s, n)
+                d = _brent_rho(n, left, lane)
+            except UnfactoredResidualError:
+                continue
+        if d and all(p <= small or is_prime(p) for p in (d, n // d)):
+            primes[i] = sorted((d, n // d))
+    return primes
+
+
 def factor(
     n: int, budget: int | None = None, trial_primes: Sequence[int] | None = None
 ) -> Factorization:
@@ -433,10 +523,7 @@ def factor(
     """
     if n == 0:
         raise DomainError("arith", "factor(0) is undefined")
-    if budget is None:
-        budget = DEFAULT_FACTOR_BUDGET
-    elif budget < 1:
-        raise DomainError("arith", f"factor budget must be positive, got {budget}")
+    budget = _budget_total(budget)
     sign = 1 if n > 0 else -1
     m = abs(n)
     if trial_primes is None:
@@ -503,9 +590,3 @@ def _p_free(f: Factorization, p: int) -> Factorization:
     if all(e < p for _, e in factors):
         return f if f.sign == 1 else Factorization(1, factors)
     return Factorization(1, tuple([(q, e % p) for q, e in factors if e % p]))
-
-
-def exact_order_primes(n: int, min_prime: int, budget: int | None = None) -> set[int]:
-    """Primes q >= min_prime with valuation(n, q) exactly 1."""
-    f = factor(n, budget)
-    return {q for q, e in f.factors if e == 1 and q >= min_prime}

@@ -13,8 +13,12 @@ rather than counted against h).  The scan is exact:
   2. the surviving cofactor has all prime factors > T, so below T**3 a
      perfect-square test decides squarefreeness, and
   3. the rare cofactors >= T**3 are fully factored (budgeted); T is then
-     arith.TRIAL_DIVISION_LIMIT, so they have no trial prime and
-     arith.factor skips its trial stage.
+     arith.TRIAL_DIVISION_LIMIT, so they have no trial prime.  A
+     segment's residuals are split together first (arith.split_cofactors,
+     one lockstep rho over the composites below 2**50), and each goes to
+     arith.factor once with its primes, or with () where the batch gave
+     it up; arith.factor skips its trial stage either way, and decides
+     the given-up ones, budget overruns included, as it always has.
 
 The same progressions give the cyclic fibers their trial primes (line
 sieving; Pomerance, "A tale of two sieves", 1996).  A prime q divides g(n)
@@ -31,7 +35,8 @@ the lists hold every prime of g(n) and nothing is left for rho.
 
 euler_density gives the truncated prediction prod (1 - rho(p^2)/p^2) as an
 exact fraction, and exact_order_prime_ratio counts the large primes
-dividing some early value exactly once.
+dividing some early value exactly once, from the same trial lists and
+the same batch split as the residuals of step 3.
 """
 
 from __future__ import annotations
@@ -50,6 +55,9 @@ from .polyring import IntPoly
 # arith.factor skip its trial stage on them.
 _SIEVE_PRIME_CAP = arith.TRIAL_DIVISION_LIMIT
 _SEGMENT = 1 << 20
+# Values per batch of trial-prime lists and cofactor splits in
+# exact_order_prime_ratio; a segment's lists are live at once.
+_LIST_SEGMENT = 4096
 DEFAULT_EULER_BOUND = 1_000
 
 
@@ -242,6 +250,7 @@ def squarefree_value_count(
     for n0 in range(1, N + 1, _SEGMENT):
         seg = min(_SEGMENT, N + 1 - n0)
         cofactors, flags = _scan(h, n0, seg, primes, small_fixed, big_fixed, dtype)
+        rest = []
         for i, c in enumerate(cofactors):
             if not flags[i] or c <= 1 or c < t2:
                 continue  # 1 or a prime: squarefree either way
@@ -251,14 +260,17 @@ def squarefree_value_count(
             elif c >= t3:
                 # c <= bound < T**3 unless T is the cap, so c has no
                 # prime factor up to arith.TRIAL_DIVISION_LIMIT
-                residuals += 1
-                try:
-                    fact = arith.factor(c, budget, trial_primes=())
-                except UnfactoredResidualError:
-                    bad.append(n0 + i)
-                    continue
-                if any(e >= 2 for _, e in fact.factors):
-                    flags[i] = False
+                rest.append(i)
+        residuals += len(rest)
+        split = arith.split_cofactors([cofactors[i] for i in rest], budget)
+        for i, hint in zip(rest, split):
+            try:
+                fact = arith.factor(cofactors[i], budget, trial_primes=hint or ())
+            except UnfactoredResidualError:
+                bad.append(n0 + i)
+                continue
+            if any(e >= 2 for _, e in fact.factors):
+                flags[i] = False
         flags_all.extend(flags.astype(np.uint8).tobytes())
     if bad:
         raise BudgetError(
@@ -300,7 +312,15 @@ def exact_order_prime_ratio(
     g: IntPoly, n: int, budget: int | None = None
 ) -> tuple[int, Fraction]:
     """Count of primes q >= n with v_q(g(m)) = 1 for some m <= n, and the
-    ratio count/n.  Requires g irreducible over Q of degree >= 2."""
+    ratio count/n.  Requires g irreducible over Q of degree >= 2.
+
+    Each segment of m takes its trial primes from the root table of g
+    (g has no linear factor, so they are exactly the primes <= the trial
+    limit), splits the cofactors left over with arith.split_cofactors, and
+    factors each value once with the merged ascending list.  A cofactor
+    the batch gave up is left to arith.factor, so an overrun raises the
+    same UnfactoredResidualError at the same first m as a factor call per
+    value."""
     if n < 1:
         raise DomainError("sieve", "n >= 1 required")
     if g.degree < 2:
@@ -316,10 +336,28 @@ def exact_order_prime_ratio(
             "exact_order_prime_ratio needs an irreducible polynomial "
             "(hypothesis violated: g factors over Q)",
         )
+    table = trial_root_table(g, n)
     hits: set[int] = set()
-    for m in range(1, n + 1):
-        value = g(m)
-        if value == 0:
-            continue
-        hits |= arith.exact_order_primes(value, n, budget)
+    for m0 in range(1, n + 1, _LIST_SEGMENT):
+        count = min(_LIST_SEGMENT, n + 1 - m0)
+        values = [g(m) for m in range(m0, m0 + count)]
+        lists = trial_prime_lists(table, m0, count)
+        cofactors = [_cofactor(v, primes) for v, primes in zip(values, lists)]
+        rest = [i for i, c in enumerate(cofactors) if c > 1]
+        split = dict(zip(rest, arith.split_cofactors([cofactors[i] for i in rest], budget)))
+        for i, (value, primes) in enumerate(zip(values, lists)):
+            # g is irreducible of degree >= 2, so no value is 0
+            large = split.get(i) or []
+            f = arith.factor(value, budget, trial_primes=primes + large)
+            hits.update(q for q, e in f.factors if e == 1 and q >= n)
     return len(hits), Fraction(len(hits), n)
+
+
+def _cofactor(value: int, primes: list[int]) -> int:
+    """|value| with every listed prime divided out to its full power."""
+    m = abs(value)
+    for q in primes:
+        m //= q
+        while m % q == 0:
+            m //= q
+    return m

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fiberfields import arith
 from fiberfields.arith import (
     Factorization,
-    exact_order_primes,
     factor,
     is_prime,
     p_free_kernel,
@@ -167,12 +166,6 @@ def test_p_free_kernel_exponent_range():
     f = p_free_kernel(2**9 * 3**5 * 5, 5)
     assert all(1 <= e <= 4 for _, e in f.factors)
     assert f == Factorization(1, ((2, 4), (5, 1)))
-
-
-def test_exact_order_primes_examples():
-    assert exact_order_primes(12, 2) == {3}
-    assert exact_order_primes(4, 2) == set()
-    assert exact_order_primes(30, 3) == {3, 5}
 
 
 def test_introot_and_perfect_power():
@@ -393,18 +386,78 @@ def test_psi12_factors_into_its_two_primes():
 # Smallest budget at which factor(p * q) succeeds.  The rho iterate sequence
 # and its budget.spend calls fix these numbers; a change to either moves
 # which fibers come out unresolved under --factor-budget.
-@pytest.mark.parametrize(
-    "p, q, least_budget",
-    [
-        (100_003, 100_019, 510),
-        (999_983, 1_000_003, 894),
-        (10_000_019, 10_000_079, 3198),
-        (12_345_701, 987_654_323, 6782),
-        (100_000_007, 100_000_037, 31486),
-        (1_000_000_007, 1_000_000_009, 31102),
-    ],
-)
+LEAST_BUDGETS = [
+    (100_003, 100_019, 510),
+    (999_983, 1_000_003, 894),
+    (10_000_019, 10_000_079, 3198),
+    (12_345_701, 987_654_323, 6782),
+    (100_000_007, 100_000_037, 31486),
+    (1_000_000_007, 1_000_000_009, 31102),
+]
+
+
+@pytest.mark.parametrize("p, q, least_budget", LEAST_BUDGETS)
 def test_rho_least_budget_pinned(p, q, least_budget):
     assert factor(p * q, budget=least_budget) == Factorization(1, ((p, 1), (q, 1)))
     with pytest.raises(UnfactoredResidualError):
         factor(p * q, budget=least_budget - 1)
+
+
+# ---------------------------------------------------------------------------
+# split_cofactors: the batch split of rho's inputs
+# ---------------------------------------------------------------------------
+
+
+_large_primes = st.one_of(
+    st.integers(10**4, 10**7).map(sympy.nextprime),
+    st.integers(2**24, 2**27).map(sympy.nextprime),  # products reach past 2**50
+)
+_cofactors = st.lists(st.tuples(_large_primes, st.integers(1, 3)), min_size=1, max_size=3).map(
+    lambda parts: math.prod(p**e for p, e in parts)
+)
+
+
+def _outcome(m, budget, trial_primes=None):
+    try:
+        return factor(m, budget, trial_primes)
+    except UnfactoredResidualError as exc:
+        return exc.residual, exc.budget
+
+
+@given(
+    st.lists(_cofactors, min_size=1, max_size=12),
+    st.integers(1, 10**4),
+    st.sampled_from([0, 3, arith._RHO_HAND_OFF]),
+)
+@settings(max_examples=150, deadline=None)
+def test_split_cofactors_then_factor_is_factor(ms, budget, hand_off):
+    """Primes, pq, p^2 q, three primes, powers, some at or above 2**50:
+    factor given the batch's list (or () for None) returns the same
+    Factorization, or raises naming the same residual and budget, as
+    factor alone.  A lower hand-off keeps the lanes in the kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_RHO_HAND_OFF", hand_off)
+        split = arith.split_cofactors(ms, budget)
+    for m, primes in zip(ms, split):
+        assert _outcome(m, budget, primes or ()) == _outcome(m, budget)
+        if primes is not None:
+            assert primes == sorted(sympy.factorint(m))
+
+
+# One copy is handed to _brent_rho after round 1; 64 copies stay in the
+# lockstep kernel until they all find the factor together.
+@pytest.mark.parametrize("copies", [1, 64])
+@pytest.mark.parametrize("p, q, least_budget", [c for c in LEAST_BUDGETS if c[0] * c[1] < 2**50])
+def test_split_cofactors_least_budget_is_factors(p, q, least_budget, copies):
+    ms = [p * q] * copies
+    assert arith.split_cofactors(ms, least_budget) == [[p, q]] * copies
+    assert arith.split_cofactors(ms, least_budget - 1) == [None] * copies
+
+
+def test_split_cofactors_lists_what_fits_the_lanes():
+    p, q, r, s = 10_007, 10_009, 33_554_393, 33_555_439
+    assert r * s >= 2**50 > p * q * 10_037
+    ms = [p, p * q, r**3, 2**61 - 1, p * q * 10_037, p**2 * q, r * s]
+    assert arith.split_cofactors(ms) == [[p], [p, q], [r], [2**61 - 1], None, None, None]
+    with pytest.raises(DomainError):
+        arith.split_cofactors(ms, 0)

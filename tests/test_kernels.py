@@ -1,11 +1,15 @@
 """The numpy kernels against brute-force oracles in plain Python ints."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fiberfields import _kernels
+from fiberfields import _kernels, arith
+from fiberfields.errors import UnfactoredResidualError
 
 from conftest import oracle_is_prime
 
@@ -117,3 +121,104 @@ def test_squarefree_scan_agree(dtype, scale):
         )
         want = _scan_oracle(coeffs, n0, count, primes, fixed)
         assert (values.tolist(), flags.tolist()) == want, (coeffs, n0, count, fixed)
+
+
+LANE_LIMIT = _kernels.LANES_BELOW
+
+
+@st.composite
+def mulmod_cases(draw):
+    n = draw(st.integers(1, LANE_LIMIT - 1))
+    edge = st.sampled_from([0, n - 1])
+    operand = st.one_of(edge, st.integers(0, n - 1))
+    return n, [(draw(operand), draw(operand)) for _ in range(draw(st.integers(1, 8)))]
+
+
+@given(mulmod_cases())
+@example((LANE_LIMIT - 1, [(LANE_LIMIT - 2, LANE_LIMIT - 2), (0, LANE_LIMIT - 2), (1, 1)]))
+@example((1, [(0, 0)]))
+@settings(max_examples=300, deadline=None)
+def test_mulmod_agrees_with_python_ints(case):
+    """Exact up to the edge of the lane envelope; a numpy overflow warning
+    would fail the test.  The int64 products wrap by design, silently."""
+    n, pairs = case
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    ns = np.full(len(pairs), n, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels.mulmod(a, b, ns, 1.0 / ns)
+    assert got.tolist() == [x * y % n for x, y in pairs]
+
+
+def test_mulmod_near_the_envelope_takes_both_corrections():
+    """10^5 random products mod n in [2**49, 2**50), where the float
+    quotient errs both ways."""
+    rng = random.Random(19)
+    ns = np.array([rng.randrange(2**49, LANE_LIMIT) for _ in range(100)] * 1000, dtype=np.int64)
+    a = np.array([rng.randrange(n) for n in ns.tolist()], dtype=np.int64)
+    b = np.array([rng.randrange(n) for n in ns.tolist()], dtype=np.int64)
+    estimate = (a * (1.0 / ns) * b).astype(np.int64)
+    rows = list(zip(a.tolist(), b.tolist(), estimate.tolist(), ns.tolist()))
+    assert any(x * y < e * n for x, y, e, n in rows)
+    assert any(x * y - e * n >= n for x, y, e, n in rows)
+    got = _kernels.mulmod(a, b, ns, 1.0 / ns)
+    assert got.tolist() == [x * y % n for x, y, n in zip(a.tolist(), b.tolist(), ns.tolist())]
+
+
+def _semiprimes(seed, count, low, high):
+    rng = random.Random(seed)
+
+    def prime():
+        while not oracle_is_prime(v := rng.randrange(low, high)):
+            pass
+        return v
+
+    return [prime() * prime() for _ in range(count)]
+
+
+def _scalar_rho(n, limit, lane=None, spent=0):
+    """(factor, steps spent) from arith._brent_rho, or None on overrun."""
+    budget = arith._Budget(limit)
+    budget.left -= spent
+    try:
+        d = arith._brent_rho(n, budget, lane)
+    except UnfactoredResidualError:
+        return None
+    return d, limit - budget.left
+
+
+# counts: lanes handed back to the scalar loop, factors found in the
+# kernel, and overruns.  With hand_off = 0 only lanes whose gcd was n come
+# back; with hand_off past the lane count every lane does, after round 1.
+@pytest.mark.parametrize(
+    "hand_off, limit, counts",
+    [
+        (0, 10**7, (15, 286, 0)),
+        (48, 10**7, (38, 263, 0)),
+        (48, 3000, (11, 237, 53)),
+        (48, 400, (0, 20, 281)),
+        (10**6, 10**7, (301, 0, 0)),
+    ],
+)
+def test_lockstep_rho_agrees_lane_by_lane(hand_off, limit, counts):
+    """Every lane finds the factor scalar rho finds, after the same steps,
+    or overruns where scalar rho overruns, whether it finished in the
+    kernel or was resumed by the scalar loop."""
+    # the last lane is a product of the two largest primes below 2**25
+    ns = _semiprimes(3, 300, 10**4, 3 * 10**6) + [33_554_393 * 33_554_383]
+    seeds = [random.Random(n) for n in ns]
+    ys = [rng.randrange(1, n) for rng, n in zip(seeds, ns)]
+    cs = [rng.randrange(1, n) for rng, n in zip(seeds, ns)]
+    found, spent, lanes = _kernels.brent_rho_lanes(ns, ys, cs, limit, arith._RHO_BLOCK, hand_off)
+    handed = 0
+    for n, d, s, lane in zip(ns, found, spent, lanes):
+        want = _scalar_rho(n, limit)
+        if lane is not None:
+            handed += 1
+            assert _scalar_rho(n, limit, lane, s) == want, n
+        elif d:
+            assert (d, s) == want, n
+        else:
+            assert want is None, n
+    assert (handed, sum(map(bool, found)), found.count(0) - handed) == counts

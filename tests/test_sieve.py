@@ -116,7 +116,9 @@ def test_residual_above_cube_of_sieve_bound_with_repeated_large_prime():
 
 def test_residuals_skip_the_trial_stage(monkeypatch):
     """Every residual cofactor is free of the trial primes, so it reaches
-    arith.factor with trial_primes=() and factors as it would without."""
+    arith.factor once, with trial_primes () or, from arith.split_cofactors,
+    its complete ascending prime list, all above the trial limit; either
+    way it factors as it would without."""
     assert sieve._SIEVE_PRIME_CAP == arith.TRIAL_DIVISION_LIMIT
     trial_product = math.prod(arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT))
     calls = []
@@ -131,10 +133,63 @@ def test_residuals_skip_the_trial_stage(monkeypatch):
     rep = squarefree_value_count(h, 40)
     assert rep.flags == sympy_flags(h, 40, ())
     assert len(calls) == rep.residuals_factored >= 1
+    listed = 0
     for c, trial_primes in calls:
-        assert trial_primes == ()
+        assert list(trial_primes) in ([], sorted(sympy.factorint(c)))
+        assert all(q > arith.TRIAL_DIVISION_LIMIT for q in trial_primes)
         assert math.gcd(c, trial_product) == 1
-        assert real(c, trial_primes=()) == real(c)
+        assert real(c, trial_primes=trial_primes) == real(c)
+        listed += bool(trial_primes)
+    assert listed >= 1
+
+
+def test_residual_overruns_are_the_ones_scalar_factor_overruns():
+    """Of six residuals of x + 3e12 (n <= 60), rho overruns 400 steps on
+    three; with the batch split the sieve names the same n as a factor
+    call per residual."""
+    h, N, budget = IntPoly((3 * 10**12, 1)), 60, 400
+    want, residuals = [], 0
+    for n in range(1, N + 1):
+        f = sympy.factorint(h(n))
+        if any(e >= 2 for q, e in f.items() if q <= arith.TRIAL_DIVISION_LIMIT):
+            continue
+        c = math.prod(q**e for q, e in f.items() if q > arith.TRIAL_DIVISION_LIMIT)
+        if c < arith.TRIAL_DIVISION_LIMIT**3 or math.isqrt(c) ** 2 == c:
+            continue
+        residuals += 1
+        try:
+            arith.factor(c, budget, trial_primes=())
+        except UnfactoredResidualError:
+            want.append(n)
+    assert (residuals, want) == (6, [2, 14, 26])
+    with pytest.raises(BudgetError) as exc:
+        squarefree_value_count(h, N, budget=budget)
+    assert str(exc.value).endswith("at n = 2, 14, 26")
+
+
+def test_residuals_reach_scalar_rho_only_when_the_batch_gives_them_up(monkeypatch):
+    """x^3 + 2: arith.split_cofactors splits the composite residuals in
+    lockstep, and a residual starts rho from scratch in arith.factor only
+    when the batch gave it up (a part still composite).  At N = 12,000 it
+    gives up none, so rho never starts from scratch."""
+    given_up, fresh = [], []
+    split, rho = arith.split_cofactors, arith._brent_rho
+
+    def recording_split(ms, budget=None):
+        primes = split(ms, budget)
+        given_up.extend(m for m, listed in zip(ms, primes) if listed is None)
+        return primes
+
+    def recording_rho(n, budget, lane=None):
+        if lane is None:
+            fresh.append(n)
+        return rho(n, budget, lane)
+
+    monkeypatch.setattr(arith, "split_cofactors", recording_split)
+    monkeypatch.setattr(arith, "_brent_rho", recording_rho)
+    rep = squarefree_value_count(poly("x^3 + 2"), 12_000)
+    assert rep.residuals_factored == 170
+    assert all(any(m % n == 0 for m in given_up) for n in fresh)
 
 
 def test_fixed_square_primes_honours_the_budget(tmp_path, capsys):
@@ -444,6 +499,39 @@ def test_exact_order_direct_factorization_oracle():
             if e == 1 and q >= n:
                 expected.add(q)
     assert count == len(expected)
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    # cofactors p*q and p*q*r, some of them at or above 2**50 in the second
+    [("x^4 + 3x + 10^11 + 7", 150), ("x^4 + 3x + 2^52 + 1", 80)],
+)
+def test_exact_order_on_quartics_with_large_prime_pairs(text, n):
+    g = poly(text)
+    want = {
+        q
+        for m in range(1, n + 1)
+        for q, e in sympy.factorint(g(m)).items()
+        if e == 1 and q >= n
+    }
+    assert exact_order_prime_ratio(g, n) == (len(want), Fraction(len(want), n))
+
+
+@pytest.mark.parametrize(
+    "text, n, budget",
+    [("x^4 + 3x + 10^11 + 7", 150, 1000), ("x^4 + 3x + 2^52 + 1", 80, 1600),
+     ("x^4 + 3x + 2^52 + 1", 80, 3200)],
+)
+def test_exact_order_overrun_is_the_first_one_of_factor(text, n, budget):
+    """The residual and budget named are those of the first m whose value
+    arith.factor cannot split within budget."""
+    g = poly(text)
+    with pytest.raises(UnfactoredResidualError) as want:
+        for m in range(1, n + 1):
+            arith.factor(g(m), budget)
+    with pytest.raises(UnfactoredResidualError) as got:
+        exact_order_prime_ratio(g, n, budget)
+    assert (got.value.residual, got.value.budget) == (want.value.residual, budget)
 
 
 def test_exact_order_rejects_hypothesis_violations():
