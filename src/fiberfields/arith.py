@@ -71,19 +71,22 @@ shrinks the cofactor; when the list holds all of m's primes, nothing
 reaches _split.
 
 A caller holding many such cofactors at once (the squarefree sieve's
-residuals, the values of exact_order_prime_ratio) splits them first with
-split_cofactors and hands each one's primes to factor.  The composites
-below 2**50, the envelope of the kernel's float-assisted mulmod, run
-Brent's rho together, one lane of int64 arrays each
+residuals, and each segment of values of a cyclic fiber stream or of
+exact_order_prime_ratio, through sieve.segment_prime_lists) splits them
+first with split_cofactors and hands each one's primes to factor.  The
+composites below 2**50, the envelope of the kernel's float-assisted
+mulmod, run Brent's rho together, one lane of int64 arrays each
 (_kernels.brent_rho_lanes), on _brent_rho's seeds and schedule: the lanes
 share the step counter, so a lane's steps, gcds and spend are those of
 _brent_rho on it alone.  A lane whose gcd is n, and every lane once fewer
 than _RHO_HAND_OFF are left, resumes in _brent_rho from its (x, y, q, r,
 k) with its spend carried over, so the backtrack and the retries stay
-there.  A list comes back only when its parts are prime and the one rho
-call fit the budget, which is when factor would make that same call;
-everything else gets None and goes through factor as before, so the
-factorizations and the UnfactoredResidualErrors are the same either way.
+there.  Both parts of a split then go to _split on a budget carrying that
+spend, as in factor, so a part still composite is finished by the same
+rho calls factor would make.  A cofactor at or above 2**50, and one whose
+split runs past the budget, gets None and goes through factor as before,
+so the factorizations and the UnfactoredResidualErrors are the same
+either way.
 """
 
 from __future__ import annotations
@@ -464,13 +467,14 @@ def split_cofactors(ms: Sequence[int], budget: int | None = None) -> list[list[i
     _prime_power_root.  The composites below _kernels.LANES_BELOW run
     Brent's rho together (_kernels.brent_rho_lanes), from the seeds and on
     the schedule of _brent_rho, the last lanes and those whose gcd is n
-    finishing in _brent_rho itself.  A list is returned only when its
-    parts are prime and the one rho call spent at most budget, that is,
-    when factor(m, budget, trial_primes=()) makes that same call and finds
-    the same primes; factor(m, budget, trial_primes=primes) then gives
-    the same Factorization.  None covers a value at or above
-    _kernels.LANES_BELOW, a part still composite, and a spend past budget: a
-    caller hands factor () for those, and it decides them as before.
+    finishing in _brent_rho itself.  Each split, and the base of a prime
+    power, is then finished by _split on a _Budget that carries the spend
+    so far, so the rho calls, their seeds and the budget are those of
+    factor(m, budget, trial_primes=()), which finds the same primes;
+    factor(m, budget, trial_primes=primes) then gives the same
+    Factorization.  None covers a composite at or above
+    _kernels.LANES_BELOW and a spend past budget: a caller hands factor ()
+    for those, and it decides them as before.
     """
     total = _budget_total(budget)
     small = TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT
@@ -482,9 +486,7 @@ def split_cofactors(ms: Sequence[int], budget: int | None = None) -> list[list[i
             continue
         power = _prime_power_root(m, TRIAL_DIVISION_LIMIT)
         if power is not None:
-            b = power[0]
-            if b <= small or is_prime(b):
-                primes[i] = [b]
+            primes[i] = _finish_split(power[0], total)
         elif m < _kernels.LANES_BELOW:
             composite.append(i)
     ns = [ms[i] for i in composite]
@@ -495,16 +497,33 @@ def split_cofactors(ms: Sequence[int], budget: int | None = None) -> list[list[i
         cs.append(rng.randrange(1, n))
     found, spent, lanes = _kernels.brent_rho_lanes(ns, ys, cs, total, _RHO_BLOCK, _RHO_HAND_OFF)
     for i, n, d, s, lane in zip(composite, ns, found, spent, lanes):
-        if lane is not None:
-            left = _Budget(total)
-            try:
-                left.spend(s, n)
-                d = _brent_rho(n, left, lane)
-            except UnfactoredResidualError:
-                continue
-        if d and all(p <= small or is_prime(p) for p in (d, n // d)):
-            primes[i] = sorted((d, n // d))
+        if d or lane is not None:
+            primes[i] = _finish_split(n, total, s, d, lane)
     return primes
+
+
+def _finish_split(
+    m: int, total: int, spent: int = 0, d: int = 0, lane: _kernels.RhoLane | None = None
+) -> list[int] | None:
+    """The ascending distinct primes of m (> 1, as _split takes it) as
+    factor's _split finds them under a budget of total, or None when that
+    runs out.  spent rho steps on m are behind already, and they found
+    the factor d, or left the lane for _brent_rho to resume; with
+    neither, m goes to _split whole."""
+    budget = _Budget(total)
+    counts: dict[int, int] = {}
+    try:
+        budget.spend(spent, m)
+        if lane is not None:
+            d = _brent_rho(m, budget, lane)
+        if d:
+            _split(d, counts, 1, budget)
+            _split(m // d, counts, 1, budget)
+        else:
+            _split(m, counts, 1, budget)
+    except UnfactoredResidualError:
+        return None
+    return sorted(counts)
 
 
 def factor(

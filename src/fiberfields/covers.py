@@ -184,7 +184,7 @@ def specialize(
 
     trial_primes, for a cyclic cover only, are ascending distinct primes
     dividing g(n), every one <= arith.TRIAL_DIVISION_LIMIT among them,
-    handed to arith.factor (see sieve.trial_prime_lists)."""
+    handed to arith.factor (see sieve.segment_prime_lists)."""
     if isinstance(cover, CyclicCover):
         value = cover.g(n)
         if value == 0:

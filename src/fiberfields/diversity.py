@@ -21,7 +21,11 @@ that divides a value of one of g's linear factors (the linear rows), are
 found once per pass (sieve.trial_root_table).  The content of g is
 factored once per pass too, and its large primes are listed for every
 fiber.  Each segment of n collects its primes along those root
-progressions (sieve.trial_prime_lists).  Each fiber is folded as it
+progressions, then splits the cofactors left over together, one lockstep
+rho over those below 2**50, so arith.factor gets every prime of most
+values (sieve.segment_prime_lists).  The split is skipped when g is its
+content times linear factors whose values stay within arith.SIEVE_LIMIT:
+the progressions list every prime then.  Each fiber is folded as it
 arrives, so no fold holds the fibers: a weak fold keeps one int per
 distinct class (exact-kummer: the canonical value of the Kummer class;
 ramified-set: the product of the ramified primes), and compare_methods
@@ -94,20 +98,13 @@ class CompositumReport:
 # ---------------------------------------------------------------------------
 
 
-# Fibers per segment of trial-prime lists on the serial path: the lists of
-# a segment are live at once, and each segment walks every root progression
-# (5,133 rows for x^3 - x at N = 5e4, most of them linear rows of primes
-# above the segment, which cost a step per root and segment).
-_SEGMENT = 4096
-
-
 def _specialized(cover, n0, n1, budget, prime_budget, table):
-    """The fibers over n0 <= n < n1, each cyclic value handed its trial
-    primes from the root table (None for a plane cover)."""
+    """The fibers over n0 <= n < n1, each cyclic value handed the primes
+    sieve.segment_prime_lists finds for it (None for a plane cover)."""
     if table is None:
         lists = repeat(None)
     else:
-        lists = sieve.trial_prime_lists(table, n0, n1 - n0)
+        lists = sieve.segment_prime_lists(table, cover.g, n0, n1 - n0, budget)
     for n, primes in zip(range(n0, n1), lists):
         yield covers.specialize(cover, n, budget, prime_budget, primes)
 
@@ -142,10 +139,14 @@ def _fiber_stream(
     """The fibers over x = 1..N in increasing n, specialized lazily.
 
     For a cyclic cover the trial root table of g, with its linear rows
-    and its content's large primes, is built once, and each segment of n
-    gets its values' trial primes from the root progressions
-    (sieve.trial_prime_lists), so arith.factor skips its trial stage; a
-    value whose primes are all listed never reaches rho.
+    and its content's large primes, is built once.  Each segment of n
+    (sieve.LIST_SEGMENT fibers, or a pool task's chunk) gets its values'
+    trial primes from the root progressions, and, unless the table lists
+    every prime of every value, splits the cofactors left over in one
+    batch (sieve.segment_prime_lists).  So arith.factor skips its trial stage,
+    and a value whose primes are all listed never reaches its rho; one
+    the batch gave up (a cofactor at or above 2**50, or past the budget)
+    is decided there as before.
 
     With jobs > 1 a process pool specializes chunks of n, each task
     carrying the parent's table, and the stream yields each chunk in order
@@ -155,8 +156,8 @@ def _fiber_stream(
     the chunks no worker has started."""
     table = _trial_table(cover.g, N, budget) if isinstance(cover, CyclicCover) else None
     if jobs <= 1:
-        for n0 in range(1, N + 1, _SEGMENT):
-            n1 = min(n0 + _SEGMENT, N + 1)
+        for n0 in range(1, N + 1, sieve.LIST_SEGMENT):
+            n1 = min(n0 + sieve.LIST_SEGMENT, N + 1)
             yield from _specialized(cover, n0, n1, budget, prime_budget, table)
         return
     # 16 chunks a worker, so the window of 2 * jobs chunks holds at most an

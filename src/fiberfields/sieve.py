@@ -31,12 +31,17 @@ primes of g's content, which divide every value.  trial_prime_lists walks
 the progressions over a segment of n, so arith.factor receives each
 g(n)'s trial primes instead of finding them by gcds.  When g is a
 content times linear factors whose values stay below arith.SIEVE_LIMIT,
-the lists hold every prime of g(n) and nothing is left for rho.
+the lists hold every prime of g(n) and nothing is left for rho; the
+table then says it is complete.
+
+segment_prime_lists is the one way a segment of values gets its primes,
+for the cyclic fiber stream (diversity) and for exact_order_prime_ratio:
+the trial lists, and unless the table is complete, the primes of each
+value's cofactor, split together by the batch split of step 3.
 
 euler_density gives the truncated prediction prod (1 - rho(p^2)/p^2) as an
 exact fraction, and exact_order_prime_ratio counts the large primes
-dividing some early value exactly once, from the same trial lists and
-the same batch split as the residuals of step 3.
+dividing some early value exactly once.
 """
 
 from __future__ import annotations
@@ -55,9 +60,12 @@ from .polyring import IntPoly
 # arith.factor skip its trial stage on them.
 _SIEVE_PRIME_CAP = arith.TRIAL_DIVISION_LIMIT
 _SEGMENT = 1 << 20
-# Values per batch of trial-prime lists and cofactor splits in
-# exact_order_prime_ratio; a segment's lists are live at once.
-_LIST_SEGMENT = 4096
+# Values per segment_prime_lists call, in exact_order_prime_ratio and on a
+# serial fiber stream: the lists of a segment are live at once, and each
+# segment walks every root progression (5,133 rows for x^3 - x at
+# N = 5e4, most of them linear rows of primes above the segment, which
+# cost a step per root and segment).
+LIST_SEGMENT = 4096
 DEFAULT_EULER_BOUND = 1_000
 
 
@@ -81,11 +89,20 @@ class SieveReport:
         return float(self.euler_product)
 
 
-# Trial root table: (q, the roots r in [0, q) of g mod q that some n <= N
-# meets) for every prime q listed for some value g(n), n <= N, ascending
-# in q; the roots are None when q divides every value (a large prime of
-# g's content).
-TrialRootTable = tuple[tuple[int, tuple[int, ...] | None], ...]
+@dataclass(frozen=True)
+class TrialRootTable:
+    """The trial root table of g over n <= N."""
+
+    # (q, the roots r in [0, q) of g mod q that some n <= N meets) for
+    # every prime q listed for some value g(n), ascending in q; the roots
+    # are None when q divides every value (a large prime of g's content).
+    rows: tuple[tuple[int, tuple[int, ...] | None], ...]
+    # g is its content times linear factors whose values stay within
+    # arith.SIEVE_LIMIT: the rows list every prime of every g(n) but the
+    # content's primes above arith.TRIAL_DIVISION_LIMIT.
+    linear: bool
+    # The rows list every prime of every nonzero g(n), n <= N.
+    complete: bool
 
 
 def _coefficient_bound(h: IntPoly, N: int) -> int:
@@ -105,9 +122,14 @@ def trial_root_table(g: IntPoly, N: int) -> TrialRootTable:
     divides no nonzero value of the factor, and a prime dividing b divides
     none, as the factor is primitive.  When N < q, n <= N meets the
     residues 1..N only.  A prime dividing no value g(n), n <= N, is left
-    out."""
+    out.
+
+    The same factorization says whether the table is linear: every factor
+    of g is linear, each with |b*n + c| <= arith.SIEVE_LIMIT.  It is
+    complete when, besides, |content| <= arith.TRIAL_DIVISION_LIMIT; for
+    a larger content, with_content_rows completes it."""
     coeffs = np.array(g.coeffs, dtype=object)
-    table = []
+    rows = []
     for q in arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT):
         if q <= N:
             roots = _kernels.poly_roots_mod(coeffs, q)
@@ -115,14 +137,25 @@ def trial_root_table(g: IntPoly, N: int) -> TrialRootTable:
             roots = _kernels.poly_roots_mod(coeffs, q, N + 1)
             roots = roots[roots > 0]
         if roots.size:
-            table.append((q, tuple(roots.tolist())))
-    return tuple(table) + _linear_rows(g, N)
+            rows.append((q, tuple(roots.tolist())))
+    fact = polyring.factor_over_Q(g)
+    linear = [f.coeffs for f, _ in fact.factors if f.degree == 1]
+    reach = [max(abs(b + c), abs(b * N + c)) for c, b in linear]
+    only_linear = len(linear) == len(fact.factors) and max(reach, default=0) <= arith.SIEVE_LIMIT
+    return TrialRootTable(
+        tuple(rows) + _linear_rows(linear, reach, N),
+        only_linear,
+        only_linear and abs(fact.content) <= arith.TRIAL_DIVISION_LIMIT,
+    )
 
 
-def _linear_rows(g: IntPoly, N: int) -> TrialRootTable:
-    """The rows of trial_root_table above arith.TRIAL_DIVISION_LIMIT."""
-    linear = [f.coeffs for f, _ in polyring.factor_over_Q(g).factors if f.degree == 1]
-    reach = [min(max(abs(b + c), abs(b * N + c)), arith.SIEVE_LIMIT) for c, b in linear]
+def _linear_rows(
+    linear: list[tuple[int, ...]], reach: list[int], N: int
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The rows of trial_root_table above arith.TRIAL_DIVISION_LIMIT, from
+    the coefficients (c, b) of each linear factor b*x + c of g and the
+    largest |b*n + c| over n <= N."""
+    reach = [min(top, arith.SIEVE_LIMIT) for top in reach]
     if max(reach, default=0) <= arith.TRIAL_DIVISION_LIMIT:
         return ()
     start = arith.TRIAL_DIVISION_LIMIT + 1 | 1  # the odd numbers above the limit
@@ -150,10 +183,11 @@ def with_content_rows(table: TrialRootTable, content: arith.Factorization) -> Tr
     """The table of g with a row (q, None) for each prime q of g's content
     (factored by the caller) above arith.TRIAL_DIVISION_LIMIT, in place of
     q's linear row if it has one.  The content's smaller primes have rows
-    already: every residue is a root of g mod them."""
-    rows = dict(table)
+    already: every residue is a root of g mod them.  So the new table is
+    complete when the old one's rows were linear."""
+    rows = dict(table.rows)
     rows.update((q, None) for q, _ in content.factors if q > arith.TRIAL_DIVISION_LIMIT)
-    return tuple(sorted(rows.items()))
+    return TrialRootTable(tuple(sorted(rows.items())), table.linear, table.linear)
 
 
 def trial_prime_lists(table: TrialRootTable, n0: int, count: int) -> list[list[int]]:
@@ -161,7 +195,7 @@ def trial_prime_lists(table: TrialRootTable, n0: int, count: int) -> list[list[i
     the table of g and 1 <= n0 + i <= its N.  Every prime
     <= arith.TRIAL_DIVISION_LIMIT dividing g(n0 + i) is among them."""
     lists: list[list[int]] = [[] for _ in range(count)]
-    for q, residues in table:
+    for q, residues in table.rows:
         if residues is None:
             for primes in lists:
                 primes.append(q)
@@ -174,6 +208,34 @@ def trial_prime_lists(table: TrialRootTable, n0: int, count: int) -> list[list[i
                 i = (r - n0) % q
                 if i < count:
                     lists[i].append(q)
+    return lists
+
+
+def segment_prime_lists(
+    table: TrialRootTable, g: IntPoly, n0: int, count: int, budget: int | None = None
+) -> list[list[int]]:
+    """lists[i]: ascending distinct primes dividing g(n0 + i), to hand
+    arith.factor as its trial primes, for the table of g and
+    1 <= n0 + i <= its N.
+
+    Each list starts as the table's (trial_prime_lists).  Unless the
+    table is complete, every nonzero value is divided by its listed primes,
+    the cofactors > 1 are split at once (arith.split_cofactors), and a
+    split's primes are merged into the list, which then holds every prime
+    of the value.  Where the split gives up, the list stays the table's,
+    so arith.factor decides that value, budget overruns included, as it
+    would on its own."""
+    lists = trial_prime_lists(table, n0, count)
+    if table.complete:
+        return lists
+    cofactors = [
+        _cofactor(value, primes) if value else 1
+        for value, primes in zip(map(g, range(n0, n0 + count)), lists)
+    ]
+    rest = [i for i, c in enumerate(cofactors) if c > 1]
+    for i, large in zip(rest, arith.split_cofactors([cofactors[i] for i in rest], budget)):
+        if large:
+            lists[i] = sorted(lists[i] + large)
     return lists
 
 
@@ -314,13 +376,12 @@ def exact_order_prime_ratio(
     """Count of primes q >= n with v_q(g(m)) = 1 for some m <= n, and the
     ratio count/n.  Requires g irreducible over Q of degree >= 2.
 
-    Each segment of m takes its trial primes from the root table of g
-    (g has no linear factor, so they are exactly the primes <= the trial
-    limit), splits the cofactors left over with arith.split_cofactors, and
-    factors each value once with the merged ascending list.  A cofactor
-    the batch gave up is left to arith.factor, so an overrun raises the
-    same UnfactoredResidualError at the same first m as a factor call per
-    value."""
+    Each segment of m takes its prime lists from segment_prime_lists
+    (g has no linear factor, so the table lists exactly the primes <= the
+    trial limit, and the batch split adds the rest), and each value is
+    factored once with its list.  A cofactor the batch gave up is left to
+    arith.factor, so an overrun raises the same UnfactoredResidualError at
+    the same first m as a factor call per value."""
     if n < 1:
         raise DomainError("sieve", "n >= 1 required")
     if g.degree < 2:
@@ -338,17 +399,12 @@ def exact_order_prime_ratio(
         )
     table = trial_root_table(g, n)
     hits: set[int] = set()
-    for m0 in range(1, n + 1, _LIST_SEGMENT):
-        count = min(_LIST_SEGMENT, n + 1 - m0)
-        values = [g(m) for m in range(m0, m0 + count)]
-        lists = trial_prime_lists(table, m0, count)
-        cofactors = [_cofactor(v, primes) for v, primes in zip(values, lists)]
-        rest = [i for i, c in enumerate(cofactors) if c > 1]
-        split = dict(zip(rest, arith.split_cofactors([cofactors[i] for i in rest], budget)))
-        for i, (value, primes) in enumerate(zip(values, lists)):
+    for m0 in range(1, n + 1, LIST_SEGMENT):
+        count = min(LIST_SEGMENT, n + 1 - m0)
+        lists = segment_prime_lists(table, g, m0, count, budget)
+        for m, primes in zip(range(m0, m0 + count), lists):
             # g is irreducible of degree >= 2, so no value is 0
-            large = split.get(i) or []
-            f = arith.factor(value, budget, trial_primes=primes + large)
+            f = arith.factor(g(m), budget, trial_primes=primes)
             hits.update(q for q, e in f.factors if e == 1 and q >= n)
     return len(hits), Fraction(len(hits), n)
 

@@ -458,6 +458,8 @@ def test_split_cofactors_lists_what_fits_the_lanes():
     p, q, r, s = 10_007, 10_009, 33_554_393, 33_555_439
     assert r * s >= 2**50 > p * q * 10_037
     ms = [p, p * q, r**3, 2**61 - 1, p * q * 10_037, p**2 * q, r * s]
-    assert arith.split_cofactors(ms) == [[p], [p, q], [r], [2**61 - 1], None, None, None]
+    assert arith.split_cofactors(ms) == [
+        [p], [p, q], [r], [2**61 - 1], [p, q, 10_037], [p, q], None
+    ]
     with pytest.raises(DomainError):
         arith.split_cofactors(ms, 0)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from sympy import GF, factorint
 from sympy.polys.matrices import DomainMatrix
 
-from fiberfields import arith, covers, diversity, kummer
+from fiberfields import arith, covers, diversity, kummer, sieve
 from fiberfields.cli import main
 from fiberfields.arith import Factorization
 from fiberfields.covers import cover_from_text, normalize_cyclic, plane_cover
@@ -219,6 +220,104 @@ def test_cyclic_fiber_proves_p_once(monkeypatch):
     monkeypatch.setattr(arith, "is_prime", recording)
     fibers = list(diversity._fiber_stream(cover, 40))
     assert proofs.count(5) == len(fibers) == 40
+
+
+# g for the stream oracle: the lists come from the table alone, merged
+# with a batch split, or left to arith.factor.
+STREAM_POLYS = (
+    "x^4 + 3*x + 7",  # irreducible; composite cofactors from n = 100 on
+    "x^2 + 1",
+    "(x + 900000)*(x^2 + 10^9 + 7)",  # linear-row primes > 10^4 merge with split primes
+    "10007*(x^3 + 2)",  # a content prime above 10^4
+    "x^2 + 100140024",  # 10007^2 - 25: the cofactor at n = 5 is 10007^2
+    "x^2 + 1002101470318",  # 10007^3 - 25: the cofactor at n = 5 is 10007^3
+    "x^4 + 3*x + 2^52 + 1",  # cofactors at or above 2^50
+    "x^3 - 64000",  # (x - 40)(x^2 + 40x + 1600): negative values, a branch fiber
+)
+
+
+def _fiber_fields(fiber):
+    return fiber.n, fiber.status, fiber.value, fiber.kummer_class, fiber.note
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    g=st.sampled_from(STREAM_POLYS),
+    N=st.integers(1, 60),
+    budget=st.sampled_from([None, 40, 400]),
+)
+@example(p=5, g="x^4 + 3*x + 7", N=1500, budget=None)  # the lanes run
+@example(p=5, g="x^4 + 3*x + 7", N=1500, budget=400)  # and overrun
+@example(p=5, g="x^2 + 1002101470318", N=60, budget=40)  # unresolved fibers
+@example(p=3, g="(x + 900000)*(x^2 + 10^9 + 7)", N=60, budget=None)
+@example(p=2, g="x^2 + 100140024", N=6, budget=None)
+@example(p=3, g="x^2 + 1002101470318", N=6, budget=None)
+@example(p=2, g="x^4 + 3*x + 2^52 + 1", N=12, budget=400)
+@example(p=5, g="x^3 - 64000", N=45, budget=None)
+@settings(max_examples=25, deadline=None)
+def test_batched_stream_is_a_specialize_call_per_fiber(p, g, N, budget):
+    """Every fiber of the stream, serial or pooled, is the one
+    covers.specialize gives with the table's trial primes alone, where
+    arith.factor runs rho on the whole cofactor: the same status, value,
+    class and note, unresolved fibers included.  Without a budget it is
+    also the one specialize gives with no trial primes, where arith.factor
+    runs its own trial stage.  Under a budget that can differ: a listed
+    prime above the trial limit (a linear row or the content's) shrinks
+    the cofactor rho sees."""
+    cover = cover_from_text(f"y^{p} - ({g})")
+    lists = sieve.trial_prime_lists(diversity._trial_table(cover.g, N, budget), 1, N)
+    want = [
+        _fiber_fields(covers.specialize(cover, n, budget, trial_primes=primes))
+        for n, primes in enumerate(lists, 1)
+    ]
+    if budget is None:
+        assert want == [_fiber_fields(covers.specialize(cover, n)) for n in range(1, N + 1)]
+    for jobs in (1, 2):
+        got = diversity._fiber_stream(cover, N, jobs, budget)
+        assert [_fiber_fields(f) for f in got] == want
+
+
+def test_stream_splits_cofactors_in_lanes_unless_the_table_is_complete(monkeypatch, tmp_path):
+    """y^5 = x^4 + 3x + 7 at N = 2,000: the composite cofactors are below
+    2**50 and are split in one lockstep batch, so rho never starts from
+    scratch (350 times with a factor call per fiber), and the report is
+    the one that stream wrote.  y^2 = x^3 - x: the table lists every
+    prime of every value, so nothing is split and rho never runs."""
+    splits, rho_calls = [], []
+    split, rho = arith.split_cofactors, arith._brent_rho
+
+    def recording_split(ms, budget=None):
+        splits.append(len(ms))
+        return split(ms, budget)
+
+    def recording_rho(n, budget, lane=None):
+        rho_calls.append(lane is None)
+        return rho(n, budget, lane)
+
+    monkeypatch.setattr(arith, "split_cofactors", recording_split)
+    monkeypatch.setattr(arith, "_brent_rho", recording_rho)
+    out = tmp_path / "quintic.json"
+    assert main(["strong-diversity", "--cover", "y^5 - (x^4 + 3*x + 7)", "--N", "2000",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c44886159101788676948dfee73503111e0e895b8f61606bdce3b22709fccec4"
+    )
+    assert len(splits) == 1 and rho_calls and not any(rho_calls)
+    splits.clear()
+    rho_calls.clear()
+    cover = cover_from_text("y^2 - (x^3 - x)")
+    assert weak_diversity_count(cover, 5000).distinct > 0
+    assert splits == rho_calls == []
+
+
+def test_quintic_report_is_the_same_for_every_worker_count(tmp_path):
+    blobs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}.json"
+        assert main(["strong-diversity", "--cover", "y^5 - (x^4 + 3*x + 7)", "--N", "500",
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_pooled_stream_cancels_pending_chunks_on_early_exit(monkeypatch):

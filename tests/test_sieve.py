@@ -12,6 +12,7 @@ from fiberfields.cli import main
 from fiberfields.errors import BudgetError, DomainError, UnfactoredResidualError
 from fiberfields.polyring import IntPoly, parse_poly
 from fiberfields.sieve import (
+    TrialRootTable,
     euler_density,
     exact_order_prime_ratio,
     fixed_square_primes,
@@ -170,8 +171,8 @@ def test_residual_overruns_are_the_ones_scalar_factor_overruns():
 def test_residuals_reach_scalar_rho_only_when_the_batch_gives_them_up(monkeypatch):
     """x^3 + 2: arith.split_cofactors splits the composite residuals in
     lockstep, and a residual starts rho from scratch in arith.factor only
-    when the batch gave it up (a part still composite).  At N = 12,000 it
-    gives up none, so rho never starts from scratch."""
+    when the batch gave it up (at or above 2**50, or past the budget).  At
+    N = 12,000 it gives up none, so rho never starts from scratch."""
     given_up, fresh = [], []
     split, rho = arith.split_cofactors, arith._brent_rho
 
@@ -379,18 +380,19 @@ def test_linear_rows_list_every_prime_of_linear_values(content, linear, twin, re
 
 
 def test_trial_root_table_examples():
-    assert trial_root_table(poly("6x^3 + 6"), 10)[:2] == ((2, (0, 1)), (3, (0, 1, 2)))
-    assert trial_root_table(poly("8x - 7"), 1) == ()
-    assert trial_prime_lists((), 1, 1) == [[]]
+    assert trial_root_table(poly("6x^3 + 6"), 10).rows[:2] == ((2, (0, 1)), (3, (0, 1, 2)))
+    empty = trial_root_table(poly("8x - 7"), 1)
+    assert empty == TrialRootTable((), linear=True, complete=True)
+    assert trial_prime_lists(empty, 1, 1) == [[]]
     # N < q: only the residues met by n <= N are kept
-    assert 9973 not in dict(trial_root_table(poly("x - 9973"), 5))
-    assert dict(trial_root_table(poly("x - 9976"), 5))[9973] == (3,)
+    assert 9973 not in dict(trial_root_table(poly("x - 9973"), 5).rows)
+    assert dict(trial_root_table(poly("x - 9976"), 5).rows)[9973] == (3,)
     # linear rows: the roots 1, 0, -1 of x^3 - x, for q up to N + 1
-    rows = dict(trial_root_table(poly("x^3 - x"), 20_000))
+    rows = dict(trial_root_table(poly("x^3 - x"), 20_000).rows)
     assert rows[10007] == (0, 1, 10006) and max(rows) == 19_997
-    assert 10007 not in dict(trial_root_table(poly("10007x + 1"), 10))  # q | b
+    assert 10007 not in dict(trial_root_table(poly("10007x + 1"), 10).rows)  # q | b
     # values beyond SIEVE_LIMIT: rows stop there, and keep residues 1..N
-    rows = trial_root_table(poly("x - 1000000000000"), 100)
+    rows = trial_root_table(poly("x - 1000000000000"), 100).rows
     assert rows[-1][0] <= arith.SIEVE_LIMIT
     assert all(1 <= r <= 100 for q, roots in rows if q > 100 for r in roots)
 
@@ -400,14 +402,14 @@ def test_content_rows_replace_linear_rows():
     place of the linear factor's root; a content whose factorization
     overruns the budget leaves the table as it was."""
     g = poly("10007x - 30021")  # 10007 (x - 3)
-    assert dict(trial_root_table(g, 20_000))[10007] == (3,)
+    assert dict(trial_root_table(g, 20_000).rows)[10007] == (3,)
     table = diversity._trial_table(g, 20_000, None)
-    assert [q for q, _ in table].count(10007) == 1 and dict(table)[10007] is None
+    assert [q for q, _ in table.rows].count(10007) == 1 and dict(table.rows)[10007] is None
     lists = trial_prime_lists(table, 1, 30)
     assert all(10007 in primes for primes in lists)
     big = 1_000_003 * 1_000_033
     g = IntPoly((big, big))  # big (x + 1)
-    assert dict(diversity._trial_table(g, 10, None))[1_000_033] is None
+    assert dict(diversity._trial_table(g, 10, None).rows)[1_000_033] is None
     assert diversity._trial_table(g, 10, 1) == trial_root_table(g, 10)
 
 
