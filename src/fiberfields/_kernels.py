@@ -1,7 +1,8 @@
 """Hot numeric loops: prime sieving, brute-force polynomial roots mod m,
 the roots of a linear polynomial mod many primes at once, the squarefree
-division scan over polynomial value ranges, and Brent's rho on many
-numbers below 2**50 in lockstep (exact int64 products mod n by mulmod).
+division scan over polynomial value ranges, and, on many numbers below
+2**50 in lockstep (exact int64 products mod n by mulmod), Brent's rho and
+the strong probable-prime test of Miller-Rabin.
 
 The root and prime kernels work on int64 arrays; the root kernel reduces
 its coefficients mod m first, so it also takes object coefficients.
@@ -136,6 +137,56 @@ def _rho_step(y: np.ndarray, c: np.ndarray, n: np.ndarray, ninv: np.ndarray) -> 
     y -= n
     y += n & (y >> 63)
     return y
+
+
+# strong_probable_primes runs at most this many lanes at a time, so its
+# arrays stay at 64 KB each however many lanes it is given.
+_PRP_BLOCK = 8192
+
+
+def strong_probable_primes(n: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """For int64 arrays with odd n and 1 < a < n < 2**50 (LANES_BELOW),
+    whether n[i] is a strong probable prime to base a[i]: with
+    n - 1 = d * 2**s and d odd, a**d = 1 or a**(d * 2**j) = n - 1 (mod n)
+    for some 0 <= j < s, as arith._miller_rabin_round decides it.
+
+    Every lane has its own d and s.  The lanes raise a to d together, in
+    2-bit windows from the top of the largest d: two squarings, then one
+    product with a**w, w the lane's next two bits, from a table of a**0
+    to a**3 per lane.  Then each lane squares until it meets n - 1, meets
+    1, or runs out of its s, and leaves the arrays once decided."""
+    prime = np.zeros(n.size, dtype=np.bool_)
+    for i in range(0, n.size, _PRP_BLOCK):
+        block = slice(i, i + _PRP_BLOCK)
+        prime[block] = _strong_probable_primes(n[block], a[block])
+    return prime
+
+
+def _strong_probable_primes(n: np.ndarray, a: np.ndarray) -> np.ndarray:
+    ninv = 1.0 / n
+    m = n - 1
+    d = m // (m & -m)
+    table = np.empty((4, n.size), dtype=np.int64)
+    table[0], table[1] = 1, a
+    table[2] = mulmod(a, a, n, ninv)
+    table[3] = mulmod(table[2], a, n, ninv)
+    lanes = np.arange(n.size)
+    x = np.ones_like(n)
+    for shift in range((int(d.max(initial=0)).bit_length() - 1) & ~1, -2, -2):
+        x = mulmod(x, x, n, ninv)
+        x = mulmod(x, x, n, ninv)
+        x = mulmod(x, table[(d >> shift) & 3, lanes], n, ninv)
+    prime = (x == 1) | (x == m)
+    live = np.flatnonzero(~prime & (2 * d < m))
+    x, d, n, ninv, m = (v[live] for v in (x, d, n, ninv, m))
+    while live.size:
+        x = mulmod(x, x, n, ninv)
+        d *= 2
+        hit = x == m
+        prime[live[hit]] = True
+        stay = ~hit & (x != 1) & (2 * d < m)
+        live, x, d, n, ninv, m = (v[stay] for v in (live, x, d, n, ninv, m))
+    return prime
 
 
 RhoLane = tuple[int, int, int, int, int]

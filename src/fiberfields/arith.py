@@ -33,8 +33,19 @@ above it:
 
 On primes, Baillie-PSW costs about as much as Miller-Rabin to 5 bases
 near 1e11 and wins from 6 bases on (1.3x at 3e12, 1.5x at 1e13, 2x at
-1e16), so it takes the whole range from psi_6 to 2**64, and the table
-keeps its rows below psi_6.
+1e16), so is_prime takes it on the whole range from psi_6 to 2**64 and
+reads the table's rows below psi_6 and above 2**64.
+
+A batch of numbers below 2**50 is proven at once instead (_are_prime, for
+split_cofactors), each number a lane of int64 arrays in numpy
+(_kernels.strong_probable_primes), with Miller-Rabin to the bases of its
+first row above it: the rows below psi_6 as is_prime reads them, the
+first 7 prime bases on [psi_6, psi_7 = 341,550,071,728,321) and the
+first 9 on [psi_7, 2**50), psi_9 ~ 3.8e18 being above 2**50.  Each row
+is a proof, so every answer is is_prime's.  Base 2 runs on every lane,
+then the other bases of the lanes that pass it run as one lane per
+(number, base) pair.  A batch of fewer than _PRIME_HAND_OFF numbers, and
+is_prime on a single number or one at or above 2**50, stay scalar.
 
 The trial stage finds the distinct primes up to TRIAL_DIVISION_LIMIT
 that divide m, in ascending order; each is then divided out of m with its
@@ -73,20 +84,22 @@ reaches _split.
 A caller holding many such cofactors at once (the squarefree sieve's
 residuals, and each segment of values of a cyclic fiber stream or of
 exact_order_prime_ratio, through sieve.segment_prime_lists) splits them
-first with split_cofactors and hands each one's primes to factor.  The
-composites below 2**50, the envelope of the kernel's float-assisted
-mulmod, run Brent's rho together, one lane of int64 arrays each
-(_kernels.brent_rho_lanes), on _brent_rho's seeds and schedule: the lanes
-share the step counter, so a lane's steps, gcds and spend are those of
-_brent_rho on it alone.  A lane whose gcd is n, and every lane once fewer
-than _RHO_HAND_OFF are left, resumes in _brent_rho from its (x, y, q, r,
-k) with its spend carried over, so the backtrack and the retries stay
-there.  Both parts of a split then go to _split on a budget carrying that
-spend, as in factor, so a part still composite is finished by the same
-rho calls factor would make.  A cofactor at or above 2**50, and one whose
-split runs past the budget, gets None and goes through factor as before,
-so the factorizations and the UnfactoredResidualErrors are the same
-either way.
+first with split_cofactors and hands each one's primes to factor.  Only
+cofactors below 2**50, the envelope of the kernels' float-assisted
+mulmod, are split.  Their primality is proven in one batch (_are_prime),
+and the composites run Brent's rho together, one lane of int64 arrays
+each (_kernels.brent_rho_lanes), on _brent_rho's seeds and schedule: the
+lanes share the step counter, so a lane's steps, gcds and spend are
+those of _brent_rho on it alone.  A lane whose gcd is n, and every lane
+once fewer than _RHO_HAND_OFF are left, resumes in _brent_rho from its
+(x, y, q, r, k) with its spend carried over, so the backtrack and the
+retries stay there.  The parts of every split are then proven in one
+more batch, and a composite part goes to _split's rho on a budget
+carrying that spend, as in factor, so it is finished by the same rho
+calls factor would make.  A cofactor at or above 2**50 gets None before
+any check, and one whose split runs past the budget gets None too; both
+go through factor as before, so the factorizations and the
+UnfactoredResidualErrors are the same either way.
 """
 
 from __future__ import annotations
@@ -112,9 +125,10 @@ DEFAULT_FACTOR_BUDGET = 2_000_000
 
 # (psi, bases): Miller-Rabin to the first k prime bases proves n < psi
 # prime, where psi = psi_k is the least strong pseudoprime to all of those
-# bases (Jaeschke 1993; Sorenson and Webster 2017).  Baillie-PSW proves
-# [psi_6, 2**64) (see the module docstring), so the rows for psi_7 and
-# psi_9 are never read and the table skips from psi_6 to psi_12.
+# bases (Jaeschke 1993; Sorenson and Webster 2017).  is_prime reads the
+# rows below psi_6 and above 2**64, Baillie-PSW proving [psi_6, 2**64)
+# (see the module docstring); the lanes of _are_prime read the rows up to
+# psi_9, which lies above _kernels.LANES_BELOW.
 _MR_THRESHOLDS = (
     (2_047, (2,)),
     (1_373_653, (2, 3)),
@@ -122,6 +136,8 @@ _MR_THRESHOLDS = (
     (3_215_031_751, (2, 3, 5, 7)),
     (2_152_302_898_747, (2, 3, 5, 7, 11)),
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
+    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
     (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
     (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
@@ -141,6 +157,15 @@ _RHO_BLOCK = 128
 # _RHO_HAND_OFF lanes are left; then each resumes in _brent_rho, whose
 # Python step is cheaper than a numpy step over that few lanes.
 _RHO_HAND_OFF = 48
+# The _MR_THRESHOLDS rows whose psi fits int64, for the lanes: every lane
+# is below _kernels.LANES_BELOW < psi_9, the last of them.
+_LANE_PSI = np.array([psi for psi, _ in _MR_THRESHOLDS if psi < 1 << 63], dtype=np.int64)
+_LANE_BASE_COUNT = np.array([len(bases) for _, bases in _MR_THRESHOLDS[: _LANE_PSI.size]])
+_LANE_BASES = np.array(_MR_THRESHOLDS[_LANE_PSI.size - 1][1], dtype=np.int64)
+# _are_prime proves fewer numbers than this with scalar is_prime: the two
+# kernel calls cost about 2 ms however few the lanes, as much as is_prime
+# on 50-60 primes or on about 100 of the sieve's residuals (60% prime).
+_PRIME_HAND_OFF = 64
 
 _sieve_lock = threading.Lock()
 _prime_cache: dict[int, list[int]] = {}
@@ -309,6 +334,27 @@ def is_prime(n: int) -> bool:
     return _strong_lucas_prp(n)
 
 
+def _are_prime(ns: Sequence[int]) -> list[bool]:
+    """[is_prime(n) for n in ns], for odd n with 37 < n < _kernels.LANES_BELOW.
+
+    From _PRIME_HAND_OFF numbers on, Miller-Rabin runs in lockstep
+    (_kernels.strong_probable_primes): base 2 on every lane, then the rest
+    of each survivor's bases, from the first _MR_THRESHOLDS row above it,
+    as one lane per (number, base) pair.  The rows are proofs, so each
+    answer is is_prime's, Baillie-PSW's range [psi_6, 2**64) included."""
+    if len(ns) < _PRIME_HAND_OFF:
+        return [is_prime(n) for n in ns]
+    n = np.array(ns, dtype=np.int64)
+    prime = _kernels.strong_probable_primes(n, np.full_like(n, 2))
+    live = np.flatnonzero(prime)
+    count = _LANE_BASE_COUNT[np.searchsorted(_LANE_PSI, n[live], side="right")]
+    per_base = [live[count > k] for k in range(1, _LANE_BASES.size)]
+    lane = np.concatenate(per_base)
+    base = np.repeat(_LANE_BASES[1:], [lanes.size for lanes in per_base])
+    prime[lane[~_kernels.strong_probable_primes(n[lane], base)]] = False
+    return prime.tolist()
+
+
 def introot(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0."""
     if n < 0:
@@ -414,6 +460,11 @@ def _split(m: int, counts: dict[int, int], mult: int, budget: _Budget) -> None:
     if m <= TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT or is_prime(m):
         counts[m] = counts.get(m, 0) + mult
         return
+    _split_composite(m, counts, mult, budget)
+
+
+def _split_composite(m: int, counts: dict[int, int], mult: int, budget: _Budget) -> None:
+    """_split for an m already known to be composite."""
     # Every prime factor of m exceeds the trial limit, so does any root.
     power = _prime_power_root(m, TRIAL_DIVISION_LIMIT)
     if power is not None:
@@ -463,31 +514,41 @@ def split_cofactors(ms: Sequence[int], budget: int | None = None) -> list[list[i
     """For each m (> 1, with no prime factor up to TRIAL_DIVISION_LIMIT,
     as _split takes it), the ascending distinct primes of m, or None.
 
-    _split's own checks run first: the T**2 rule, is_prime and
-    _prime_power_root.  The composites below _kernels.LANES_BELOW run
-    Brent's rho together (_kernels.brent_rho_lanes), from the seeds and on
-    the schedule of _brent_rho, the last lanes and those whose gcd is n
-    finishing in _brent_rho itself.  Each split, and the base of a prime
-    power, is then finished by _split on a _Budget that carries the spend
-    so far, so the rho calls, their seeds and the budget are those of
-    factor(m, budget, trial_primes=()), which finds the same primes;
-    factor(m, budget, trial_primes=primes) then gives the same
-    Factorization.  None covers a composite at or above
+    A cofactor at or above _kernels.LANES_BELOW gets None at once.  The
+    rest take _split's checks: the T**2 rule, primality for the whole
+    batch at once (_are_prime), and _prime_power_root.  The composites
+    then run Brent's rho together (_kernels.brent_rho_lanes), from the
+    seeds and on the schedule of _brent_rho, the last lanes and those
+    whose gcd is n finishing in _brent_rho itself.  The parts of every
+    split, and the base of every prime power, are proven prime in one
+    more batch, and each composite part is finished as _split finishes
+    it (_split_composite), on a _Budget that carries the spend so far.  So the rho calls, their seeds
+    and the budget are those of factor(m, budget, trial_primes=()), which
+    finds the same primes; factor(m, budget, trial_primes=primes) then
+    gives the same Factorization.  None covers a cofactor at or above
     _kernels.LANES_BELOW and a spend past budget: a caller hands factor ()
     for those, and it decides them as before.
     """
     total = _budget_total(budget)
     small = TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT
     primes: list[list[int] | None] = [None] * len(ms)
-    composite = []
+    tested = []
     for i, m in enumerate(ms):
-        if m <= small or is_prime(m):
+        if m <= small:
             primes[i] = [m]
-            continue
-        power = _prime_power_root(m, TRIAL_DIVISION_LIMIT)
-        if power is not None:
-            primes[i] = _finish_split(power[0], total)
         elif m < _kernels.LANES_BELOW:
+            tested.append(i)
+    # (index, parts, rho steps spent) of each cofactor left to finish
+    splits: list[tuple[int, tuple[int, ...], int]] = []
+    composite = []
+    for i, prime in zip(tested, _are_prime([ms[i] for i in tested])):
+        if prime:
+            primes[i] = [ms[i]]
+            continue
+        power = _prime_power_root(ms[i], TRIAL_DIVISION_LIMIT)
+        if power is not None:
+            splits.append((i, (power[0],), 0))
+        else:
             composite.append(i)
     ns = [ms[i] for i in composite]
     ys, cs = [], []
@@ -497,33 +558,33 @@ def split_cofactors(ms: Sequence[int], budget: int | None = None) -> list[list[i
         cs.append(rng.randrange(1, n))
     found, spent, lanes = _kernels.brent_rho_lanes(ns, ys, cs, total, _RHO_BLOCK, _RHO_HAND_OFF)
     for i, n, d, s, lane in zip(composite, ns, found, spent, lanes):
-        if d or lane is not None:
-            primes[i] = _finish_split(n, total, s, d, lane)
-    return primes
-
-
-def _finish_split(
-    m: int, total: int, spent: int = 0, d: int = 0, lane: _kernels.RhoLane | None = None
-) -> list[int] | None:
-    """The ascending distinct primes of m (> 1, as _split takes it) as
-    factor's _split finds them under a budget of total, or None when that
-    runs out.  spent rho steps on m are behind already, and they found
-    the factor d, or left the lane for _brent_rho to resume; with
-    neither, m goes to _split whole."""
-    budget = _Budget(total)
-    counts: dict[int, int] = {}
-    try:
-        budget.spend(spent, m)
         if lane is not None:
-            d = _brent_rho(m, budget, lane)
-        if d:
-            _split(d, counts, 1, budget)
-            _split(m // d, counts, 1, budget)
-        else:
-            _split(m, counts, 1, budget)
-    except UnfactoredResidualError:
-        return None
-    return sorted(counts)
+            rho_budget = _Budget(total)
+            try:
+                rho_budget.spend(s, n)
+                d = _brent_rho(n, rho_budget, lane)
+            except UnfactoredResidualError:
+                continue
+            s = total - rho_budget.left
+        elif not d:
+            continue  # past the budget
+        splits.append((i, (d, n // d), s))
+    parts = list({p for _, ps, _ in splits for p in ps if p > small})
+    proven = {p for p, prime in zip(parts, _are_prime(parts)) if prime}
+    for i, ps, steps in splits:
+        part_budget = _Budget(total)
+        counts: dict[int, int] = {}
+        try:
+            part_budget.spend(steps, ms[i])
+            for p in ps:
+                if p <= small or p in proven:
+                    counts[p] = 1
+                else:
+                    _split_composite(p, counts, 1, part_budget)
+        except UnfactoredResidualError:
+            continue
+        primes[i] = sorted(counts)
+    return primes
 
 
 def factor(

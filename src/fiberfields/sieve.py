@@ -14,8 +14,9 @@ rather than counted against h).  The scan is exact:
      perfect-square test decides squarefreeness, and
   3. the rare cofactors >= T**3 are fully factored (budgeted); T is then
      arith.TRIAL_DIVISION_LIMIT, so they have no trial prime.  A
-     segment's residuals are split together first (arith.split_cofactors,
-     one lockstep rho over the composites below 2**50), and each goes to
+     segment's residuals are split together first (arith.split_cofactors:
+     one lockstep primality proof over those below 2**50, one lockstep
+     rho over the composites among them), and each goes to
      arith.factor once with its primes, or with () where the batch gave
      it up; arith.factor skips its trial stage either way, and decides
      the given-up ones, budget overruns included, as it always has.

@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiberfields import arith
+from fiberfields import _kernels, arith
 from fiberfields.arith import (
     Factorization,
     factor,
@@ -252,13 +252,13 @@ def _strong_probable_prime(n, a):
 
 
 def test_mr_threshold_table_rows_are_strong_pseudoprimes():
-    # Baillie-PSW covers [psi_6, 2**64), so the table keeps the psi_k
-    # below psi_6 and above 2**64: psi_7 and psi_9 fall in the window.
+    # The table holds every psi_k.  is_prime reads the rows below psi_6 and
+    # above 2**64, Baillie-PSW covering [psi_6, 2**64); the lanes below
+    # 2**50 read the rows up to psi_9, the first above 2**50.
     assert (arith._BPSW_PROVEN_FROM, arith._BPSW_PROVEN_BELOW) == (_PSI6, 2**64)
-    kept = [i for i, psi in enumerate(_PSI) if psi <= _PSI6 or psi > 2**64]
-    assert [_PSI_K[i] for i in kept] == [1, 2, 3, 4, 5, 6, 12, 13]
-    assert [psi for psi, _ in arith._MR_THRESHOLDS] == [_PSI[i] for i in kept]
-    assert [len(bases) for _, bases in arith._MR_THRESHOLDS] == [_PSI_K[i] for i in kept]
+    assert _PSI[6] < _kernels.LANES_BELOW < _PSI9
+    assert [psi for psi, _ in arith._MR_THRESHOLDS] == _PSI
+    assert [len(bases) for _, bases in arith._MR_THRESHOLDS] == _PSI_K
     for psi, bases in arith._MR_THRESHOLDS:
         assert list(bases) == list(sympy.primerange(2, bases[-1] + 1))
         assert not sympy.isprime(psi)
@@ -355,12 +355,14 @@ def _chernick(k_from, count):
     return out
 
 
-@pytest.mark.parametrize(
-    "n",
+_CARMICHAEL = (
     [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
      5394826801, 232250619601, 9746347772161]
-    + _chernick(10**4, 2) + _chernick(10**7, 2) + _chernick(10**9, 2),
+    + _chernick(10**4, 2) + _chernick(10**7, 2) + _chernick(10**9, 2)
 )
+
+
+@pytest.mark.parametrize("n", _CARMICHAEL)
 def test_is_prime_rejects_carmichael_numbers(n):
     assert sympy.isprime(n) is False
     assert not is_prime(n)
@@ -428,15 +430,18 @@ def _outcome(m, budget, trial_primes=None):
     st.lists(_cofactors, min_size=1, max_size=12),
     st.integers(1, 10**4),
     st.sampled_from([0, 3, arith._RHO_HAND_OFF]),
+    st.sampled_from([0, arith._PRIME_HAND_OFF]),
 )
 @settings(max_examples=150, deadline=None)
-def test_split_cofactors_then_factor_is_factor(ms, budget, hand_off):
+def test_split_cofactors_then_factor_is_factor(ms, budget, hand_off, prime_hand_off):
     """Primes, pq, p^2 q, three primes, powers, some at or above 2**50:
     factor given the batch's list (or () for None) returns the same
     Factorization, or raises naming the same residual and budget, as
-    factor alone.  A lower hand-off keeps the lanes in the kernel."""
+    factor alone.  Lower hand-offs keep the lanes, rho's and the
+    primality proofs', in the kernels."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arith, "_RHO_HAND_OFF", hand_off)
+        mp.setattr(arith, "_PRIME_HAND_OFF", prime_hand_off)
         split = arith.split_cofactors(ms, budget)
     for m, primes in zip(ms, split):
         assert _outcome(m, budget, primes or ()) == _outcome(m, budget)
@@ -459,7 +464,97 @@ def test_split_cofactors_lists_what_fits_the_lanes():
     assert r * s >= 2**50 > p * q * 10_037
     ms = [p, p * q, r**3, 2**61 - 1, p * q * 10_037, p**2 * q, r * s]
     assert arith.split_cofactors(ms) == [
-        [p], [p, q], [r], [2**61 - 1], [p, q, 10_037], [p, q], None
+        [p], [p, q], None, None, [p, q, 10_037], [p, q], None
     ]
     with pytest.raises(DomainError):
         arith.split_cofactors(ms, 0)
+
+
+def test_split_cofactors_proves_a_whole_batch_in_the_lanes():
+    """Primes, and semiprimes whose large part rho splits off, each kind
+    at least a hand-off's worth: every primality proof, of the cofactors
+    and of the parts, runs in the lanes, none in scalar is_prime."""
+    count = max(arith._PRIME_HAND_OFF, arith._RHO_HAND_OFF)
+    primes = [sympy.nextprime(10**8 + 17 * 10**12 * k) for k in range(count)]
+    semiprimes = [
+        sympy.nextprime(10**4 + 97 * k) * sympy.nextprime(10**9 + 10**7 * k)
+        for k in range(count)
+    ]
+    ms = primes + semiprimes
+    assert max(ms) < _kernels.LANES_BELOW
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        split = arith.split_cofactors(ms)
+    assert calls == []
+    assert split == [sorted(sympy.factorint(m)) for m in ms]
+
+
+# ---------------------------------------------------------------------------
+# Miller-Rabin in lockstep, against is_prime and sympy
+# ---------------------------------------------------------------------------
+
+
+def _are_prime_in_the_lanes(ns):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_PRIME_HAND_OFF", 0)
+        return arith._are_prime(ns)
+
+
+_odd_lanes = st.integers(10**8 // 2, _kernels.LANES_BELOW // 2 - 1).map(lambda k: 2 * k + 1)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            _odd_lanes,
+            _odd_lanes.map(sympy.nextprime).filter(lambda q: q < _kernels.LANES_BELOW),
+            st.tuples(st.integers(10**4, 10**6), st.integers(10**8, 10**9)).map(
+                lambda pq: sympy.nextprime(pq[0]) * sympy.nextprime(pq[1])
+            ),
+        ),
+        min_size=1,
+        max_size=24,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_are_prime_in_the_lanes_matches_is_prime_and_sympy(ns):
+    assert _are_prime_in_the_lanes(ns) == [is_prime(n) for n in ns]
+    assert [is_prime(n) for n in ns] == [sympy.isprime(n) for n in ns]
+
+
+def _proth_prime(s):
+    """The least prime k * 2**s + 1 with k odd, from about 10**8 up."""
+    k = (10**8 >> s) | 1
+    while not sympy.isprime(k * 2**s + 1):
+        k += 2
+    return k * 2**s + 1
+
+
+_BELOW_LANES = [sympy.prevprime(_kernels.LANES_BELOW)]
+for _ in range(4):
+    _BELOW_LANES.append(sympy.prevprime(_BELOW_LANES[-1]))
+_FIXED_LANES = (
+    _PSI[:7]
+    + [n for n in _CARMICHAEL if n < _kernels.LANES_BELOW]
+    + [p * p for p in sympy.primerange(10**4, 10**4 + 100)]
+    + [_proth_prime(s) for s in range(1, 45)]
+    + [k * 2**45 + 1 for k in range(1, 32, 2)]  # no prime among them
+    + _BELOW_LANES
+    + [
+        p * sympy.prevprime(_kernels.LANES_BELOW // p)
+        for p in (10_007, 1_000_003, sympy.prevprime(2**25))
+    ]
+)
+
+
+def test_are_prime_in_the_lanes_on_fixed_lanes():
+    """psi_1 to psi_7 (psi_7 falls to the ninth base only), Carmichael
+    numbers, squares of primes, primes k * 2**s + 1 for s up to 44 and
+    the odd k * 2**45 + 1 below 2**50, with long squaring chains, and
+    primes and semiprimes just below 2**50, in one batch."""
+    ns = _FIXED_LANES
+    assert max(ns) < _kernels.LANES_BELOW and all(n % 2 for n in ns)
+    want = [sympy.isprime(n) for n in ns]
+    assert _are_prime_in_the_lanes(ns) == want
+    assert [is_prime(n) for n in ns] == want

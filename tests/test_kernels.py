@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -164,6 +165,34 @@ def test_mulmod_near_the_envelope_takes_both_corrections():
     assert any(x * y - e * n >= n for x, y, e, n in rows)
     got = _kernels.mulmod(a, b, ns, 1.0 / ns)
     assert got.tolist() == [x * y % n for x, y, n in zip(a.tolist(), b.tolist(), ns.tolist())]
+
+
+@st.composite
+def prp_lanes(draw):
+    """(n, a) lanes: odd 37 < n < 2**50, some prime, some with a long
+    chain of 2s in n - 1, and prime bases a, some dividing n."""
+    odd = st.integers(19, LANE_LIMIT // 2 - 1).map(lambda k: 2 * k + 1)
+    chain = st.tuples(st.integers(1, 45), st.integers(0, 31)).map(
+        lambda sk: (2 * sk[1] + 1) * 2 ** sk[0] + 1
+    )
+    ns = draw(st.lists(st.one_of(odd, chain, odd.map(sympy.nextprime)), min_size=1, max_size=16))
+    bases = st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+    return [(n, draw(bases)) for n in ns if 37 < n < LANE_LIMIT]
+
+
+@given(prp_lanes())
+@settings(max_examples=300, deadline=None)
+def test_strong_probable_primes_agree_with_the_scalar_round(lanes):
+    """Each lane decides as arith._miller_rabin_round on its own n and a."""
+    n = np.array([x for x, _ in lanes], dtype=np.int64)
+    a = np.array([y for _, y in lanes], dtype=np.int64)
+    want = []
+    for x, y in lanes:
+        d, s = x - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        want.append(arith._miller_rabin_round(x, y, d, s))
+    assert _kernels.strong_probable_primes(n, a).tolist() == want
 
 
 def _semiprimes(seed, count, low, high):
