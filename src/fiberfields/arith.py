@@ -208,12 +208,29 @@ class Factorization:
     """Signed prime-power decomposition: sign * prod(p**e).
 
     Primes are strictly increasing and exponents >= 1; the factorization
-    of +-1 is the empty product.  Primality of the listed primes is the
+    of +-1 is the empty product.  Factorization(sign, factors) checks the
+    sign, the order and the exponents.  factor, _p_free and
+    kummer._canonicalize produce their factors in that order by
+    construction and go through ordered(), which skips the check: factor
+    lists its trial primes in the order found (ascending from the trial
+    stage; a caller's list that is not raises) or sorts the parts rho
+    adds, and the other two reduce the exponents of an ordered
+    factorization in place.  Primality of the listed primes is the
     producer's obligation (factor guarantees it); validate() re-checks.
     """
 
     sign: int
     factors: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def ordered(cls, sign: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
+        """Factorization(sign, factors) without the check, for a producer
+        whose sign is +-1 and whose primes are strictly increasing with
+        exponents >= 1 by construction."""
+        f = _new_object(cls)
+        _set_sign(f, sign)
+        _set_factors(f, factors)
+        return f
 
     def __post_init__(self):
         if self.sign not in (1, -1):
@@ -240,6 +257,13 @@ class Factorization:
         for p, _ in self.factors:
             if not is_prime(p):
                 raise DomainError("arith", f"listed factor {p} is not prime")
+
+
+# Factorization.ordered sets the slots through their own descriptors, which
+# object.__setattr__ would look up by name on every call.
+_new_object = object.__new__
+_set_sign = Factorization.sign.__set__
+_set_factors = Factorization.factors.__set__
 
 
 def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
@@ -597,29 +621,36 @@ def factor(
     UnfactoredResidualError naming the residual.  trial_primes, when
     given, are ascending distinct primes dividing n that include every
     prime <= TRIAL_DIVISION_LIMIT dividing n (the caller's obligation, see
-    the module docstring), and the trial stage is skipped.  What is left
-    after dividing them out has no prime factor up to the limit, so
-    _split's T**2 rule still holds for it.
+    the module docstring), and the trial stage is skipped.  A list that is
+    not strictly ascending raises DomainError.  What is left after
+    dividing them out has no prime factor up to the limit, so _split's
+    T**2 rule still holds for it.
     """
     if n == 0:
         raise DomainError("arith", "factor(0) is undefined")
-    budget = _budget_total(budget)
     sign = 1 if n > 0 else -1
     m = abs(n)
     if trial_primes is None:
         trial_primes = _trial_stage(m)
-    counts: dict[int, int] = {}
+    factors = []
+    last = 1
     for p in trial_primes:
+        if p <= last:
+            raise DomainError("arith", "trial primes must be strictly increasing")
+        last = p
         m //= p
         e = 1
         while m % p == 0:
             m //= p
             e += 1
-        counts[p] = e
-    if m == 1:  # the listed primes are ascending already
-        return Factorization(sign, tuple(counts.items()))
-    _split(m, counts, 1, _Budget(budget))
-    return Factorization(sign, tuple(sorted(counts.items())))
+        factors.append((p, e))
+    if m > 1:
+        counts = dict(factors)
+        _split(m, counts, 1, _Budget(_budget_total(budget)))
+        factors = sorted(counts.items())
+    elif budget is not None:
+        _budget_total(budget)  # no rho runs, but a bad budget still raises
+    return Factorization.ordered(sign, tuple(factors))
 
 
 def valuation(n: int, p: int) -> int:
@@ -664,9 +695,13 @@ def _p_free(f: Factorization, p: int) -> Factorization:
     sign kept (p = 2, or f positive)."""
     factors = f.factors
     if p == 2:
-        if all(e == 1 for _, e in factors):
-            return f
-        return Factorization(f.sign, tuple([(q, 1) for q, e in factors if e & 1]))
-    if all(e < p for _, e in factors):
-        return f if f.sign == 1 else Factorization(1, factors)
-    return Factorization(1, tuple([(q, e % p) for q, e in factors if e % p]))
+        for _, e in factors:
+            if e > 1:
+                return Factorization.ordered(
+                    f.sign, tuple([(q, 1) for q, e in factors if e & 1])
+                )
+        return f
+    for _, e in factors:
+        if e >= p:
+            return Factorization.ordered(1, tuple([(q, e % p) for q, e in factors if e % p]))
+    return f if f.sign == 1 else Factorization.ordered(1, factors)

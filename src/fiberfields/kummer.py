@@ -23,7 +23,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import _modpoly, arith, polyring
 from .arith import Factorization
@@ -39,19 +38,24 @@ class KummerClass:
 
     The fields are p and the kernel (arith.p_free_kernel).  The canonical
     form is a function of them, built on first read and cached in the
-    instance: the weak isomorphism count reads it, the rank fold and the
-    ramified sets do not.  Equality and hashing see only p and the kernel,
-    so a class, pickled or not, compares equal whether or not its
-    canonical form was read."""
+    instance's __dict__: the weak isomorphism count reads it, the rank fold
+    and the ramified sets do not.  Equality and hashing see only p and the
+    kernel, so a class, pickled or not, compares equal whether or not its
+    canonical form was read.  (functools.cached_property would do the same,
+    but before Python 3.12 it takes a lock on every first read.)"""
 
     p: int
     kernel: Factorization
 
-    @cached_property
+    @property
     def canonical(self) -> Factorization:
         """The exponent twist of the kernel with the smallest absolute
         value (ties broken on the exponent tuple)."""
-        return _canonicalize(self.kernel, self.p)
+        cache = self.__dict__
+        form = cache.get("canonical")
+        if form is None:
+            form = cache["canonical"] = _canonicalize(self.kernel, self.p)
+        return form
 
     @property
     def is_trivial(self) -> bool:
@@ -76,7 +80,7 @@ def _canonicalize(kernel: Factorization, p: int) -> Factorization:
     _, best = min((math.prod(map(pow, primes, t)), t) for t in twists)
     if best == exponents:
         return kernel
-    return Factorization(kernel.sign, tuple(zip(primes, best)))
+    return Factorization.ordered(kernel.sign, tuple(zip(primes, best)))
 
 
 def radical_class(

@@ -122,6 +122,27 @@ def test_factor_without_trial_primes_by_contract(n):
     assert factor(n, trial_primes=()).reconstruct() == n
 
 
+@pytest.mark.parametrize("primes", [[3, 2], [2, 2, 3], [2, 3, 3, 5], [5, 3, 7], [1, 2, 3], [0, 2]])
+def test_factor_rejects_trial_primes_not_strictly_ascending(primes):
+    # factor builds its Factorization unchecked, so it checks the order of
+    # the trial primes itself; a 1 or 0 would otherwise never divide out.
+    with pytest.raises(DomainError, match="trial primes must be strictly increasing"):
+        factor(2 * 3 * 5 * 7 * 10007, trial_primes=primes)
+
+
+@pytest.mark.parametrize("factors", [((3, 1), (2, 1)), ((2, 1), (2, 1)), ((1, 1),), ((2, 0),)])
+def test_factorization_constructor_validates(factors):
+    with pytest.raises(DomainError):
+        Factorization(1, factors)
+
+
+def test_factor_checks_the_budget_when_no_rho_runs():
+    with pytest.raises(DomainError, match="factor budget must be positive"):
+        factor(840, budget=0, trial_primes=[2, 3, 5, 7])
+    with pytest.raises(DomainError, match="factor budget must be positive"):
+        factor(840, budget=-1)
+
+
 def test_p_free_kernel_needs_a_prime():
     with pytest.raises(DomainError, match="arith: p_free_kernel requires a prime, got 4"):
         p_free_kernel(12, 4)

@@ -1,12 +1,14 @@
+import math
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiberfields import kummer
+from fiberfields import arith, kummer
 from fiberfields.arith import Factorization
 from fiberfields.covers import cover_from_text
 from fiberfields.diversity import strong_diversity_rank, weak_diversity_count
@@ -148,6 +150,35 @@ def test_kummer_class_pickles_with_or_without_canonical(a, p):
         assert back == fresh == read and hash(back) == hash(read)
         assert back.canonical == canonical
         assert back.key() == read.key()
+
+
+_LISTED = [2, 3, 5, 7, 13, 10007, 999983, 2**31 - 1, 2**61 - 1]
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=-(2**72), max_value=2**72),
+        st.builds(
+            lambda sign, powers: sign * math.prod(q**e for q, e in powers),
+            st.sampled_from([1, -1]),
+            st.lists(st.tuples(st.sampled_from(_LISTED), st.integers(1, 9)), max_size=5),
+        ),
+    ).filter(lambda a: a != 0),
+    st.sampled_from([2, 3, 5, 7]),
+)
+@settings(max_examples=200, deadline=None)
+def test_unchecked_factorizations_equal_validated_ones(a, p):
+    # factor, _p_free and _canonicalize build their Factorizations without
+    # the constructor's check; rebuilt through it, each must be the same.
+    oracle = sympy.factorint(abs(a))
+    cls = radical_class(a, p, trial_primes=sorted(oracle))
+    for f in (cls.kernel, cls.canonical):
+        rebuilt = Factorization(f.sign, f.factors)
+        assert f == rebuilt and hash(f) == hash(rebuilt) and f.factors == rebuilt.factors
+        f.validate()
+    assert cls == KummerClass(p, Factorization(cls.kernel.sign, cls.kernel.factors))
+    f = arith.factor(a)
+    assert f == Factorization(f.sign, f.factors) and dict(f.factors) == oracle
 
 
 def test_integer_and_rational_inputs_give_the_same_class():

@@ -36,3 +36,20 @@ def test_library_functions_take_no_private_parameters():
         if arg.arg.startswith("_")
     ]
     assert found == []
+
+
+def test_library_does_not_use_functools_cached_property():
+    # Before Python 3.12 cached_property takes a lock on every first read;
+    # the library caches such an attribute in the instance __dict__ itself.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "functools"
+            and any(alias.name == "cached_property" for alias in node.names)
+        )
+    ]
+    assert found == []
