@@ -1,15 +1,23 @@
-"""Hot numeric loops: prime sieving, brute-force polynomial roots mod m,
-the roots of a linear polynomial mod many primes at once, the squarefree
-division scan over polynomial value ranges, and, on many numbers below
-2**50 in lockstep (exact int64 products mod n by mulmod), Brent's rho and
-the strong probable-prime test of Miller-Rabin.
+"""Hot numeric loops: prime sieving, the roots of a polynomial mod many
+primes at once, the roots of a linear polynomial mod many primes at once,
+the squarefree division scan over polynomial value ranges, and, on many
+numbers below 2**50 in lockstep (exact int64 products mod n by mulmod),
+Brent's rho and the strong probable-prime test of Miller-Rabin.
 
-The root and prime kernels work on int64 arrays; the root kernel reduces
-its coefficients mod m first, so it also takes object coefficients.
-eval_poly_range and squarefree_scan follow the dtype of the coefficient
-array: int64 when the caller has checked that every value fits the int64
-envelope, object arrays of Python ints outside it (see
-sieve.squarefree_value_count).
+poly_roots_table finds the roots of one polynomial mod every trial prime
+in one pass over lanes, one prime each (Cantor-Zassenhaus): the trial
+root table (sieve.trial_root_table) and the squarefree scan each call it
+once.  poly_roots_mod finds roots by exhaustion: the table uses it only
+for the primes dividing the leading coefficient, and the tests use it as
+the table's oracle; polyring and _modpoly count and find roots mod a
+single modulus with it.
+
+The root and prime kernels work on int64 arrays; the root kernels reduce
+the coefficients mod each prime first, so they also take object
+coefficients.  eval_poly_range and squarefree_scan follow the dtype of
+the coefficient array: int64 when the caller has checked that every
+value fits the int64 envelope, object arrays of Python ints outside it
+(see sieve.squarefree_value_count).
 `backend.name` names the implementation ("numpy") for benchmark records.
 """
 
@@ -59,10 +67,10 @@ def _horner_mod(coeffs: np.ndarray, xs: np.ndarray, m: int) -> np.ndarray:
     return acc
 
 
-def poly_roots_mod(coeffs: np.ndarray, m: int, stop: int | None = None) -> np.ndarray:
-    """All r in [0, m) with f(r) = 0 mod m, by exhaustion; with stop, only
-    those r < stop.  Needs m*m < 2**63."""
-    xs = np.arange(m if stop is None else min(m, stop), dtype=np.int64)
+def poly_roots_mod(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """All r in [0, m) with f(r) = 0 mod m, by exhaustion.  Needs
+    m*m < 2**63."""
+    xs = np.arange(m, dtype=np.int64)
     return xs[_horner_mod(coeffs, xs, m) == 0]
 
 
@@ -82,22 +90,216 @@ def _int_mod(a: int, qs: np.ndarray) -> np.ndarray:
     return acc if a >= 0 else (qs - acc) % qs
 
 
-def linear_roots_mod(b: int, c: int, qs: np.ndarray) -> np.ndarray:
-    """For every prime q in qs (int64, q < 2**31), the root r in [0, q) of
-    b*x + c mod q, or -1 when q divides b.  b's inverse is b**(q-2) mod q,
-    by square-and-multiply across all q at once; b = +-1 is its own."""
-    if abs(b) == 1:
-        return _int_mod(-b * c, qs)
-    bq = _int_mod(b, qs)
+def _inverse_mod(a: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """a**(q-2) mod q for every prime q in qs and 0 <= a < q (int64,
+    q < 2**31), the inverse of a where q does not divide it: by
+    square-and-multiply across all q at once."""
     inv = np.ones_like(qs)
-    base, exps = bq, qs - 2
+    base, exps = a, qs - 2
     while exps.any():
         odd = (exps & 1) == 1
         inv[odd] = inv[odd] * base[odd] % qs[odd]
         base = base * base % qs
         exps = exps >> 1
-    roots = _int_mod(-c, qs) * inv % qs
+    return inv
+
+
+def linear_roots_mod(b: int, c: int, qs: np.ndarray) -> np.ndarray:
+    """For every prime q in qs (int64, q < 2**31), the root r in [0, q) of
+    b*x + c mod q, or -1 when q divides b.  b = +-1 is its own inverse."""
+    if abs(b) == 1:
+        return _int_mod(-b * c, qs)
+    bq = _int_mod(b, qs)
+    roots = _int_mod(-c, qs) * _inverse_mod(bq, qs) % qs
     roots[bq == 0] = -1
+    return roots
+
+
+class _Quotients:
+    """F_q[x] / (f) for one prime q and one monic f of degree d >= 1 per
+    lane, f = x**d + low[:, 0] + ... + low[:, d-1] x**(d-1); an element
+    is a row of its d coefficients in [0, q), ascending.  A product's
+    terms, at most (2d - 1) * (q - 1)**2, stay in int64 while
+    d * q**2 <= 2**62."""
+
+    def __init__(self, low: np.ndarray, qs: np.ndarray):
+        lanes, d = low.shape
+        self.low, self.q = low, qs[:, None]
+        # high[:, k] = x**(d + k) mod f, to reduce a product's top terms
+        self.high = np.empty((lanes, d - 1, d), dtype=np.int64)
+        power = -low % self.q  # x**d mod f
+        for k in range(d - 1):
+            self.high[:, k] = power
+            power = self.times_x(power)
+
+    def one(self) -> np.ndarray:
+        e = np.zeros(self.low.shape, dtype=np.int64)
+        e[:, 0] = 1
+        return e
+
+    def times_x(self, a: np.ndarray) -> np.ndarray:
+        out = np.empty_like(a)
+        out[:, 0] = 0
+        out[:, 1:] = a[:, :-1]
+        out -= a[:, -1:] * self.low
+        out %= self.q
+        return out
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        lanes, d = a.shape
+        full = np.zeros((lanes, 2 * d - 1), dtype=np.int64)
+        for i in range(d):  # entries <= d * (q - 1)**2
+            full[:, i : i + d] += a[:, i : i + 1] * b
+        top = full[:, d:] % self.q
+        low = full[:, :d] + np.einsum("lk,lkj->lj", top, self.high)
+        low %= self.q
+        return low
+
+    def power(self, a: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """(x + a)**e mod f, lane by lane, by square-and-multiply from the
+        top bit of the largest e."""
+        r = self.one()
+        for shift in range(int(e.max(initial=0)).bit_length() - 1, -1, -1):
+            r = self.mul(r, r)
+            step = self.times_x(r)
+            step += a[:, None] * r
+            step %= self.q
+            r = np.where(((e >> shift) & 1 == 1)[:, None], step, r)
+        return r
+
+
+def _degrees(a: np.ndarray) -> np.ndarray:
+    """The degree of each row of coefficients (ascending), -1 for zero."""
+    nonzero = a != 0
+    top = a.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    return np.where(nonzero.any(axis=1), top, -1)
+
+
+def _gcds(a: np.ndarray, b: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A gcd of a[i] and b[i] mod qs[i] for every row, up to a unit, and
+    its degree: rows of coefficients in [0, q), ascending, one width.
+    Euclid without inverses: each step takes the leading term off the
+    higher of the two, a <- lc(b) a - lc(a) x**s b, and a row leaves once
+    its b is zero."""
+    out, out_deg = np.empty_like(a), np.empty(a.shape[0], dtype=np.int64)
+    cols = np.arange(a.shape[1])
+    live, q = np.arange(a.shape[0]), qs[:, None]
+    da, db = _degrees(a), _degrees(b)
+    while True:
+        swap = da < db
+        a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
+        da, db = np.where(swap, db, da), np.where(swap, da, db)
+        done = db < 0
+        if done.any():
+            out[live[done]], out_deg[live[done]] = a[done], da[done]
+            stay = ~done
+            live, a, b, da, db, q = (v[stay] for v in (live, a, b, da, db, q))
+            if not live.size:
+                return out, out_deg
+        rows = np.arange(live.size)
+        src = cols - (da - db)[:, None]
+        shifted = np.take_along_axis(b, np.maximum(src, 0), axis=1)
+        shifted[src < 0] = 0
+        a = b[rows, db][:, None] * a - a[rows, da][:, None] * shifted
+        a %= q
+        da = _degrees(a)
+
+
+def _linear_roots(g: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """The root -g[i, 0] / g[i, 1] mod qs[i] of each row of degree 1."""
+    return (qs - g[:, 0]) * _inverse_mod(g[:, 1], qs) % qs
+
+
+# A round of poly_roots_table's split tries each piece at enough shifts a
+# to fill this many rows, so the last few pieces take one round, not one
+# round for each shift they need.
+_SPLIT_ROWS = 64
+
+
+def poly_roots_table(coeffs: np.ndarray, qs: np.ndarray) -> list[list[int]]:
+    """roots[i]: the ascending r in [0, q) with h(r) = 0 mod q, q = qs[i],
+    for h = sum coeffs[k] x**k (int64 or object coefficients of any size)
+    and every prime q in qs (int64, deg h * q**2 <= 2**62).
+
+    Every prime is a lane of the same arrays (Cantor-Zassenhaus).  h mod q
+    made monic is f, and g = gcd(f, x**q - x), from x**q mod f by
+    square-and-multiply, has f's roots, each once.  A g of degree 1 gives
+    its root; one of degree q (q <= deg h) is x**q - x, every residue.  A
+    larger g is a piece to split.  With w = (x + a)**((q-1)/2) mod f, the
+    gcds of a piece with w - 1 and with w + 1 part its roots r by the
+    quadratic character of r + a, and r = -a is in neither part.  Each
+    piece tries a = 0, 1, 2, ... in turn and keeps the parts of the first
+    a that splits it, until every part has one root; a = -r splits off
+    the root r, so a piece splits within q tries.  A round tries every
+    piece at the next shift, or at the next few when few pieces are left
+    (_SPLIT_ROWS).  Where q divides lc(h), h = 0 mod q included, the roots
+    are found by exhaustion (poly_roots_mod)."""
+    cs = coeffs.tolist()
+    while cs and cs[-1] == 0:
+        cs.pop()
+    roots: list[list[int]] = [[] for _ in range(qs.size)]
+    lead = _int_mod(cs[-1], qs) if cs else np.zeros_like(qs)
+    for i in np.flatnonzero(lead == 0).tolist():
+        roots[i] = poly_roots_mod(coeffs, int(qs[i])).tolist()
+    d = len(cs) - 1
+    lanes = np.flatnonzero(lead != 0)
+    if d < 1 or not lanes.size:
+        return roots
+    q = qs[lanes]
+    low = np.stack([_int_mod(c, q) for c in cs[:-1]], axis=1)
+    low *= _inverse_mod(lead[lanes], q)[:, None]
+    low %= q[:, None]
+    ring = _Quotients(low, q)
+    f = np.concatenate([low, np.ones((q.size, 1), dtype=np.int64)], axis=1)
+    frobenius = np.zeros_like(f)
+    frobenius[:, :d] = ring.power(np.zeros_like(q), q) - ring.times_x(ring.one())
+    g, deg = _gcds(f, frobenius % q[:, None], q)
+
+    linear = np.flatnonzero(deg == 1)
+    found_lanes, found_roots = [linear], [_linear_roots(g[linear], q[linear])]
+    for i in np.flatnonzero(deg == q).tolist():
+        found_lanes.append(np.full(q[i], i))
+        found_roots.append(np.arange(q[i]))
+    piece_lanes = np.flatnonzero((deg >= 2) & (deg < q))
+    pieces, piece_deg, shift = g[piece_lanes], deg[piece_lanes], 0
+    while piece_lanes.size:
+        count = piece_lanes.size
+        tries = -(-_SPLIT_ROWS // count)
+        # row i * tries + t tries piece i at a = shift + t
+        row_lanes = np.repeat(piece_lanes, tries)
+        qr = q[row_lanes]
+        a = (shift + np.tile(np.arange(tries), count)) % qr
+        w = _Quotients(low[row_lanes], qr).power(a, qr // 2)
+        rows = w.shape[0]
+        others = np.zeros((2 * rows, d + 1), dtype=np.int64)
+        others[:rows, :d] = others[rows:, :d] = w
+        others[:rows, 0] -= 1
+        others[rows:, 0] += 1
+        part_q = np.tile(qr, 2)
+        parts, part_deg = _gcds(
+            np.tile(np.repeat(pieces, tries, axis=0), (2, 1)), others % part_q[:, None], part_q
+        )
+        minus, plus = part_deg[:rows].reshape(count, tries), part_deg[rows:].reshape(count, tries)
+        splits = np.maximum(minus, plus) < piece_deg[:, None]
+        chosen = np.arange(count) * tries + np.argmax(splits, axis=1)  # the first, or try 0
+        hit = piece_deg - part_deg[chosen] - part_deg[rows + chosen] == 1  # r = -a
+        found_lanes.append(piece_lanes[hit])
+        found_roots.append(-a[chosen[hit]] % q[piece_lanes[hit]])
+        kept = np.concatenate([chosen, rows + chosen])
+        parts, part_deg, part_lanes = parts[kept], part_deg[kept], np.tile(piece_lanes, 2)
+        linear = part_deg == 1
+        found_lanes.append(part_lanes[linear])
+        found_roots.append(_linear_roots(parts[linear], q[part_lanes[linear]]))
+        larger = part_deg >= 2
+        piece_lanes, pieces, piece_deg = part_lanes[larger], parts[larger], part_deg[larger]
+        shift += tries
+
+    lane_of, root_of = np.concatenate(found_lanes), np.concatenate(found_roots)
+    order = np.lexsort((root_of, lane_of))
+    bounds = np.searchsorted(lane_of[order], np.arange(lanes.size + 1)).tolist()
+    flat = root_of[order].tolist()
+    for lane, start, end in zip(lanes.tolist(), bounds, bounds[1:]):
+        roots[lane] = flat[start:end]
     return roots
 
 
@@ -266,11 +468,11 @@ def squarefree_scan(
     """Divide every prime q in `primes` out of |h(n)| along the root
     progressions of h mod q, clearing flags[i] when q**2 divided values[i]
     (unless q is in `fixed`).  values is mutated into the q-free cofactors.
+    The roots come from one poly_roots_table over all of `primes`.
     """
-    for q in primes.tolist():
-        roots = poly_roots_mod(coeffs, q)
+    for q, roots in zip(primes.tolist(), poly_roots_table(coeffs, primes)):
         is_fixed = bool(np.any(fixed == q))
-        for r in roots.tolist():
+        for r in roots:
             start = (r - n_start) % q
             sub = values[start::q]
             fsub = flags[start::q]

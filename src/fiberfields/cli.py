@@ -307,6 +307,30 @@ def _flags_csv(flags) -> str:
     return buf.getvalue()
 
 
+def _render_json(value, pad: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2).  With an indent, json runs
+    its pure-Python encoder, one generator step per list entry; here every
+    list of scalars (the long series) goes to json's C encoder in one
+    call, with the indented separator as its item separator."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            inner + json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": "
+            + _render_json(v, inner)
+            for k, v in value.items()
+        )
+        return "{" + ",".join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, value))):
+            return "[" + ",".join(inner + _render_json(v, inner) for v in value) + pad + "]"
+        return "[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + pad + "]"
+    return json.dumps(value)
+
+
 # Each runner returns (JSON document, CSV renderer or None); the CSV text
 # is built only under --output csv.
 _RUNNERS = {
@@ -339,7 +363,7 @@ def run(cfg: RunConfig) -> tuple[int, str | None]:
             return 2, None
         rendered = render_csv()
     else:
-        rendered = json.dumps(doc, indent=2) + "\n"
+        rendered = _render_json(doc) + "\n"
     if cfg.out_path:
         with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(rendered)

@@ -9,7 +9,8 @@ rather than counted against h).  The scan is exact:
   1. primes q <= T are divided out of every value along the root
      progressions of h mod q, segmented, by one array scan: int64 arrays
      when every |h(n)| fits the int64 envelope, object arrays of Python
-     ints otherwise,
+     ints otherwise; the roots mod every q come from one batched root
+     table (_kernels.poly_roots_table),
   2. the surviving cofactor has all prime factors > T, so below T**3 a
      perfect-square test decides squarefreeness, and
   3. the rare cofactors >= T**3 are fully factored (budgeted); T is then
@@ -24,8 +25,10 @@ rather than counted against h).  The scan is exact:
 The same progressions give the cyclic fibers their trial primes (line
 sieving; Pomerance, "A tale of two sieves", 1996).  A prime q divides g(n)
 exactly when n mod q is a root of g mod q.  trial_root_table finds those
-roots once per pass: for every q <= arith.TRIAL_DIVISION_LIMIT with the
-scan's root kernel on g's coefficients mod q, and for every larger prime
+roots once per pass: for every q <= arith.TRIAL_DIVISION_LIMIT from the
+batched root table the scan reads too, one pass over all of them on g's
+coefficients mod q (exhaustion is left to the primes dividing lc(g), and
+to the tests as the table's oracle), and for every larger prime
 q <= arith.SIEVE_LIMIT that can divide a value of a linear factor b*x + c
 of g, as -c/b mod q (the linear rows).  with_content_rows adds the large
 primes of g's content, which divide every value.  trial_prime_lists walks
@@ -61,13 +64,31 @@ from .polyring import IntPoly
 # arith.factor skip its trial stage on them.
 _SIEVE_PRIME_CAP = arith.TRIAL_DIVISION_LIMIT
 _SEGMENT = 1 << 20
-# Values per segment_prime_lists call, in exact_order_prime_ratio and on a
-# serial fiber stream: the lists of a segment are live at once, and each
-# segment walks every root progression (5,133 rows for x^3 - x at
-# N = 5e4, most of them linear rows of primes above the segment, which
-# cost a step per root and segment).
-LIST_SEGMENT = 4096
+# The most values per segment_prime_lists call, in exact_order_prime_ratio
+# and on a serial fiber stream, and in a pool chunk (see window_size).  Each
+# call splits its cofactors in one lockstep rho (arith.split_cofactors),
+# and every lockstep rho runs about the same number of steps, each a
+# fixed number of numpy calls, whatever its width, until fewer than
+# arith._RHO_HAND_OFF lanes are left.  y^5 = x^4 + 3x + 7 at N = 5,000
+# ran 3,454 steps on 987 lanes and 3,070 on 301 at 4,096 (the split
+# 0.15-0.23 s, 158 scalar _brent_rho calls), and runs 3,838 on 1,288 at
+# 16,384 (0.12-0.16 s, 120 calls).  The lists of a window are live at
+# once (2.3 MB for 16,384 values of x^3 - x, 0.56 MB for 4,096), and each
+# window walks every root progression (5,133 rows for x^3 - x at
+# N = 5e4, most of them linear rows of primes above the window, which
+# cost a step per root and window).
+LIST_SEGMENT = 16384
 DEFAULT_EULER_BOUND = 1_000
+
+
+def window_size(N: int) -> int:
+    """Values per window over 1..N: the fewest windows of at most
+    LIST_SEGMENT values, each of this size but the last, which is no
+    larger.  So the rho tail is paid as few times as it can be, and the
+    lists of a window, all live at once, are as few as that allows
+    (y^2 = x^3 - x at N = 5e4: four windows of 12,500, not three of
+    16,384 and one of 848)."""
+    return -(-N // -(-N // LIST_SEGMENT))
 
 
 @dataclass(frozen=True)
@@ -115,9 +136,10 @@ def trial_root_table(g: IntPoly, N: int) -> TrialRootTable:
     for every prime q <= arith.TRIAL_DIVISION_LIMIT and for the larger
     primes q <= arith.SIEVE_LIMIT of the linear factors' values.
 
-    Below the limit they are the roots of g mod q, found by the kernel the
-    squarefree scan uses, from g's coefficients mod q, so every g is
-    evaluated in int64.  Above it each linear factor b*x + c of g over Q
+    Below the limit they are the roots of g mod q, from one
+    _kernels.poly_roots_table over all those primes, the kernel the
+    squarefree scan uses, on g's coefficients mod q, so every g is
+    reduced to int64.  Above it each linear factor b*x + c of g over Q
     (from one factor_over_Q) gives the root -c/b mod q for every prime q
     up to max |b*n + c|, n <= N, that does not divide b: a larger prime
     divides no nonzero value of the factor, and a prime dividing b divides
@@ -130,15 +152,13 @@ def trial_root_table(g: IntPoly, N: int) -> TrialRootTable:
     complete when, besides, |content| <= arith.TRIAL_DIVISION_LIMIT; for
     a larger content, with_content_rows completes it."""
     coeffs = np.array(g.coeffs, dtype=object)
+    qs = np.array(arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT), dtype=np.int64)
     rows = []
-    for q in arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT):
-        if q <= N:
-            roots = _kernels.poly_roots_mod(coeffs, q)
-        else:
-            roots = _kernels.poly_roots_mod(coeffs, q, N + 1)
-            roots = roots[roots > 0]
-        if roots.size:
-            rows.append((q, tuple(roots.tolist())))
+    for q, roots in zip(qs.tolist(), _kernels.poly_roots_table(coeffs, qs)):
+        if q > N:
+            roots = [r for r in roots if 0 < r <= N]
+        if roots:
+            rows.append((q, tuple(roots)))
     fact = polyring.factor_over_Q(g)
     linear = [f.coeffs for f, _ in fact.factors if f.degree == 1]
     reach = [max(abs(b + c), abs(b * N + c)) for c, b in linear]
@@ -400,8 +420,9 @@ def exact_order_prime_ratio(
         )
     table = trial_root_table(g, n)
     hits: set[int] = set()
-    for m0 in range(1, n + 1, LIST_SEGMENT):
-        count = min(LIST_SEGMENT, n + 1 - m0)
+    window = window_size(n)
+    for m0 in range(1, n + 1, window):
+        count = min(window, n + 1 - m0)
         lists = segment_prime_lists(table, g, m0, count, budget)
         for m, primes in zip(range(m0, m0 + count), lists):
             # g is irreducible of degree >= 2, so no value is 0

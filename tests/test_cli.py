@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberfields import __version__, cli
 from fiberfields.cli import REPORT_SCHEMA, main
@@ -322,6 +324,56 @@ def test_golden_branch_check(tmp_path):
     status = main(["branch-check", "--cover", "y^2 - (x^2 - 2)", "--out", str(out)])
     assert status == 0
     assert out.read_bytes() == (GOLDEN / "branch_check_sqrt2.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# JSON rendering: the text of json.dumps(doc, indent=2)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["weak-diversity", "--cover", "y^2 - (x^3 - x)", "--N", "60", "--method", "exact"],
+        ["strong-diversity", "--cover", "y^5 - (x^4 + 3*x + 7)", "--N", "40"],
+        ["squarefree-density", "--poly", "x^3 + 2", "--N", "500"],
+        ["classify-radical", "3/4", "2", "--isomorphic-to", "12"],
+        ["branch-check", "--cover", "y^3 + x*y + x^2 + 1"],
+        ["norm-collisions", "--poly", "x^2 - 5x", "--N", "100"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_report_text_is_json_dumps(args, tmp_path):
+    cfg = cli.config_from_args(cli.build_parser().parse_args(args))
+    doc, _ = cli._RUNNERS[cfg.subcommand](cfg)
+    text = json.dumps(doc, indent=2)
+    assert cli._render_json(doc) == text
+    status, out = run_cli(args, tmp_path)
+    assert status == 0
+    assert out.read_text() == text + "\n"
+
+
+@pytest.mark.parametrize("name", ["weak_diversity_cubic_n1000.json", "branch_check_sqrt2.json"])
+def test_golden_text_is_json_dumps(name):
+    text = (GOLDEN / name).read_text()
+    doc = json.loads(text)
+    assert cli._render_json(doc) + "\n" == json.dumps(doc, indent=2) + "\n" == text
+
+
+_json_keys = st.one_of(st.text(max_size=4), st.integers(), st.booleans(), st.none(), st.floats())
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.tuples(inner, inner)
+    | st.dictionaries(_json_keys, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@given(_json_values)
+@settings(max_examples=40, deadline=None)
+def test_render_json_matches_json_dumps(value):
+    assert cli._render_json(value) == json.dumps(value, indent=2)
 
 
 def test_console_entry_point_runs():

@@ -310,6 +310,53 @@ def test_stream_splits_cofactors_in_lanes_unless_the_table_is_complete(monkeypat
     assert splits == rho_calls == []
 
 
+def test_serial_stream_splits_one_batch_per_window(monkeypatch, tmp_path):
+    """y^5 = x^4 + 3x + 7 at N = 5,000 fits one window (sieve.window_size),
+    so the serial stream makes one arith.split_cofactors call: each
+    lockstep rho pays the same tail of steps whatever its width, and a
+    window of 4,096 paid it twice.  The report is the --jobs 2 report."""
+    splits = []
+    split = arith.split_cofactors
+
+    def recording_split(ms, budget=None):
+        splits.append(len(ms))
+        return split(ms, budget)
+
+    monkeypatch.setattr(arith, "split_cofactors", recording_split)
+    blobs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}.json"
+        assert main(["strong-diversity", "--cover", "y^5 - (x^4 + 3*x + 7)", "--N", "5000",
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert len(splits) == 1  # pool workers record in their own processes
+    assert blobs[0] == blobs[1]
+    assert hashlib.sha256(blobs[0]).hexdigest() == (
+        "b6a3eb5b406d457a5e466b2e86559f28053a6bc6c881a884462cab8a35852b48"
+    )
+
+
+def test_serial_stream_windows_are_the_fewest_of_one_size(monkeypatch):
+    """ceil(N / sieve.LIST_SEGMENT) windows, all of sieve.window_size(N)
+    fibers but the last, which is no larger: with a window of at most 8,
+    N = 20 takes 7, 7 and 6, not 8, 8 and 4."""
+    calls = []
+    segment_prime_lists = sieve.segment_prime_lists
+
+    def recording(table, g, n0, count, budget=None):
+        calls.append((n0, count))
+        return segment_prime_lists(table, g, n0, count, budget)
+
+    monkeypatch.setattr(sieve, "segment_prime_lists", recording)
+    monkeypatch.setattr(sieve, "LIST_SEGMENT", 8)
+    cover = cover_from_text("y^5 - (x^4 + 3*x + 7)")
+    assert [f.n for f in diversity._fiber_stream(cover, 20)] == list(range(1, 21))
+    assert calls == [(1, 7), (8, 7), (15, 6)]
+    for N in range(1, 100):
+        window = sieve.window_size(N)
+        assert window <= 8 and -(-N // window) == -(-N // 8)
+
+
 def test_quintic_report_is_the_same_for_every_worker_count(tmp_path):
     blobs = []
     for jobs in ("1", "2"):
@@ -336,23 +383,31 @@ def test_pooled_stream_cancels_pending_chunks_on_early_exit(monkeypatch):
 
 
 def test_pooled_stream_bounds_chunks_in_flight(monkeypatch):
+    """A chunk is min(sieve.window_size(N), ceil(N / (2 * jobs))) fibers,
+    and at most 2 * jobs chunks are in flight: two workers take a quarter
+    of N = 40 at a time, and a window of 8 cuts it into five chunks."""
     submitted = []
 
     class RecordingPool(ProcessPoolExecutor):
         def submit(self, fn, /, *args, **kwargs):
-            submitted.append(args[0][1])
+            submitted.append(args[0][1:3])
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(diversity, "ProcessPoolExecutor", RecordingPool)
     cover = cover_from_text("y^2 - (x^3 - x)")
     jobs, N = 2, 40
+    serial = list(diversity._fiber_stream(cover, N))
+    assert list(diversity._fiber_stream(cover, N, jobs=jobs)) == serial
+    assert submitted == [(1, 11), (11, 21), (21, 31), (31, 41)]
+    submitted.clear()
+    monkeypatch.setattr(sieve, "LIST_SEGMENT", 8)
     with closing(diversity._fiber_stream(cover, N, jobs=jobs)) as stream:
         assert next(stream).n == 1
         assert 0 < len(submitted) <= 2 * jobs
         rest = list(stream)
     assert [f.n for f in rest] == list(range(2, N + 1))
-    assert submitted[0] == 1 and submitted == sorted(submitted) and len(submitted) > 2 * jobs
-    assert rest == list(diversity._fiber_stream(cover, N))[1:]
+    assert submitted == [(n0, n0 + 8) for n0 in range(1, N + 1, 8)]
+    assert rest == serial[1:]
 
 
 def _old_key_series(cover, N, method):

@@ -26,6 +26,9 @@ def test_prime_flags_agree(limit):
 
 
 def test_poly_roots_mod_agree():
+    """Small cases, then degree up to 8 with m up to 3,000, where Horner
+    reduces acc only when the next step could leave int64, on object
+    coefficients beyond int64."""
     rng = random.Random(7)
     for _ in range(40):
         deg = rng.randint(0, 6)
@@ -34,24 +37,68 @@ def test_poly_roots_mod_agree():
         brute = [r for r in range(m) if sum(int(c) * r**i for i, c in enumerate(coeffs)) % m == 0]
         got = sorted(int(r) for r in _kernels.poly_roots_mod(coeffs, m))
         assert got == brute, (coeffs.tolist(), m)
-
-
-@pytest.mark.parametrize("dtype, scale", [(np.int64, 1), (object, 10**20)], ids=["int64", "object"])
-def test_poly_roots_mod_below_stop_agree(dtype, scale):
-    """Large moduli and degrees, where Horner reduces acc only when the
-    next step could leave int64, and object coefficients beyond int64."""
-    rng = random.Random(13)
-    for _ in range(40):
-        deg = rng.randint(0, 8)
-        coeffs = [rng.randint(-50 * scale, 50 * scale) for _ in range(deg + 1)]
-        m = rng.choice([rng.randint(2, 400), rng.randint(400, 10**4), 3_037_000_493])
-        stop = rng.randint(1, 300)
-        brute = [
-            r for r in range(min(m, stop)) if sum(c * r**i for i, c in enumerate(coeffs)) % m == 0
-        ]
-        got = _kernels.poly_roots_mod(np.array(coeffs, dtype=dtype), m, stop)
-        assert got.tolist() == brute, (coeffs, m, stop)
+    for _ in range(12):
+        coeffs = [rng.randint(-(10**20), 10**20) for _ in range(rng.randint(1, 9))]
+        m = rng.randint(400, 3000)
+        brute = [r for r in range(m) if sum(c * r**i for i, c in enumerate(coeffs)) % m == 0]
+        assert _kernels.poly_roots_mod(np.array(coeffs, dtype=object), m).tolist() == brute
     assert _kernels.poly_roots_mod(np.array([], dtype=np.int64), 5).tolist() == [0, 1, 2, 3, 4]
+
+
+# q = 2 and 3, where x**q - x can divide h, primes past 2**14, and 65521,
+# the largest below 2**16
+TABLE_PRIMES = [q for q in range(2, 600) if oracle_is_prime(q)] + [16411, 40009, 65521]
+
+
+@st.composite
+def roots_table_cases(draw):
+    """(coeffs, qs): h of degree 1-8, with a squared linear factor or not,
+    and with lc(h), or every coefficient, divisible by one of the primes or
+    not; coefficients beyond int64 on an object array.  qs holds 2 and 3."""
+    wide = draw(st.booleans())
+    bound = 10**25 if wide else 60
+    square = draw(st.booleans())
+    deg = draw(st.integers(1, 6 if square else 8))
+    cs = draw(st.lists(st.integers(-bound, bound), min_size=deg + 1, max_size=deg + 1))
+    cs[-1] = cs[-1] or 1
+    if square:  # times (x - r)**2
+        r = draw(st.integers(-9, 9))
+        for _ in range(2):
+            cs = [a - r * b for a, b in zip([0] + cs, cs + [0])]
+    qs = sorted({2, 3} | set(draw(st.lists(st.sampled_from(TABLE_PRIMES), max_size=12))))
+    q = draw(st.sampled_from(qs))
+    divisible = draw(st.sampled_from(["none", "lc", "all"]))
+    if divisible == "lc":
+        cs[-1] *= q
+    elif divisible == "all":
+        cs = [c * q for c in cs]
+    return np.array(cs, dtype=object if wide else np.int64), np.array(qs, dtype=np.int64)
+
+
+@given(roots_table_cases())
+@example((np.array([0, -1, 0, 1], dtype=np.int64), np.array([2, 3, 5], dtype=np.int64)))
+@example((np.array([4, 0, 0, 0, 0, 0, 0, 0, 2], dtype=np.int64), np.array([2, 3], dtype=np.int64)))
+@settings(max_examples=100, deadline=None)
+def test_poly_roots_table_agrees_with_exhaustion(case):
+    coeffs, qs = case
+    assert _kernels.poly_roots_table(coeffs, qs) == [
+        _kernels.poly_roots_mod(coeffs, q).tolist() for q in qs.tolist()
+    ]
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[0, -1, 0, 1], [2, 0, 0, 1], [7, 3, 0, 0, 1], [-(10**30), 1, 0, 0, 0, 0, 0, 0, 3]],
+    ids=["x^3-x", "x^3+2", "x^4+3x+7", "degree-8"],
+)
+def test_poly_roots_table_over_the_trial_primes(coeffs):
+    """Every prime up to arith.TRIAL_DIVISION_LIMIT at once, as the trial
+    root table and the squarefree scan call it."""
+    qs = np.array(arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT), dtype=np.int64)
+    arr = np.array(coeffs, dtype=object)
+    assert _kernels.poly_roots_table(arr, qs) == [
+        _kernels.poly_roots_mod(arr, q).tolist() for q in qs.tolist()
+    ]
 
 
 def test_linear_roots_mod_agree():
