@@ -6,11 +6,11 @@ Brent's rho and the strong probable-prime test of Miller-Rabin.
 
 poly_roots_table finds the roots of one polynomial mod every trial prime
 in one pass over lanes, one prime each (Cantor-Zassenhaus): the trial
-root table (sieve.trial_root_table) and the squarefree scan each call it
-once.  poly_roots_mod finds roots by exhaustion: the table uses it only
-for the primes dividing the leading coefficient, and the tests use it as
-the table's oracle; polyring and _modpoly count and find roots mod a
-single modulus with it.
+root table (sieve.trial_root_table), the squarefree scan and the Euler
+product (sieve.euler_density) each call it once.  poly_roots_mod finds
+roots by exhaustion: the table uses it only for the primes dividing the
+leading coefficient, and the tests use it as the table's oracle;
+polyring and _modpoly count and find roots mod a single modulus with it.
 
 The root and prime kernels work on int64 arrays; the root kernels reduce
 the coefficients mod each prime first, so they also take object
@@ -332,13 +332,47 @@ def mulmod(a: np.ndarray, b: np.ndarray, n: np.ndarray, ninv: np.ndarray) -> np.
     return r
 
 
-def _rho_step(y: np.ndarray, c: np.ndarray, n: np.ndarray, ninv: np.ndarray) -> np.ndarray:
-    """(y * y + c) mod n for 0 <= y, c < n < 2**50."""
-    y = mulmod(y, y, n, ninv)
-    y += c
-    y -= n
-    y += n & (y >> 63)
-    return y
+def _rho_step(
+    y: np.ndarray, c: np.ndarray, n: np.ndarray, ninv: np.ndarray, cninv: np.ndarray
+) -> np.ndarray:
+    """(y * y + c) mod n for 0 <= y, c < n < 2**50 (LANES_BELOW), with
+    ninv = 1.0 / n and cninv = c * ninv in float64, in one reduction.
+
+    The quotient is q = trunc(y * ninv * y + cninv).  The exact quotient
+    (y*y + c) / n is at most n - 1 < 2**50, and the float sum carries at
+    most four roundings of relative error 2**-53 each (ninv, y * ninv,
+    its product with y, the sum; cninv's two are no more), so it is
+    within 4 * 2**-53 * 2**50 = 1/2 (plus terms of order 2**-53) of the
+    exact quotient, and q is the floor of it, one less or one more.  So
+    r = y*y + c - q*n, computed in wrapping int64, is exact and lies in
+    [-n, 2n), and one correction each way makes it (y*y + c) mod n."""
+    q = y * ninv
+    q *= y
+    q += cninv
+    r = y * y
+    r += c
+    r -= q.astype(np.int64) * n
+    r += n & (r >> 63)  # [0, 2n)
+    r -= n
+    r += n & (r >> 63)  # [0, n)
+    return r
+
+
+def _product_mod(d: np.ndarray, n: np.ndarray, ninv: np.ndarray) -> np.ndarray:
+    """The product of the rows of d mod n, column by column, as a pairwise
+    tree: each level multiplies the first half of the rows by the second
+    (an odd last row waits for the next level), so a run of k rows takes
+    about log2(k) mulmod calls instead of k."""
+    while d.shape[0] > 1:
+        half = d.shape[0] // 2
+        paired = mulmod(d[:half], d[half : 2 * half], n, ninv)
+        d = np.concatenate([paired, d[2 * half :]]) if d.shape[0] & 1 else paired
+    return d[0]
+
+
+# brent_rho_lanes multiplies the |x - y| of this many steps at a time into
+# its q, as one pairwise tree.
+_TREE_STEPS = 16
 
 
 # strong_probable_primes runs at most this many lanes at a time, so its
@@ -404,7 +438,15 @@ def brent_rho_lanes(
     The lanes share the iteration counter, so they share the schedule: in
     round r, x is y, y moves r steps, then blocks of `block` steps each
     multiply |x - y| into q and end with gcd(q, n).  A lane leaves when its
-    gcd is not 1.  Returns (found, spent, lanes), one entry per n:
+    gcd is not 1.  Each step is one fused reduction (_rho_step).  Within a
+    block, the |x - y| (as x - y mod n) of each run of _TREE_STEPS steps
+    are stacked and multiplied as a pairwise tree (_product_mod), and the
+    run's product is multiplied into q: about log2(16) + 1 numpy mulmod
+    calls per run instead of 16.  mulmod is exact, and multiplication mod
+    n is associative and commutative, so q at the end of each block, and
+    so every gcd, found[i], spent[i] and lanes[i], is what multiplying one
+    step at a time, as _brent_rho does, gives.  Returns (found, spent,
+    lanes), one entry per n:
 
       found[i] > 0      the factor 1 < gcd < n, found after spent[i] steps;
       lanes[i] given    the scalar loop resumes lane i from (x, y, q, r, k),
@@ -421,20 +463,24 @@ def brent_rho_lanes(
     n = np.array(ns, dtype=np.int64)
     ninv = 1.0 / n
     c = np.array(cs, dtype=np.int64)
+    cninv = c * ninv
     x = np.array(ys, dtype=np.int64)
     q = np.ones(count, dtype=np.int64)
     r, k, spent = 1, 0, 1
-    y = _rho_step(x, c, n, ninv)  # round 1: y moves one step from x
+    y = _rho_step(x, c, n, ninv, cninv)  # round 1: y moves one step from x
     while live.size >= hand_off and live.size:
         steps = min(block, r - k)
         if spent + steps > limit:
             return found, spent_at, lanes
         y0, q0 = y, q
-        for _ in range(steps):
-            y = _rho_step(y, c, n, ninv)
-            d = x - y
+        for run in range(0, steps, _TREE_STEPS):
+            ys_run = []
+            for _ in range(min(_TREE_STEPS, steps - run)):
+                y = _rho_step(y, c, n, ninv, cninv)
+                ys_run.append(y)
+            d = x - np.stack(ys_run)
             d += n & (d >> 63)
-            q = mulmod(q, d, n, ninv)
+            q = mulmod(q, _product_mod(d, n, ninv), n, ninv)
         g = np.gcd(q, n)
         for i in np.flatnonzero(g == n).tolist():
             lanes[live[i]] = (int(x[i]), int(y0[i]), int(q0[i]), r, k)
@@ -444,17 +490,25 @@ def brent_rho_lanes(
             found[live[i]] = int(g[i])
             spent_at[live[i]] = spent
         stay = g == 1
-        live, n, ninv, c, x, y, q = (a[stay] for a in (live, n, ninv, c, x, y, q))
+        live, n, ninv, c, cninv, x, y, q = (
+            a[stay] for a in (live, n, ninv, c, cninv, x, y, q)
+        )
         k += block
         if k >= r:  # a round past limit is caught at its first block
             x, r, k = y, 2 * r, 0
             for _ in range(r):
-                y = _rho_step(y, c, n, ninv)
+                y = _rho_step(y, c, n, ninv, cninv)
             spent += r
     for i, lane in enumerate(live.tolist()):
         lanes[lane] = (int(x[i]), int(y[i]), int(q[i]), r, k)
         spent_at[lane] = spent
     return found, spent_at, lanes
+
+
+# squarefree_scan takes the hits of its root progressions this many at a
+# time, so each of its hit arrays stays at 128 KB however long the segment
+# (a segment of 2**20 values of x^3 + 2 has about 2.6 million hits).
+_HIT_BLOCK = 1 << 14
 
 
 def squarefree_scan(
@@ -468,19 +522,46 @@ def squarefree_scan(
     """Divide every prime q in `primes` out of |h(n)| along the root
     progressions of h mod q, clearing flags[i] when q**2 divided values[i]
     (unless q is in `fixed`).  values is mutated into the q-free cofactors.
-    The roots come from one poly_roots_table over all of `primes`.
+
+    The roots come from one poly_roots_table over all of `primes`.  Each
+    (q, root) pair is a progression of hits i = start, start + q, ... in
+    the segment, none when start >= len(values) (a window shorter than q).
+    The hits of every progression are numbered in one flat sequence and
+    taken _HIT_BLOCK at a time: a block's hits are int64 arrays of
+    positions and primes.  q divides h(n) at every hit, so a nonzero
+    value's q-part q**e (e >= 1) comes from dividing by q while it
+    divides, on the ever fewer hits where it still does.  A value at two
+    hits of a block (two primes) is divided by both powers through
+    np.floor_divide.at, which applies repeated indices one after the
+    other; each power is exact and coprime to the others, so the order
+    does not matter.  The same code runs on int64 and on object values.
     """
-    for q, roots in zip(primes.tolist(), poly_roots_table(coeffs, primes)):
-        is_fixed = bool(np.any(fixed == q))
-        for r in roots:
-            start = (r - n_start) % q
-            sub = values[start::q]
-            fsub = flags[start::q]
-            exp = np.zeros(sub.shape[0], dtype=np.int64)
-            div = (sub != 0) & (sub % q == 0)
-            while np.any(div):
-                np.floor_divide(sub, q, out=sub, where=div)
-                exp[div] += 1
-                div = div & (sub % q == 0)
-            if not is_fixed:
-                fsub[exp >= 2] = False
+    count = values.shape[0]
+    table = poly_roots_table(coeffs, primes)
+    q = np.repeat(primes, [len(roots) for roots in table])
+    start = (np.array([r for roots in table for r in roots], dtype=np.int64) - n_start) % q
+    hits = (count - start + q - 1) // q  # 0 when start >= count
+    keep = hits > 0
+    q, start, hits = q[keep], start[keep], hits[keep]
+    first = np.cumsum(hits) - hits  # the flat number of each progression's first hit
+    free = ~np.isin(q, fixed)
+    total = int(hits.sum())
+    for lo in range(0, total, _HIT_BLOCK):
+        flat = np.arange(lo, min(lo + _HIT_BLOCK, total))
+        prog = np.searchsorted(first, flat, side="right") - 1
+        qh = q[prog]
+        pos = start[prog] + (flat - first[prog]) * qh
+        v = values[pos]
+        nonzero = v != 0  # h(n) = 0: its flag is clear already
+        pos, qh, v, free_h = pos[nonzero], qh[nonzero], v[nonzero], free[prog[nonzero]]
+        qh = qh.astype(values.dtype, copy=False)
+        rest = v // qh
+        power = qh.copy()
+        live = np.flatnonzero(rest % qh == 0)
+        flags[pos[live[free_h[live]]]] = False  # e >= 2
+        while live.size:
+            ql = qh[live]
+            rest[live] //= ql
+            power[live] *= ql
+            live = live[rest[live] % ql == 0]
+        np.floor_divide.at(values, pos, power)

@@ -93,13 +93,15 @@ lanes share the step counter, so a lane's steps, gcds and spend are
 those of _brent_rho on it alone.  A lane whose gcd is n, and every lane
 once fewer than _RHO_HAND_OFF are left, resumes in _brent_rho from its
 (x, y, q, r, k) with its spend carried over, so the backtrack and the
-retries stay there.  The parts of every split are then proven in one
-more batch, and a composite part goes to _split's rho on a budget
-carrying that spend, as in factor, so it is finished by the same rho
-calls factor would make.  A cofactor at or above 2**50 gets None before
-any check, and one whose split runs past the budget gets None too; both
-go through factor as before, so the factorizations and the
-UnfactoredResidualErrors are the same either way.
+retries stay there.  The parts of every split, the factor d found and
+the cofactor with d's primes divided out to their full powers, as
+_split_composite takes them, are then proven in one more batch, and a
+composite part goes to _split's rho on a budget carrying that spend, as
+in factor, so it is finished by the same rho calls factor would make.  A
+cofactor at or above 2**50 gets None before any check, and one whose
+split runs past the budget gets None too; both go through factor as
+before, so the factorizations and the UnfactoredResidualErrors are the
+same either way.
 """
 
 from __future__ import annotations
@@ -155,8 +157,13 @@ _RHO_BLOCK = 128
 # split_cofactors runs rho on its composites below _kernels.LANES_BELOW in
 # lockstep, each a lane of _kernels.brent_rho_lanes, until fewer than
 # _RHO_HAND_OFF lanes are left; then each resumes in _brent_rho, whose
-# Python step is cheaper than a numpy step over that few lanes.
-_RHO_HAND_OFF = 48
+# Python step is cheaper than a numpy step over that few lanes.  With the
+# fused lane step (one reduction per step, the |x - y| products as a tree)
+# 32 splits the residuals of x^3 + 2 at N = 3e4 in 0.111-0.115 s against
+# 0.116-0.119 s at 48 (79 scalar _brent_rho calls against 88), and the
+# batch of y^5 = x^4 + 3x + 7 at N = 5e3 in 0.110-0.112 s at either
+# (medians of 15, in-process, two orders); 24 and 64 were no faster.
+_RHO_HAND_OFF = 32
 # The _MR_THRESHOLDS rows whose psi fits int64, for the lanes: every lane
 # is below _kernels.LANES_BELOW < psi_9, the last of them.
 _LANE_PSI = np.array([psi for psi, _ in _MR_THRESHOLDS if psi < 1 << 63], dtype=np.int64)
@@ -488,7 +495,11 @@ def _split(m: int, counts: dict[int, int], mult: int, budget: _Budget) -> None:
 
 
 def _split_composite(m: int, counts: dict[int, int], mult: int, budget: _Budget) -> None:
-    """_split for an m already known to be composite."""
+    """_split for an m already known to be composite.
+
+    After rho finds a factor d, each prime of d is divided out of m to its
+    full power before the rest is split, so a prime repeated in m costs
+    one rho run, not one per copy."""
     # Every prime factor of m exceeds the trial limit, so does any root.
     power = _prime_power_root(m, TRIAL_DIVISION_LIMIT)
     if power is not None:
@@ -496,8 +507,16 @@ def _split_composite(m: int, counts: dict[int, int], mult: int, budget: _Budget)
         _split(b, counts, mult * k, budget)
         return
     d = _brent_rho(m, budget)
-    _split(d, counts, mult, budget)
-    _split(m // d, counts, mult, budget)
+    found: dict[int, int] = {}
+    _split(d, found, 1, budget)
+    for p in found:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        counts[p] = counts.get(p, 0) + mult * e
+    if m > 1:
+        _split(m, counts, mult, budget)
 
 
 def _trial_stage(m: int) -> list[int]:
@@ -544,12 +563,14 @@ def split_cofactors(ms: Sequence[int], budget: int | None = None) -> list[list[i
     then run Brent's rho together (_kernels.brent_rho_lanes), from the
     seeds and on the schedule of _brent_rho, the last lanes and those
     whose gcd is n finishing in _brent_rho itself.  The parts of every
-    split, and the base of every prime power, are proven prime in one
-    more batch, and each composite part is finished as _split finishes
-    it (_split_composite), on a _Budget that carries the spend so far.  So the rho calls, their seeds
-    and the budget are those of factor(m, budget, trial_primes=()), which
-    finds the same primes; factor(m, budget, trial_primes=primes) then
-    gives the same Factorization.  None covers a cofactor at or above
+    split (the factor d, then the rest with d's primes divided out, as in
+    _split_composite), and the base of every prime power, are proven
+    prime in one more batch, and each composite part is finished as
+    _split finishes it (_split_composite), on a _Budget that carries the
+    spend so far.  So the rho calls, their seeds and the budget are those
+    of factor(m, budget, trial_primes=()), which finds the same primes;
+    factor(m, budget, trial_primes=primes) then gives the same
+    Factorization.  None covers a cofactor at or above
     _kernels.LANES_BELOW and a spend past budget: a caller hands factor ()
     for those, and it decides them as before.
     """
@@ -592,7 +613,10 @@ def split_cofactors(ms: Sequence[int], budget: int | None = None) -> list[list[i
             s = total - rho_budget.left
         elif not d:
             continue  # past the budget
-        splits.append((i, (d, n // d), s))
+        rest = n // d  # then d's primes to their full powers, as _split_composite
+        while (g := math.gcd(rest, d)) > 1:
+            rest //= g
+        splits.append((i, (d, rest) if rest > 1 else (d,), s))
     parts = list({p for _, ps, _ in splits for p in ps if p > small})
     proven = {p for p, prime in zip(parts, _are_prime(parts)) if prime}
     for i, ps, steps in splits:

@@ -7,20 +7,27 @@ square divides every value; the finite obstruction that gets divided out
 rather than counted against h).  The scan is exact:
 
   1. primes q <= T are divided out of every value along the root
-     progressions of h mod q, segmented, by one array scan: int64 arrays
-     when every |h(n)| fits the int64 envelope, object arrays of Python
-     ints otherwise; the roots mod every q come from one batched root
-     table (_kernels.poly_roots_table),
+     progressions of h mod q, segmented, in one pass over arrays
+     (_kernels.squarefree_scan): the roots mod every q come from one
+     batched root table (_kernels.poly_roots_table), every (q, root)
+     progression's hits are numbered in one flat sequence and taken in
+     blocks of int64 positions, and each hit's q-part is found and
+     divided out as an array.  The values are int64 arrays when every
+     |h(n)| fits the int64 envelope, object arrays of Python ints
+     otherwise, through the same code,
   2. the surviving cofactor has all prime factors > T, so below T**3 a
-     perfect-square test decides squarefreeness, and
+     perfect-square test decides squarefreeness: on the int64 cofactors
+     as one array, by a float sqrt, which is exact on squares, and by
+     math.isqrt on object ones (_squares_and_residuals), and
   3. the rare cofactors >= T**3 are fully factored (budgeted); T is then
      arith.TRIAL_DIVISION_LIMIT, so they have no trial prime.  A
      segment's residuals are split together first (arith.split_cofactors:
      one lockstep primality proof over those below 2**50, one lockstep
-     rho over the composites among them), and each goes to
-     arith.factor once with its primes, or with () where the batch gave
-     it up; arith.factor skips its trial stage either way, and decides
-     the given-up ones, budget overruns included, as it always has.
+     rho over the composites among them, whose lane step is one fused
+     reduction), and each goes to arith.factor once with its primes, or
+     with () where the batch gave it up; arith.factor skips its trial
+     stage either way, and decides the given-up ones, budget overruns
+     included, as it always has.
 
 The same progressions give the cyclic fibers their trial primes (line
 sieving; Pomerance, "A tale of two sieves", 1996).  A prime q divides g(n)
@@ -44,8 +51,9 @@ the trial lists, and unless the table is complete, the primes of each
 value's cofactor, split together by the batch split of step 3.
 
 euler_density gives the truncated prediction prod (1 - rho(p^2)/p^2) as an
-exact fraction, and exact_order_prime_ratio counts the large primes
-dividing some early value exactly once.
+exact fraction, from one batched root table over its primes and the lifts
+of those roots mod p^2, and exact_order_prime_ratio counts the large
+primes dividing some early value exactly once.
 """
 
 from __future__ import annotations
@@ -303,7 +311,34 @@ def _scan(h, n0, count, primes, fixed, big_fixed, dtype):
         np.array(primes, dtype=np.int64),
         np.array(fixed, dtype=np.int64),
     )
-    return values.tolist(), flags
+    return values, flags
+
+
+def _squares_and_residuals(
+    cofactors: np.ndarray, flags: np.ndarray, t2: int, t3: int
+) -> np.ndarray:
+    """Clear the flag of every flagged cofactor c >= t2 = T**2 that is a
+    perfect square, and return the indices of the flagged cofactors
+    c >= t3 = T**3 that are not.  A flagged cofactor below t2 is 1 or a
+    prime, squarefree either way.
+
+    Object cofactors take math.isqrt.  On int64 cofactors (all below
+    2**62) a float sqrt is exact on squares: for c = s**2, float(c) is
+    s**2 (1 + d) with |d| <= 2**-53, so sqrt(float(c)) is within
+    s * 2**-54 of s, less than half an ulp of s, and the correctly
+    rounded sqrt returns s itself.  A non-square c has no s with
+    s * s == c, so no correction is needed either way."""
+    large = np.flatnonzero(flags & (cofactors >= t2))
+    c = cofactors[large]
+    if c.dtype == object:
+        s = np.array([math.isqrt(x) for x in c.tolist()], dtype=object)
+    else:
+        s = np.sqrt(c.astype(np.float64)).astype(np.int64)
+    square = s * s == c
+    flags[large[square]] = False
+    # c <= bound < T**3 unless T is the cap, so a residual has no prime
+    # factor up to arith.TRIAL_DIVISION_LIMIT
+    return large[~square & (c >= t3)]
 
 
 def squarefree_value_count(
@@ -333,22 +368,13 @@ def squarefree_value_count(
     for n0 in range(1, N + 1, _SEGMENT):
         seg = min(_SEGMENT, N + 1 - n0)
         cofactors, flags = _scan(h, n0, seg, primes, small_fixed, big_fixed, dtype)
-        rest = []
-        for i, c in enumerate(cofactors):
-            if not flags[i] or c <= 1 or c < t2:
-                continue  # 1 or a prime: squarefree either way
-            s = math.isqrt(c)
-            if s * s == c:
-                flags[i] = False
-            elif c >= t3:
-                # c <= bound < T**3 unless T is the cap, so c has no
-                # prime factor up to arith.TRIAL_DIVISION_LIMIT
-                rest.append(i)
-        residuals += len(rest)
-        split = arith.split_cofactors([cofactors[i] for i in rest], budget)
-        for i, hint in zip(rest, split):
+        rest = _squares_and_residuals(cofactors, flags, t2, t3)
+        residuals += rest.size
+        rest_values = cofactors[rest].tolist()
+        split = arith.split_cofactors(rest_values, budget)
+        for i, c, hint in zip(rest.tolist(), rest_values, split):
             try:
-                fact = arith.factor(cofactors[i], budget, trial_primes=hint or ())
+                fact = arith.factor(c, budget, trial_primes=hint or ())
             except UnfactoredResidualError:
                 bad.append(n0 + i)
                 continue
@@ -379,15 +405,36 @@ def euler_density(h: IntPoly, prime_bound: int) -> Fraction:
     """Truncated prediction prod_{p <= B, p not fixed} (1 - rho_h(p^2)/p^2),
     with rho the exact root count mod p^2, taken for the radical of h (h
     itself when h is separable).  A prime is fixed for the radical exactly
-    when rho = p^2, so the fixed primes are skipped by that test."""
+    when rho = p^2, so the fixed primes are skipped by that test.
+
+    The roots mod every p come from one _kernels.poly_roots_table, and rho
+    counts their lifts mod p^2 (Hensel): h(r + t p) = h(r) + t p h'(r)
+    mod p^2, so a root r with p not dividing h'(r) lifts once, and one
+    with p | h'(r) lifts p times when p^2 | h(r) and not at all
+    otherwise."""
     if h.degree < 1:
         raise DomainError("sieve", "euler_density needs a non-constant polynomial")
     h = polyring.radical(h)
+    if h.degree * prime_bound**2 > 1 << 62:  # poly_roots_table's int64 envelope
+        raise DomainError(
+            "sieve", f"euler bound {prime_bound} is too large for degree {h.degree}"
+        )
+    primes = arith.primes_up_to(prime_bound)
+    der = h.derivative()
+    table = _kernels.poly_roots_table(
+        np.array(h.coeffs, dtype=object), np.array(primes, dtype=np.int64)
+    )
     out = Fraction(1)
-    for p in arith.primes_up_to(prime_bound):
-        rho = polyring.root_count_mod_prime_power(h, p, 2)
-        if 0 < rho < p * p:
-            out *= Fraction(p * p - rho, p * p)
+    for p, roots in zip(primes, table):
+        p2 = p * p
+        rho = 0
+        for r in roots:
+            if der(r) % p:
+                rho += 1
+            elif h(r) % p2 == 0:
+                rho += p
+        if 0 < rho < p2:
+            out *= Fraction(p2 - rho, p2)
     return out
 
 

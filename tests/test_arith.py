@@ -391,14 +391,16 @@ def test_is_prime_rejects_carmichael_numbers(n):
 
 def test_psi12_factors_into_its_two_primes():
     assert factor(_PSI12) == Factorization(1, ((399_165_290_221, 1), (798_330_580_441, 1)))
-    # Rho needs 2,803,068 iterations here, more than the default budget: an
-    # overrun is a named failure, never the wrong kernel {399165290221, psi12}.
+    # Rho needs 1,961,982 iterations here, one run that finds 399165290221,
+    # which is then divided out to its full power: an overrun is a named
+    # failure, never the wrong kernel {399165290221, psi12}.
     a = _PSI12 * 399_165_290_221
-    assert radical_class(a, 2, budget=3_000_000).kernel == Factorization(
-        1, ((798_330_580_441, 1),)
-    )
+    for budget in (1_961_982, 3_000_000, None):
+        assert radical_class(a, 2, budget=budget).kernel == Factorization(
+            1, ((798_330_580_441, 1),)
+        )
     with pytest.raises(UnfactoredResidualError):
-        radical_class(a, 2)
+        radical_class(a, 2, budget=1_961_981)
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +511,36 @@ def test_split_cofactors_proves_a_whole_batch_in_the_lanes():
         split = arith.split_cofactors(ms)
     assert calls == []
     assert split == [sorted(sympy.factorint(m)) for m in ms]
+
+
+def test_a_repeated_large_prime_costs_one_rho_run(monkeypatch):
+    """Each prime rho finds is divided out to its full power before the
+    rest is split, so p**k q costs one rho run, not one per copy of p
+    (14 runs for (2**31 - 1)**14 (2**61 - 1) would overrun the default
+    budget).  split_cofactors finishes its lanes the same way, so it makes
+    the rho calls factor makes (every lane resumed in _brent_rho here)."""
+    calls = []
+    rho = arith._brent_rho
+
+    def recording(n, budget, lane=None):
+        calls.append(n)
+        return rho(n, budget, lane)
+
+    monkeypatch.setattr(arith, "_brent_rho", recording)
+    p, q = 2**31 - 1, 2**61 - 1
+    for k in (1, 2, 14):
+        calls.clear()
+        assert factor(p**k * q) == Factorization(1, ((p, k), (q, 1)))
+        assert calls == [p**k * q]
+    ms = [10_007**2 * 100_003, 10_009**2 * 10_007]
+    monkeypatch.setattr(arith, "_RHO_HAND_OFF", 10**6)
+    calls.clear()
+    assert arith.split_cofactors(ms) == [[10_007, 100_003], [10_007, 10_009]]
+    assert calls == ms
+    calls.clear()
+    for m in ms:
+        factor(m)
+    assert calls == ms
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The numpy kernels against brute-force oracles in plain Python ints."""
 
+import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -171,6 +173,72 @@ def test_squarefree_scan_agree(dtype, scale):
         assert (values.tolist(), flags.tolist()) == want, (coeffs, n0, count, fixed)
 
 
+TRIAL_PRIMES = arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT)
+
+
+@st.composite
+def scan_cases(draw):
+    """(coeffs, n0, count, fixed): h of degree 1-4, times (x - r)**2 with
+    r in the window or not (h(r) = 0, and a repeated root mod every q),
+    lc(h) divisible by a trial prime or not, coefficients beyond int64
+    (object arrays) or small, windows of 1-60 values, most of them
+    shorter than most q, and fixed primes among the small ones."""
+    wide = draw(st.booleans())
+    bound = 10**25 if wide else 60
+    deg = draw(st.integers(1, 4))
+    cs = draw(st.lists(st.integers(-bound, bound), min_size=deg + 1, max_size=deg + 1))
+    cs[-1] = cs[-1] or 1
+    n0 = draw(st.integers(-50, 2000))
+    count = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        r = draw(st.integers(n0 - 5, n0 + count + 5))
+        for _ in range(2):
+            cs = [a - r * b for a, b in zip([0] + cs, cs + [0])]
+    if draw(st.booleans()):
+        cs[-1] *= draw(st.sampled_from(TRIAL_PRIMES))
+    fixed = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 9973]), max_size=3, unique=True))
+    return cs, n0, count, sorted(fixed)
+
+
+@given(scan_cases())
+@example(([2, 0, 0, 1], 1, 60, []))
+@example(([0, -1, 0, 1], -3, 10, [2, 3]))  # h(-1) = h(0) = h(1) = 0
+@example(([1, 0, 9973**2], 1, 5, [9973]))  # q | lc(h) for the largest q
+@settings(max_examples=60, deadline=None)
+def test_squarefree_scan_over_the_trial_primes_agrees(case):
+    """All 1,229 trial primes at once, as the sieve calls it, against
+    dividing each prime out with Python ints; int64 arrays wherever every
+    value fits the sieve's int64 envelope, object arrays otherwise."""
+    cs, n0, count, fixed = case
+    bound = sum(abs(c) * (abs(n0) + count) ** i for i, c in enumerate(cs))
+    arr = np.array(cs, dtype=np.int64 if bound < 1 << 62 else object)
+    values = _kernels.eval_poly_range(arr, n0, count)
+    np.absolute(values, out=values)
+    flags = values != 0
+    _kernels.squarefree_scan(
+        arr, n0, values, flags,
+        np.array(TRIAL_PRIMES, dtype=np.int64), np.array(fixed, dtype=np.int64),
+    )
+    assert (values.tolist(), flags.tolist()) == _scan_oracle(cs, n0, count, TRIAL_PRIMES, fixed)
+
+
+def test_squarefree_scan_memory_is_bounded():
+    """A 2**20-value int64 segment of x^3 + 2 has about 2.6 million hits;
+    the scan takes them _HIT_BLOCK at a time, so its own allocations stay
+    near a megabyte (the segment's values alone are 8 MB)."""
+    coeffs = np.array([2, 0, 0, 1], dtype=np.int64)
+    values = _kernels.eval_poly_range(coeffs, 1, 1 << 20)
+    flags = values != 0
+    primes = np.array(TRIAL_PRIMES, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        _kernels.squarefree_scan(coeffs, 1, values, flags, primes, np.array([], dtype=np.int64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20, peak
+
+
 LANE_LIMIT = _kernels.LANES_BELOW
 
 
@@ -212,6 +280,58 @@ def test_mulmod_near_the_envelope_takes_both_corrections():
     assert any(x * y - e * n >= n for x, y, e, n in rows)
     got = _kernels.mulmod(a, b, ns, 1.0 / ns)
     assert got.tolist() == [x * y % n for x, y, n in zip(a.tolist(), b.tolist(), ns.tolist())]
+
+
+@st.composite
+def rho_step_cases(draw):
+    n = draw(st.integers(2**49, LANE_LIMIT - 1))
+    operand = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
+    return n, [(draw(operand), draw(operand)) for _ in range(draw(st.integers(1, 8)))]
+
+
+@given(rho_step_cases())
+@example((LANE_LIMIT - 1, [(LANE_LIMIT - 2, LANE_LIMIT - 2), (0, 0), (LANE_LIMIT - 2, 0)]))
+@example((2**49, [(2**49 - 1, 2**49 - 1), (0, 2**49 - 1)]))
+@settings(max_examples=300, deadline=None)
+def test_fused_rho_step_agrees_with_python_ints(case):
+    """(y*y + c) mod n in one reduction, for y, c in {0, n - 1, random}
+    at the top of the lane envelope, without a numpy overflow warning."""
+    n, pairs = case
+    y = np.array([a for a, _ in pairs], dtype=np.int64)
+    c = np.array([b for _, b in pairs], dtype=np.int64)
+    ns = np.full(len(pairs), n, dtype=np.int64)
+    ninv = 1.0 / ns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels._rho_step(y, c, ns, ninv, c * ninv)
+    assert got.tolist() == [(a * a + b) % n for a, b in pairs]
+
+
+def test_fused_rho_step_near_the_envelope_takes_both_corrections():
+    """10^5 random steps mod n in [2**49, 2**50), where the float quotient
+    errs both ways."""
+    rng = random.Random(23)
+    ns = np.array([rng.randrange(2**49, LANE_LIMIT) for _ in range(100)] * 1000, dtype=np.int64)
+    y = np.array([rng.randrange(n) for n in ns.tolist()], dtype=np.int64)
+    c = np.array([rng.randrange(n) for n in ns.tolist()], dtype=np.int64)
+    ninv = 1.0 / ns
+    estimate = (y * ninv * y + c * ninv).astype(np.int64)
+    rows = list(zip(y.tolist(), c.tolist(), estimate.tolist(), ns.tolist()))
+    assert any(a * a + b < e * n for a, b, e, n in rows)
+    assert any(a * a + b - e * n >= n for a, b, e, n in rows)
+    got = _kernels._rho_step(y, c, ns, ninv, c * ninv)
+    assert got.tolist() == [(a * a + b) % n for a, b, _, n in rows]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 16, 17])
+def test_product_mod_is_the_product_of_the_rows(rows):
+    """The pairwise tree of brent_rho_lanes, odd row counts included."""
+    rng = random.Random(rows)
+    ns = [rng.randrange(2, LANE_LIMIT) for _ in range(50)]
+    d = [[rng.randrange(n) for n in ns] for _ in range(rows)]
+    n = np.array(ns, dtype=np.int64)
+    got = _kernels._product_mod(np.array(d, dtype=np.int64), n, 1.0 / n)
+    assert got.tolist() == [math.prod(col) % m for col, m in zip(zip(*d), ns)]
 
 
 @st.composite

@@ -2,12 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fiberfields import arith, diversity, sieve
+from fiberfields import arith, diversity, polyring, sieve
 from fiberfields.cli import main
 from fiberfields.errors import BudgetError, DomainError, UnfactoredResidualError
 from fiberfields.polyring import IntPoly, parse_poly
@@ -226,6 +227,28 @@ def test_fixed_prime_above_sieve_bound_is_divided_out(constant, N, count):
     assert rep.fixed_square_primes == (10007,)
     assert rep.count == count
     assert rep.flags == sympy_flags(h, N, {10007})
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_square_test_agrees_with_isqrt(dtype):
+    """Squares s**2 up to just below 2**62, where float(s**2) is rounded,
+    their neighbours s**2 +- 1, cofactors below T**2 and unflagged
+    squares: the float sqrt on int64 (and math.isqrt on object) arrays
+    clears exactly the squares' flags and returns the flagged non-squares
+    >= T**3."""
+    rng = random.Random(29)
+    T = 10_000
+    roots = [rng.randrange(T, 2**31 - 1) for _ in range(3000)] + [2**31 - 2, 3_037_000_499]
+    roots = [s for s in roots if s * s < 2**62]
+    cs = [s * s + rng.choice([-1, 0, 0, 1]) for s in roots] + [1, 7, T * T - 1, T * T]
+    flagged = [rng.random() < 0.9 for _ in cs]
+    cofactors, flags = np.array(cs, dtype=dtype), np.array(flagged)
+    rest = sieve._squares_and_residuals(cofactors, flags, T * T, T**3)
+    squares = [f and c >= T * T and math.isqrt(c) ** 2 == c for c, f in zip(cs, flagged)]
+    assert flags.tolist() == [f and not sq for f, sq in zip(flagged, squares)]
+    assert rest.tolist() == [
+        i for i, (c, f, sq) in enumerate(zip(cs, flagged, squares)) if f and not sq and c >= T**3
+    ]
 
 
 def test_bigint_path_for_huge_coefficients():
@@ -471,6 +494,44 @@ def test_euler_density_applies_radical_first():
 def test_euler_density_skips_fixed_primes():
     # the fixed prime 2 drops its (1 - rho/4) = 3/4 factor from the product
     assert euler_density(poly("4x + 4"), 50) == euler_density(poly("x + 1"), 50) / Fraction(3, 4)
+
+
+def _euler_oracle(h, bound):
+    """euler_density with rho from polyring.root_count_mod_prime_power,
+    prime by prime."""
+    h = polyring.radical(h)
+    out = Fraction(1)
+    for p in arith.primes_up_to(bound):
+        rho = polyring.root_count_mod_prime_power(h, p, 2)
+        if 0 < rho < p * p:
+            out *= Fraction(p * p - rho, p * p)
+    return out
+
+
+@given(
+    st.lists(st.integers(-30, 30), min_size=2, max_size=6).filter(lambda cs: cs[-1] != 0),
+    st.sampled_from([1, 2, 3, 4, 12, 49]),
+    st.sampled_from([1, 2, 8, 9]),
+    st.integers(-3, 3),
+    st.sampled_from([2, 3, 60, 250]),
+)
+@example(coeffs=[-8, 0, 1], lead=1, content=1, double=0, bound=60)  # x^2 - 8: a double root mod 2
+@example(coeffs=[1, 1], lead=2, content=1, double=0, bound=60)  # 2 | lc(h)
+@example(coeffs=[1, 1], lead=1, content=4, double=0, bound=3)  # h = 0 mod 4: p = 2 fixed
+@settings(max_examples=80, deadline=None)
+def test_euler_density_agrees_with_root_counts_per_prime(coeffs, lead, content, double, bound):
+    """The lifts of the table's roots mod p against root_count_mod_prime_power,
+    on h times a squared linear factor or not, with p | lc(h) and content
+    divisible by 2**3 or 3**2."""
+    h = IntPoly(tuple(c * content for c in coeffs[:-1]) + (coeffs[-1] * lead * content,))
+    if double:
+        h = h * IntPoly((double, 1)) * IntPoly((double, 1))
+    assert euler_density(h, bound) == _euler_oracle(h, bound)
+
+
+def test_euler_density_rejects_bounds_past_the_root_table():
+    with pytest.raises(DomainError):
+        euler_density(poly("x^3 + 2"), 2**31)
 
 
 # ---------------------------------------------------------------------------
