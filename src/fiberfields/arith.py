@@ -253,7 +253,7 @@ class Factorization:
     def reconstruct(self) -> int:
         n = self.sign
         for p, e in self.factors:
-            n *= p**e
+            n *= p if e == 1 else p**e
         return n
 
     def support(self) -> frozenset[int]:
@@ -422,6 +422,26 @@ def _prime_power_root(n: int, least_base: int) -> tuple[int, int] | None:
     return None
 
 
+def _square_or_cube_roots(ms: Sequence[int]) -> list[tuple[int, int] | None]:
+    """[_prime_power_root(m, TRIAL_DIVISION_LIMIT) for m in ms], on int64
+    arrays, for m in (TRIAL_DIVISION_LIMIT**2, 2**50) with no prime factor
+    up to TRIAL_DIVISION_LIMIT.  Such an m is at most a square or a cube,
+    as TRIAL_DIVISION_LIMIT**4 > 2**50.  Every m is exact as a float, so a
+    square's float sqrt is its root exactly; cbrt is not correctly
+    rounded, so the rounded cube root and its neighbours are all cubed.
+    The square is taken last, since _prime_power_root tries k = 2 first."""
+    a = np.array(ms, dtype=np.int64)
+    f = a.astype(np.float64)
+    cube = np.rint(np.cbrt(f)).astype(np.int64)
+    square = np.rint(np.sqrt(f)).astype(np.int64)
+    roots: list[tuple[int, int] | None] = [None] * len(ms)
+    for r, k in ((cube - 1, 3), (cube, 3), (cube + 1, 3), (square, 2)):
+        hit = np.flatnonzero(r**k == a)
+        for i, b in zip(hit.tolist(), r[hit].tolist()):
+            roots[i] = (b, k)
+    return roots
+
+
 class _Budget:
     __slots__ = ("left", "total")
 
@@ -559,7 +579,8 @@ def split_cofactors(ms: Sequence[int], budget: int | None = None) -> list[list[i
 
     A cofactor at or above _kernels.LANES_BELOW gets None at once.  The
     rest take _split's checks: the T**2 rule, primality for the whole
-    batch at once (_are_prime), and _prime_power_root.  The composites
+    batch at once (_are_prime), and _prime_power_root, for all of the
+    batch's composites at once too (_square_or_cube_roots).  The composites
     then run Brent's rho together (_kernels.brent_rho_lanes), from the
     seeds and on the schedule of _brent_rho, the last lanes and those
     whose gcd is n finishing in _brent_rho itself.  The parts of every
@@ -586,11 +607,13 @@ def split_cofactors(ms: Sequence[int], budget: int | None = None) -> list[list[i
     # (index, parts, rho steps spent) of each cofactor left to finish
     splits: list[tuple[int, tuple[int, ...], int]] = []
     composite = []
+    unproven = []
     for i, prime in zip(tested, _are_prime([ms[i] for i in tested])):
         if prime:
             primes[i] = [ms[i]]
-            continue
-        power = _prime_power_root(ms[i], TRIAL_DIVISION_LIMIT)
+        else:
+            unproven.append(i)
+    for i, power in zip(unproven, _square_or_cube_roots([ms[i] for i in unproven])):
         if power is not None:
             splits.append((i, (power[0],), 0))
         else:

@@ -13,7 +13,10 @@ of the branch polynomial), degenerate (the cyclic fiber value is a p-th
 power, so the fiber splits into rational points and contributes the field
 Q), unresolved (factorization budget ran out), or regular with either a
 Kummer class (cyclic) or the irreducible factors of F(n, y) and their
-fingerprints (plane).
+fingerprints (plane).  A fiber is a FiberSpec, a NamedTuple: immutable,
+compared and hashed as the tuple of its fields, and cheap to build and
+to pickle, since a cyclic stream builds one per n and a process pool
+sends them back to the parent chunk by chunk.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kummer, polyring
 from .errors import BudgetError, DomainError
@@ -93,9 +97,13 @@ class PlaneCover:
 CoverSpec = CyclicCover | PlaneCover
 
 
-@dataclass(frozen=True, slots=True)
-class FiberSpec:
-    """Classification of the fiber over x = n."""
+class FiberSpec(NamedTuple):
+    """Classification of the fiber over x = n.
+
+    A NamedTuple, so a field cannot be reassigned, and two fibers are
+    equal when their field tuples are.  A frozen dataclass would set each
+    field through object.__setattr__, at about three times the cost of
+    building the tuple, once per fiber."""
 
     n: int
     status: str  # regular | branch | degenerate | unresolved
@@ -193,7 +201,8 @@ def specialize(
             cls = kummer.radical_class(value, cover.p, budget, trial_primes)
         except BudgetError as err:
             return FiberSpec(n, "unresolved", value, note=str(err))
-        if cls.is_trivial:
+        kernel = cls.kernel
+        if not kernel.factors and kernel.sign == 1:  # cls.is_trivial
             return FiberSpec(n, "degenerate", value, cls)
         return FiberSpec(n, "regular", value, cls)
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -173,6 +172,10 @@ def _fiber_stream(
             n1 = min(n0 + window, N + 1)
             yield from _specialized(cover, n0, n1, budget, prime_budget, table)
         return
+    # imported here: the pool machinery (multiprocessing) costs every run
+    # that never starts a pool about 10 ms of import time
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = min(sieve.window_size(N), -(-N // (2 * jobs)))
     tasks = (
         (cover, n0, min(n0 + chunk, N + 1), budget, prime_budget, table)

@@ -39,10 +39,18 @@ class KummerClass:
     The fields are p and the kernel (arith.p_free_kernel).  The canonical
     form is a function of them, built on first read and cached in the
     instance's __dict__: the weak isomorphism count reads it, the rank fold
-    and the ramified sets do not.  Equality and hashing see only p and the
-    kernel, so a class, pickled or not, compares equal whether or not its
-    canonical form was read.  (functools.cached_property would do the same,
-    but before Python 3.12 it takes a lock on every first read.)"""
+    and the ramified sets do not.  For p = 2 the canonical form is the
+    kernel itself (its only twist is j = 1), so it is returned without a
+    cache entry.  Equality and hashing see only p and the kernel, so a
+    class, pickled or not, compares equal whether or not its canonical
+    form was read.  (functools.cached_property would do the same, but
+    before Python 3.12 it takes a lock on every first read.)
+
+    KummerClass(p, kernel) is the public constructor.  radical_class, which
+    builds one per cyclic fiber, writes p and the kernel straight into a
+    new instance's __dict__ instead: the frozen dataclass __init__ sets
+    each field through object.__setattr__, about twice the cost of the
+    two stores."""
 
     p: int
     kernel: Factorization
@@ -51,6 +59,8 @@ class KummerClass:
     def canonical(self) -> Factorization:
         """The exponent twist of the kernel with the smallest absolute
         value (ties broken on the exponent tuple)."""
+        if self.p == 2:
+            return self.kernel
         cache = self.__dict__
         form = cache.get("canonical")
         if form is None:
@@ -67,6 +77,10 @@ class KummerClass:
         canonical form is a signed product of distinct primes with
         exponents in [1, p-1], so its value determines it."""
         return (self.p, self.canonical.reconstruct())
+
+
+# radical_class allocates its KummerClass without calling __init__
+_new_object = object.__new__
 
 
 def _canonicalize(kernel: Factorization, p: int) -> Factorization:
@@ -100,7 +114,13 @@ def radical_class(
     if type(a) is not int:
         # a and a * den^p have the same class; num * den^(p-1) is integral
         a = a.numerator * a.denominator ** (p - 1)
-    return KummerClass(p, arith._p_free(arith.factor(a, budget, trial_primes), p))
+    kernel = arith._p_free(arith.factor(a, budget, trial_primes), p)
+    # KummerClass(p, kernel), field for field, without the dataclass __init__
+    cls = _new_object(KummerClass)
+    fields = cls.__dict__
+    fields["p"] = p
+    fields["kernel"] = kernel
+    return cls
 
 
 def radical_fields_isomorphic(a, b, p: int, budget: int | None = None) -> bool:

@@ -513,6 +513,49 @@ def test_split_cofactors_proves_a_whole_batch_in_the_lanes():
     assert split == [sorted(sympy.factorint(m)) for m in ms]
 
 
+_T = arith.TRIAL_DIVISION_LIMIT
+_square_bases = st.one_of(
+    st.integers(_T, _T + 10**4),
+    st.integers(2**25 - 10**5, 2**25 - 40),  # squares near 2**50
+).map(sympy.nextprime)
+_cube_bases = st.one_of(
+    st.integers(_T, _T + 10**4),
+    st.integers(103_000, 104_000),  # cubes near 2**50
+).map(sympy.nextprime)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            _square_bases.map(lambda p: p**2),
+            _cube_bases.map(lambda p: p**3),
+            st.tuples(_square_bases, _square_bases).map(lambda pq: pq[0] ** 2 * pq[1]),
+            st.tuples(_square_bases, _square_bases).map(lambda pq: pq[0] * pq[1]),
+            st.lists(_cube_bases, min_size=3, max_size=3).map(math.prod),
+        ).filter(lambda m: _T**2 < m < _kernels.LANES_BELOW),
+        max_size=20,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_square_or_cube_roots_is_prime_power_root(ms):
+    """Below 2**50 with every prime above the trial limit, the batch root
+    test finds the root _prime_power_root finds, or none where it does."""
+    assert arith._square_or_cube_roots(ms) == [arith._prime_power_root(m, _T) for m in ms]
+
+
+def test_square_or_cube_roots_at_the_envelope_edges():
+    top_square = sympy.prevprime(2**25)
+    top_cube = sympy.prevprime(104_032)
+    bottom = sympy.nextprime(_T)
+    ms = [top_square**2, top_cube**3, bottom**2, bottom**3, top_cube**2 * bottom,
+          bottom * top_square, bottom**2 * sympy.nextprime(bottom)]
+    assert max(ms) < _kernels.LANES_BELOW
+    assert arith._square_or_cube_roots(ms) == [
+        (top_square, 2), (top_cube, 3), (bottom, 2), (bottom, 3), None, None, None
+    ]
+    assert arith._square_or_cube_roots([]) == []
+
+
 def test_a_repeated_large_prime_costs_one_rho_run(monkeypatch):
     """Each prime rho finds is divided out to its full power before the
     rest is split, so p**k q costs one rho run, not one per copy of p

@@ -395,3 +395,16 @@ def test_package_runs_as_module():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The pool machinery is imported only when --jobs > 1 starts a pool."""
+    pool_modules = ("concurrent.futures.process", "multiprocessing")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, fiberfields.cli; print([m for m in {pool_modules!r} if m in sys.modules])"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

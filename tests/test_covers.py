@@ -1,10 +1,17 @@
 import math
+import pickle
 import random
 
 import pytest
+import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from fiberfields import kummer
+from fiberfields.arith import Factorization
 from fiberfields.covers import (
     CyclicCover,
+    FiberSpec,
     PlaneCover,
     branch_polynomial,
     cover_from_text,
@@ -14,8 +21,9 @@ from fiberfields.covers import (
     points_over_infinity,
     specialize,
 )
+from fiberfields.diversity import _WeakFold
 from fiberfields.errors import DomainError
-from fiberfields.kummer import radical_class
+from fiberfields.kummer import KummerClass, radical_class
 from fiberfields.polyring import IntPoly, parse_poly, poly_gcd
 
 from conftest import poly
@@ -230,6 +238,82 @@ def test_specialize_unresolved_on_tiny_budget():
     fib = specialize(c, 0, budget=4)
     assert fib.status == "unresolved"
     assert "budget" in fib.note
+
+
+def _rebuilt(cover: CyclicCover, fiber: FiberSpec) -> FiberSpec:
+    """The fiber again from g(n) and sympy's factorization, its Kummer
+    class built by the validating constructors Factorization(sign, factors)
+    and KummerClass(p, kernel).  An unresolved fiber keeps its note."""
+    p, n = cover.p, fiber.n
+    value = cover.g(n)
+    if value == 0:
+        return FiberSpec(n, "branch", 0)
+    if fiber.status == "unresolved":
+        return FiberSpec(n, "unresolved", value, note=fiber.note)
+    factors = tuple((q, e % p) for q, e in sorted(sympy.factorint(abs(value)).items()) if e % p)
+    cls = KummerClass(p, Factorization(-1 if p == 2 and value < 0 else 1, factors))
+    return FiberSpec(n, "degenerate" if cls.is_trivial else "regular", value, cls)
+
+
+_HARD = 1_000_000_007 * 1_000_000_033  # a semiprime past a budget of 4 rho steps
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.lists(st.integers(-60, 60), min_size=2, max_size=4),
+    st.integers(-400, 400),
+    st.sampled_from([None, 4]),
+)
+@example(2, [0, 1], 49, None)  # degenerate: 7^2
+@example(3, [0, 1], -8, None)  # degenerate: the sign is absorbed for odd p
+@example(7, [0, 1], 128, None)  # degenerate: 2^7
+@example(2, [0, 1], -4, None)  # regular: Q(sqrt(-1))
+@example(3, [0, 1], 12, None)  # regular: 2^2 * 3, the twist 2 * 3^2 is larger
+@example(5, [_HARD, 0, 0, 1], 0, 4)  # unresolved
+@example(2, [_HARD, 1], 0, 4)  # unresolved
+@settings(max_examples=200, deadline=None)
+def test_specialize_builds_what_the_validating_constructors_build(p, coeffs, n, budget):
+    """specialize builds its FiberSpec and radical_class its KummerClass
+    without their checking constructors; rebuilt through them from an
+    independent factorization, every cyclic fiber is the same, and the
+    exact-kummer fold keys a regular fiber by KummerClass.key()[1], the
+    value of the least twist of its kernel."""
+    try:
+        cover = normalize_cyclic(p, IntPoly(tuple(coeffs)))
+    except DomainError:
+        assume(False)  # constant g, or a p-th power
+    fiber = specialize(cover, n, budget)
+    rebuilt = _rebuilt(cover, fiber)
+    assert fiber == rebuilt and hash(fiber) == hash(rebuilt)
+    assert fiber.status != "unresolved" or budget is not None
+    cls = fiber.kummer_class
+    if cls is None:
+        return
+    kernel = rebuilt.kummer_class.kernel
+    assert vars(cls) == {"p": p, "kernel": kernel}
+    assert cls.kernel.factors == kernel.factors
+    canonical = kummer._canonicalize(kernel, p)
+    assert cls.canonical == canonical and cls.key() == rebuilt.kummer_class.key()
+    if fiber.status == "regular":
+        fold = _WeakFold(cover, "exact-kummer", budget, 32)
+        fold.add(fiber)
+        key = canonical.sign * math.prod(q**e for q, e in canonical.factors)
+        assert fold._seen == {key} == {cls.key()[1]}
+
+
+def test_fiber_spec_is_an_immutable_picklable_tuple():
+    cover = cover_from_text("y^3 - (x^4 + 3*x + 7)")
+    plane = plane_cover(parse_poly("y^3 + x*y + x^2 + 1"))
+    fibers = [specialize(cover, n) for n in range(1, 6)] + [specialize(plane, 2)]
+    fibers.append(specialize(normalize_cyclic(2, IntPoly((_HARD, 1))), 0, budget=4))
+    for fiber in fibers:
+        back = pickle.loads(pickle.dumps(fiber))
+        assert type(back) is FiberSpec
+        assert back == fiber and hash(back) == hash(fiber)
+        assert back._asdict() == fiber._asdict()
+        with pytest.raises(AttributeError):
+            fiber.status = "branch"
+    assert FiberSpec(3, "branch") == (3, "branch", None, None, None, None)
 
 
 def test_cover_from_text_dispatch():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -375,7 +376,8 @@ def test_pooled_stream_cancels_pending_chunks_on_early_exit(monkeypatch):
             shutdowns.append(cancel_futures)
             super().shutdown(wait, cancel_futures=cancel_futures)
 
-    monkeypatch.setattr(diversity, "ProcessPoolExecutor", RecordingPool)
+    # _fiber_stream imports the pool class when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     stream = diversity._fiber_stream(cover_from_text("y^2 - (x^3 - x)"), 40, jobs=2)
     assert next(stream).n == 1
     stream.close()
@@ -393,7 +395,8 @@ def test_pooled_stream_bounds_chunks_in_flight(monkeypatch):
             submitted.append(args[0][1:3])
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(diversity, "ProcessPoolExecutor", RecordingPool)
+    # _fiber_stream imports the pool class when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cover = cover_from_text("y^2 - (x^3 - x)")
     jobs, N = 2, 40
     serial = list(diversity._fiber_stream(cover, N))
