@@ -5,6 +5,10 @@ no trailing zeros ([] is the zero polynomial).  The modulus is a prime for
 gcd/factoring routines and a prime power for Hensel lifting; divisions
 only ever happen by polynomials whose leading coefficient is invertible.
 
+`mod` forms no quotient, and `pow_mod` reduces each product mod g in the
+loop that forms it: these two carry every splitting type, gcd and
+Cantor-Zassenhaus step.
+
 Randomized splitting (Cantor-Zassenhaus) takes an explicit random.Random
 so callers control determinism.
 """
@@ -88,7 +92,27 @@ def divmod_(f, g, m):
 
 
 def mod(f, g, m):
-    return divmod_(f, g, m)[1]
+    """Remainder of f by g mod m, canonical (deg < deg g, no trailing zeros).
+
+    It forms no quotient: each top coefficient is cleared in place and the
+    coefficients are reduced mod m once, at the end.  g = [] raises
+    ZeroDivisionError, and a non-unit lc(g) raises ValueError as
+    pow(lc, -1, m) does, whatever f is.
+    """
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = pow(g[-1], -1, m)
+    dg = len(g) - 1
+    r = list(f)
+    if len(r) > dg:
+        low = g[:-1]
+        for k in range(len(r) - 1, dg - 1, -1):
+            c = r[k] * inv % m
+            if c:
+                for i, b in enumerate(low, k - dg):
+                    r[i] -= c * b
+        del r[dg:]
+    return trim([c % m for c in r])
 
 
 def monic(f, m):
@@ -122,16 +146,44 @@ def extended_gcd(f, g, p):
 
 
 def pow_mod(f, e: int, g, m):
-    """f**e mod (g, m) by binary exponentiation."""
-    result = [1 % m]
+    """f**e mod (g, m), the canonical remainder (1 mod g when e = 0).
+
+    g is made monic once, x**deg g + low, so x**deg g = -low mod g.
+    Left-to-right binary exponentiation then squares once per bit of e and
+    multiplies by f once per set bit; when f reduces to x that multiply is
+    a shift, folded into the squaring.  Each product is reduced mod g in
+    the loop that forms it, on a list of deg g coefficients.  The edge
+    contract is mod's: g = [] raises ZeroDivisionError and a non-unit
+    lc(g) raises ValueError; so does e < 0.
+    """
+    if e < 0:
+        raise ValueError("negative exponent")
     base = mod(f, g, m)
-    while e:
-        if e & 1:
-            result = mod(mul(result, base, m), g, m)
-        e >>= 1
-        if e:
-            base = mod(mul(base, base, m), g, m)
-    return result
+    if e == 0:
+        return mod([1], g, m)
+    if not base:
+        return []
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, m)
+    low = [c * inv % m for c in g[:-1]]
+    by_x = base == [0, 1]
+    base += [0] * (dg - len(base))
+    acc = base
+    for bit in bin(e)[3:]:
+        shift = 1 if bit == "1" and by_x else 0
+        for b in [acc] if bit == "0" or by_x else [acc, base]:
+            prod = [0] * (2 * dg - 1 + shift)
+            for i, a in enumerate(acc, shift):
+                if a:
+                    for j, t in enumerate(b, i):
+                        prod[j] += a * t
+            for k in range(len(prod) - 1, dg - 1, -1):
+                c = prod[k] % m
+                if c:
+                    for i, t in enumerate(low, k - dg):
+                        prod[i] -= c * t
+            acc = [c % m for c in prod[:dg]]
+    return trim(acc)
 
 
 def deriv(f, m):

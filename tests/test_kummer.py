@@ -258,6 +258,37 @@ def test_fingerprint_splitting_sums_to_degree():
     assert all(max(d) <= 2 for _, d in fp.splitting)
 
 
+_FINGERPRINT_ORACLE_POLYS = [f"x^3 + {n}*x + {n * n + 1}" for n in range(2, 31)] + [
+    "x^4 + 3*x + 7",
+    "2*x^6 + 3*x + 3",  # Eisenstein at 3, and lc 2 must be skipped
+]
+
+
+@pytest.mark.parametrize("text", _FINGERPRINT_ORACLE_POLYS)
+def test_fingerprint_matches_sympy_factor_degrees(text):
+    """Each listed q comes in ascending order, divides neither disc nor lc,
+    and carries the sorted degrees of sympy's factor_list mod q.  The
+    cubics are the fibers y^3 + n*y + n^2 + 1 of the plane cover."""
+    f = poly(text)
+    fp = field_fingerprint(f, kummer.DEFAULT_PRIME_BUDGET)
+    x = sympy.symbols("x")
+    coeffs = list(reversed(f.coeffs))
+    skip = sympy.discriminant(sympy.Poly(coeffs, x)) * f.lc
+    qs = [q for q, _ in fp.splitting]
+    assert len(qs) == kummer.DEFAULT_PRIME_BUDGET
+    assert qs == sorted(set(qs))
+    for q, degrees in fp.splitting:
+        assert sympy.isprime(q) and math.gcd(q, skip) == 1, (text, q)
+        _, factors = sympy.Poly(coeffs, x, modulus=q).factor_list()
+        assert degrees == tuple(sorted(g.degree() for g, _ in factors)), (text, q)
+
+
+def test_fingerprint_oracle_skips_the_reducible_fiber():
+    # n = 1: y^3 + y + 2 = (y + 1)(y^2 - y + 2)
+    with pytest.raises(DomainError):
+        field_fingerprint(poly("x^3 + 1*x + 2"), 10)
+
+
 def test_soundness_chain_on_sample():
     """distinct ramified sets => distinct classes => equal classes have
     equal fingerprints; class-distinct equal-fingerprint pairs only logged."""
