@@ -5,9 +5,11 @@ no trailing zeros ([] is the zero polynomial).  The modulus is a prime for
 gcd/factoring routines and a prime power for Hensel lifting; divisions
 only ever happen by polynomials whose leading coefficient is invertible.
 
-`mod` forms no quotient, and `pow_mod` reduces each product mod g in the
-loop that forms it: these two carry every splitting type, gcd and
-Cantor-Zassenhaus step.
+`divmod_` is the one division loop (`mod` keeps its remainder): it writes
+the quotient over the top coefficients it clears, trims nothing inside
+the loop and reduces mod m once at the end.  `pow_mod` reduces each
+product mod g in the loop that forms it.  These two carry every
+splitting type, gcd and Cantor-Zassenhaus step.
 
 Randomized splitting (Cantor-Zassenhaus) takes an explicit random.Random
 so callers control determinism.
@@ -74,45 +76,37 @@ def scale(f, a, m):
 
 
 def divmod_(f, g, m):
-    """(q, r) with f = q*g + r and deg r < deg g.  lc(g) must be a unit mod m."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = pow(g[-1], -1, m)
-    r = list(f)
-    dg = deg(g)
-    q = [0] * max(len(f) - dg, 0)
-    while len(r) - 1 >= dg and r:
-        c = r[-1] * inv % m
-        k = len(r) - 1 - dg
-        q[k] = c
-        for i, b in enumerate(g):
-            r[i + k] = (r[i + k] - c * b) % m
-        trim(r)
-    return trim(q), r
+    """(q, r) with f = q*g + r and deg r < deg g, both canonical.
 
-
-def mod(f, g, m):
-    """Remainder of f by g mod m, canonical (deg < deg g, no trailing zeros).
-
-    It forms no quotient: each top coefficient is cleared in place and the
-    coefficients are reduced mod m once, at the end.  g = [] raises
-    ZeroDivisionError, and a non-unit lc(g) raises ValueError as
-    pow(lc, -1, m) does, whatever f is.
+    Working down from the top of a copy of f, each coefficient at degree
+    k >= deg g is overwritten by the quotient coefficient that clears it,
+    so the list ends as q above r.  Nothing is trimmed in the loop, and r
+    is reduced mod m once, at the end.  g = [] raises ZeroDivisionError,
+    and a non-unit lc(g) raises ValueError as pow(lc, -1, m) does,
+    whatever f is.
     """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     inv = pow(g[-1], -1, m)
     dg = len(g) - 1
     r = list(f)
-    if len(r) > dg:
-        low = g[:-1]
-        for k in range(len(r) - 1, dg - 1, -1):
-            c = r[k] * inv % m
-            if c:
-                for i, b in enumerate(low, k - dg):
-                    r[i] -= c * b
-        del r[dg:]
-    return trim([c % m for c in r])
+    if len(r) <= dg:
+        return [], trim([c % m for c in r])
+    low = g[:-1]
+    for k in range(len(r) - 1, dg - 1, -1):
+        c = r[k] = r[k] * inv % m
+        if c:
+            for i, b in enumerate(low, k - dg):
+                r[i] -= c * b
+    q = r[dg:]
+    del r[dg:]
+    return trim(q), trim([c % m for c in r])
+
+
+def mod(f, g, m):
+    """Remainder of f by g mod m, canonical (deg < deg g, no trailing zeros),
+    with divmod_'s edge contract."""
+    return divmod_(f, g, m)[1]
 
 
 def monic(f, m):
@@ -153,7 +147,7 @@ def pow_mod(f, e: int, g, m):
     multiplies by f once per set bit; when f reduces to x that multiply is
     a shift, folded into the squaring.  Each product is reduced mod g in
     the loop that forms it, on a list of deg g coefficients.  The edge
-    contract is mod's: g = [] raises ZeroDivisionError and a non-unit
+    contract is divmod_'s: g = [] raises ZeroDivisionError and a non-unit
     lc(g) raises ValueError; so does e < 0.
     """
     if e < 0:
@@ -171,7 +165,10 @@ def pow_mod(f, e: int, g, m):
     acc = base
     for bit in bin(e)[3:]:
         shift = 1 if bit == "1" and by_x else 0
-        for b in [acc] if bit == "0" or by_x else [acc, base]:
+        for step in range(2 if bit == "1" and not by_x else 1):
+            # step 0 squares acc (times x when shift is 1); step 1
+            # multiplies that fresh square, now in acc, by base
+            b = base if step else acc
             prod = [0] * (2 * dg - 1 + shift)
             for i, a in enumerate(acc, shift):
                 if a:

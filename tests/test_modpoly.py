@@ -14,13 +14,12 @@ X = symbols("x")
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 101, 151, 32771, 65537])
 def test_splitting_degrees_match_sympy(p):
     """101 and 151 are primes the plane fingerprint uses; 32,771 and 65,537
-    lie above 2^15.  Half the inputs are non-monic where p > 2."""
+    lie above 2^15.  Past p = 2, 20 inputs with lc >= 2 follow the first 40."""
     rng = random.Random(1000 + p)
     checked = 0
-    while checked < 40:
+    while checked < (40 if p == 2 else 60):
         n = rng.randint(1, 8)
-        lc = rng.randrange(2, p) if p > 2 and checked % 2 else rng.randrange(1, p)
-        f = [rng.randrange(p) for _ in range(n)] + [lc]
+        f = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1 if checked < 40 else 2, p)]
         _, factors = Poly(list(reversed(f)), X, modulus=p).factor_list()
         if any(e > 1 for _, e in factors):
             continue  # not squarefree (Poly.is_sqf misreports x^4 mod 2)
@@ -29,13 +28,29 @@ def test_splitting_degrees_match_sympy(p):
         checked += 1
 
 
+def _reference_divmod(f, g, m):
+    """Schoolbook long division: reduce and trim after every step."""
+    inv = pow(g[-1], -1, m)
+    r = list(f)
+    dg = len(g) - 1
+    q = [0] * max(len(f) - dg, 0)
+    while len(r) - 1 >= dg and r:
+        c = r[-1] * inv % m
+        k = len(r) - 1 - dg
+        q[k] = c
+        for i, b in enumerate(g):
+            r[i + k] = (r[i + k] - c * b) % m
+        _modpoly.trim(r)
+    return _modpoly.trim(q), r
+
+
 def _reference_mod(f, g, m):
-    return _modpoly.divmod_(f, g, m)[1]
+    return _reference_divmod(f, g, m)[1]
 
 
 def _reference_pow(f, e, g, m):
     """Repeated multiplication for small e, right-to-left square-and-multiply
-    above; every product is `mul` followed by long division (`divmod_`)."""
+    above; every product is `mul` followed by long division."""
     if e <= 64:
         out = _reference_mod([1], g, m)
         for _ in range(e):
@@ -74,8 +89,9 @@ def _division_cases(draw):
 
 @given(_division_cases())
 @settings(max_examples=400, deadline=None)
-def test_mod_matches_long_division(case):
+def test_divmod_and_mod_match_long_division(case):
     f, g, m = case
+    assert _modpoly.divmod_(f, g, m) == _reference_divmod(f, g, m)
     assert _modpoly.mod(f, g, m) == _reference_mod(f, g, m)
 
 
@@ -95,11 +111,15 @@ def test_mod_and_pow_mod_edge_contract():
     with pytest.raises(ZeroDivisionError):
         _modpoly.mod([1, 2], [], 7)
     with pytest.raises(ZeroDivisionError):
+        _modpoly.divmod_([1, 2], [], 7)
+    with pytest.raises(ZeroDivisionError):
         _modpoly.pow_mod([0, 1], 5, [], 7)
     # lc(g) = 3 is no unit mod 9: raises as pow(3, -1, 9) does, even for short f
     for f in ([1, 2, 3, 4], [1], []):
         with pytest.raises(ValueError):
             _modpoly.mod(f, [1, 3], 9)
+        with pytest.raises(ValueError):
+            _modpoly.divmod_(f, [1, 3], 9)
         with pytest.raises(ValueError):
             _modpoly.pow_mod(f, 3, [1, 3], 9)
     with pytest.raises(ValueError):
