@@ -1,7 +1,7 @@
 """Hot numeric loops: prime sieving, the roots of a polynomial mod many
 primes at once, the roots of a linear polynomial mod many primes at once,
 the squarefree division scan over polynomial value ranges, and, on many
-numbers below 2**50 in lockstep (exact int64 products mod n by mulmod),
+numbers below 2**56 in lockstep (exact int64 products mod n by mulmod),
 Brent's rho and the strong probable-prime test of Miller-Rabin.
 
 poly_roots_table finds the roots of one polynomial mod every trial prime
@@ -312,61 +312,77 @@ def eval_poly_range(coeffs: np.ndarray, n_start: int, count: int) -> np.ndarray:
     return acc
 
 
-# mulmod, and so brent_rho_lanes, is exact for moduli below this bound.
-LANES_BELOW = 1 << 50
+# mulmod and _rho_step, and so the lockstep kernels built on them, are
+# exact for moduli below this bound: past it the float quotient can leave
+# a remainder that wraps int64 (2**57 and up: about 4% of products wrong).
+LANES_BELOW = 1 << 56
 
 
-def mulmod(a: np.ndarray, b: np.ndarray, n: np.ndarray, ninv: np.ndarray) -> np.ndarray:
-    """a * b mod n elementwise, for int64 arrays with 0 <= a, b < n < 2**50
-    (LANES_BELOW) and ninv = 1.0 / n in float64.  The quotient
-    q = trunc(a * ninv * b) is within 3/8 of a*b/n (three roundings of
-    relative error 2**-53 each, of a number below 2**50), so r = a*b - q*n,
-    computed in wrapping int64, lies in [-n, 2n), and one correction each
-    way makes it exact."""
-    q = (a * ninv * b).astype(np.int64)
-    r = a * b
-    r -= q * n
-    r += n & (r >> 63)  # [0, 2n)
-    r -= n
-    r += n & (r >> 63)  # [0, n)
-    return r
+def mulmod(
+    a: np.ndarray, b: np.ndarray, n: np.ndarray, ninv: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """a * b mod n in [0, n) elementwise, for int64 arrays with |a|, |b| < n
+    and 0 < n < 2**56 (LANES_BELOW), and ninv = 1.0 / n in float64; into
+    out when given, which may be a.
+
+    The quotient is q = trunc(a * ninv * b).  Its float carries three
+    roundings of relative error 2**-53 each (ninv and two products), so
+    with the second-order terms it is within 8 * 2**-53 * |a*b/n| of the
+    exact quotient, which is below n, and truncation adds less than 1.
+    So the true r = a*b - q*n satisfies |r| < (8 * 2**-53 * n + 1) * n,
+    at most 2**62 + 2**56 < 2**63 for n <= 2**56: wrapping int64
+    arithmetic gives r exactly, and np.remainder, which takes the sign of
+    n, brings it into [0, n)."""
+    q = a * ninv
+    q *= b
+    r = np.multiply(a, b, out=out)
+    r -= q.astype(np.int64) * n
+    return np.remainder(r, n, out=r)
 
 
 def _rho_step(
-    y: np.ndarray, c: np.ndarray, n: np.ndarray, ninv: np.ndarray, cninv: np.ndarray
+    y: np.ndarray,
+    c: np.ndarray,
+    n: np.ndarray,
+    ninv: np.ndarray,
+    cninv: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(y * y + c) mod n for 0 <= y, c < n < 2**50 (LANES_BELOW), with
-    ninv = 1.0 / n and cninv = c * ninv in float64, in one reduction.
+    """(y * y + c) mod n for 0 <= y, c < n < 2**56 (LANES_BELOW), with
+    ninv = 1.0 / n and cninv = c * ninv in float64, in one reduction; into
+    out when given, which may be y.
 
-    The quotient is q = trunc(y * ninv * y + cninv).  The exact quotient
-    (y*y + c) / n is at most n - 1 < 2**50, and the float sum carries at
-    most four roundings of relative error 2**-53 each (ninv, y * ninv,
-    its product with y, the sum; cninv's two are no more), so it is
-    within 4 * 2**-53 * 2**50 = 1/2 (plus terms of order 2**-53) of the
-    exact quotient, and q is the floor of it, one less or one more.  So
-    r = y*y + c - q*n, computed in wrapping int64, is exact and lies in
-    [-n, 2n), and one correction each way makes it (y*y + c) mod n."""
+    The quotient is q = trunc(y * ninv * y + cninv).  Its float carries at
+    most four roundings of relative error 2**-53 each (ninv, y * ninv, its
+    product with y, the sum; cninv's two are no more), so with the
+    second-order terms it is within 8 * 2**-53 * (y*y + c)/n of the exact
+    quotient, which is at most n - 1, and truncation adds less than 1.  So
+    the true r = y*y + c - q*n satisfies |r| < (8 * 2**-53 * n + 1) * n,
+    at most 2**62 + 2**56 < 2**63 for n <= 2**56: wrapping int64
+    arithmetic gives r exactly, and np.remainder brings it into [0, n)."""
     q = y * ninv
     q *= y
     q += cninv
-    r = y * y
+    r = np.multiply(y, y, out=out)
     r += c
     r -= q.astype(np.int64) * n
-    r += n & (r >> 63)  # [0, 2n)
-    r -= n
-    r += n & (r >> 63)  # [0, n)
-    return r
+    return np.remainder(r, n, out=r)
 
 
 def _product_mod(d: np.ndarray, n: np.ndarray, ninv: np.ndarray) -> np.ndarray:
-    """The product of the rows of d mod n, column by column, as a pairwise
-    tree: each level multiplies the first half of the rows by the second
-    (an odd last row waits for the next level), so a run of k rows takes
+    """The product of the rows of d mod n, column by column, for rows with
+    |d| < n: in [0, n) from two rows on (mulmod's range), the row itself
+    for one.  A pairwise tree in place, so d's rows are spent: each level
+    multiplies the first half of the rows by the second into the first,
+    and an odd last row moves up behind them, so a run of k rows takes
     about log2(k) mulmod calls instead of k."""
-    while d.shape[0] > 1:
-        half = d.shape[0] // 2
-        paired = mulmod(d[:half], d[half : 2 * half], n, ninv)
-        d = np.concatenate([paired, d[2 * half :]]) if d.shape[0] & 1 else paired
+    rows = d.shape[0]
+    while rows > 1:
+        half = rows // 2
+        mulmod(d[:half], d[half : 2 * half], n, ninv, out=d[:half])
+        if rows & 1:
+            d[half] = d[rows - 1]
+        rows -= half
     return d[0]
 
 
@@ -381,7 +397,7 @@ _PRP_BLOCK = 8192
 
 
 def strong_probable_primes(n: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """For int64 arrays with odd n and 1 < a < n < 2**50 (LANES_BELOW),
+    """For int64 arrays with odd n and 1 < a < n < 2**56 (LANES_BELOW),
     whether n[i] is a strong probable prime to base a[i]: with
     n - 1 = d * 2**s and d odd, a**d = 1 or a**(d * 2**j) = n - 1 (mod n)
     for some 0 <= j < s, as arith._miller_rabin_round decides it.
@@ -404,24 +420,25 @@ def _strong_probable_primes(n: np.ndarray, a: np.ndarray) -> np.ndarray:
     d = m // (m & -m)
     table = np.empty((4, n.size), dtype=np.int64)
     table[0], table[1] = 1, a
-    table[2] = mulmod(a, a, n, ninv)
-    table[3] = mulmod(table[2], a, n, ninv)
+    mulmod(a, a, n, ninv, out=table[2])
+    mulmod(table[2], a, n, ninv, out=table[3])
     lanes = np.arange(n.size)
     x = np.ones_like(n)
     for shift in range((int(d.max(initial=0)).bit_length() - 1) & ~1, -2, -2):
-        x = mulmod(x, x, n, ninv)
-        x = mulmod(x, x, n, ninv)
-        x = mulmod(x, table[(d >> shift) & 3, lanes], n, ninv)
+        mulmod(x, x, n, ninv, out=x)
+        mulmod(x, x, n, ninv, out=x)
+        mulmod(x, table[(d >> shift) & 3, lanes], n, ninv, out=x)
     prime = (x == 1) | (x == m)
     live = np.flatnonzero(~prime & (2 * d < m))
     x, d, n, ninv, m = (v[live] for v in (x, d, n, ninv, m))
     while live.size:
-        x = mulmod(x, x, n, ninv)
+        mulmod(x, x, n, ninv, out=x)
         d *= 2
         hit = x == m
         prime[live[hit]] = True
         stay = ~hit & (x != 1) & (2 * d < m)
-        live, x, d, n, ninv, m = (v[stay] for v in (live, x, d, n, ninv, m))
+        if not stay.all():
+            live, x, d, n, ninv, m = (v[stay] for v in (live, x, d, n, ninv, m))
     return prime
 
 
@@ -432,19 +449,21 @@ def brent_rho_lanes(
     ns: list[int], ys: list[int], cs: list[int], limit: int, block: int, hand_off: int
 ) -> tuple[list[int], list[int], list[RhoLane | None]]:
     """Brent's rho with the schedule of arith._brent_rho, on every odd
-    composite n < 2**50 of ns at once, each a lane of int64 arrays started
-    from its own (y, c).
+    composite n < 2**56 (LANES_BELOW) of ns at once, each a lane of int64
+    arrays started from its own (y, c).
 
     The lanes share the iteration counter, so they share the schedule: in
     round r, x is y, y moves r steps, then blocks of `block` steps each
     multiply |x - y| into q and end with gcd(q, n).  A lane leaves when its
     gcd is not 1.  Each step is one fused reduction (_rho_step).  Within a
-    block, the |x - y| (as x - y mod n) of each run of _TREE_STEPS steps
-    are stacked and multiplied as a pairwise tree (_product_mod), and the
-    run's product is multiplied into q: about log2(16) + 1 numpy mulmod
-    calls per run instead of 16.  mulmod is exact, and multiplication mod
-    n is associative and commutative, so q at the end of each block, and
-    so every gcd, found[i], spent[i] and lanes[i], is what multiplying one
+    block, each run of _TREE_STEPS steps writes its y's into the rows of
+    one preallocated stack, which then holds the signed x - y, and is
+    multiplied as a pairwise tree in place (_product_mod), and the run's
+    product into q: about log2(16) + 1 numpy mulmod calls per run instead
+    of 16.  y and q are stepped in place too, so new arrays are made only
+    when lanes leave.  mulmod is exact, and multiplication mod n is
+    associative and commutative, so q at the end of each block, and so
+    every gcd, found[i], spent[i] and lanes[i], is what multiplying one
     step at a time, as _brent_rho does, gives.  Returns (found, spent,
     lanes), one entry per n:
 
@@ -468,19 +487,20 @@ def brent_rho_lanes(
     q = np.ones(count, dtype=np.int64)
     r, k, spent = 1, 0, 1
     y = _rho_step(x, c, n, ninv, cninv)  # round 1: y moves one step from x
+    stack = np.empty((_TREE_STEPS, count), dtype=np.int64)
     while live.size >= hand_off and live.size:
         steps = min(block, r - k)
         if spent + steps > limit:
             return found, spent_at, lanes
-        y0, q0 = y, q
+        y0, q0 = y.copy(), q.copy()
         for run in range(0, steps, _TREE_STEPS):
-            ys_run = []
-            for _ in range(min(_TREE_STEPS, steps - run)):
-                y = _rho_step(y, c, n, ninv, cninv)
-                ys_run.append(y)
-            d = x - np.stack(ys_run)
-            d += n & (d >> 63)
-            q = mulmod(q, _product_mod(d, n, ninv), n, ninv)
+            d = stack[: min(_TREE_STEPS, steps - run), : live.size]
+            step = y
+            for row in d:
+                step = _rho_step(step, c, n, ninv, cninv, out=row)
+            y[...] = step
+            np.subtract(x, d, out=d)
+            mulmod(q, _product_mod(d, n, ninv), n, ninv, out=q)
         g = np.gcd(q, n)
         for i in np.flatnonzero(g == n).tolist():
             lanes[live[i]] = (int(x[i]), int(y0[i]), int(q0[i]), r, k)
@@ -490,14 +510,16 @@ def brent_rho_lanes(
             found[live[i]] = int(g[i])
             spent_at[live[i]] = spent
         stay = g == 1
-        live, n, ninv, c, cninv, x, y, q = (
-            a[stay] for a in (live, n, ninv, c, cninv, x, y, q)
-        )
+        if not stay.all():
+            live, n, ninv, c, cninv, x, y, q = (
+                a[stay] for a in (live, n, ninv, c, cninv, x, y, q)
+            )
         k += block
         if k >= r:  # a round past limit is caught at its first block
-            x, r, k = y, 2 * r, 0
+            x[...] = y
+            r, k = 2 * r, 0
             for _ in range(r):
-                y = _rho_step(y, c, n, ninv, cninv)
+                _rho_step(y, c, n, ninv, cninv, out=y)
             spent += r
     for i, lane in enumerate(live.tolist()):
         lanes[lane] = (int(x[i]), int(y[i]), int(q[i]), r, k)

@@ -36,16 +36,16 @@ near 1e11 and wins from 6 bases on (1.3x at 3e12, 1.5x at 1e13, 2x at
 1e16), so is_prime takes it on the whole range from psi_6 to 2**64 and
 reads the table's rows below psi_6 and above 2**64.
 
-A batch of numbers below 2**50 is proven at once instead (_are_prime, for
+A batch of numbers below 2**56 is proven at once instead (_are_prime, for
 split_cofactors), each number a lane of int64 arrays in numpy
 (_kernels.strong_probable_primes), with Miller-Rabin to the bases of its
 first row above it: the rows below psi_6 as is_prime reads them, the
 first 7 prime bases on [psi_6, psi_7 = 341,550,071,728,321) and the
-first 9 on [psi_7, 2**50), psi_9 ~ 3.8e18 being above 2**50.  Each row
+first 9 on [psi_7, 2**56), psi_9 ~ 3.8e18 being above 2**56.  Each row
 is a proof, so every answer is is_prime's.  Base 2 runs on every lane,
 then the other bases of the lanes that pass it run as one lane per
 (number, base) pair.  A batch of fewer than _PRIME_HAND_OFF numbers, and
-is_prime on a single number or one at or above 2**50, stay scalar.
+is_prime on a single number or one at or above 2**56, stay scalar.
 
 The trial stage finds the distinct primes up to TRIAL_DIVISION_LIMIT
 that divide m, in ascending order; each is then divided out of m with its
@@ -85,7 +85,7 @@ A caller holding many such cofactors at once (the squarefree sieve's
 residuals, and each segment of values of a cyclic fiber stream or of
 exact_order_prime_ratio, through sieve.segment_prime_lists) splits them
 first with split_cofactors and hands each one's primes to factor.  Only
-cofactors below 2**50, the envelope of the kernels' float-assisted
+cofactors below 2**56, the envelope of the kernels' float-assisted
 mulmod, are split.  Their primality is proven in one batch (_are_prime),
 and the composites run Brent's rho together, one lane of int64 arrays
 each (_kernels.brent_rho_lanes), on _brent_rho's seeds and schedule: the
@@ -98,7 +98,7 @@ the cofactor with d's primes divided out to their full powers, as
 _split_composite takes them, are then proven in one more batch, and a
 composite part goes to _split's rho on a budget carrying that spend, as
 in factor, so it is finished by the same rho calls factor would make.  A
-cofactor at or above 2**50 gets None before any check, and one whose
+cofactor at or above 2**56 gets None before any check, and one whose
 split runs past the budget gets None too; both go through factor as
 before, so the factorizations and the UnfactoredResidualErrors are the
 same either way.
@@ -157,12 +157,13 @@ _RHO_BLOCK = 128
 # split_cofactors runs rho on its composites below _kernels.LANES_BELOW in
 # lockstep, each a lane of _kernels.brent_rho_lanes, until fewer than
 # _RHO_HAND_OFF lanes are left; then each resumes in _brent_rho, whose
-# Python step is cheaper than a numpy step over that few lanes.  With the
-# fused lane step (one reduction per step, the |x - y| products as a tree)
-# 32 splits the residuals of x^3 + 2 at N = 3e4 in 0.111-0.115 s against
-# 0.116-0.119 s at 48 (79 scalar _brent_rho calls against 88), and the
-# batch of y^5 = x^4 + 3x + 7 at N = 5e3 in 0.110-0.112 s at either
-# (medians of 15, in-process, two orders); 24 and 64 were no faster.
+# Python step is cheaper than a numpy step over that few lanes.  With one
+# np.remainder per lane step and the buffers reused, 16, 24, 32 and 48
+# split the residuals of x^3 + 2 at N = 3e4 in 0.136, 0.112, 0.114 and
+# 0.116 s (64, 72, 79 and 88 scalar _brent_rho calls), and the batch of
+# y^5 = x^4 + 3x + 7 at N = 5e3 in 0.145, 0.143, 0.143 and 0.150 s (92,
+# 94, 101 and 120 calls): medians of 15 in-process rounds in rotating
+# order, the quartiles of each overlapping the others' but 48's.
 _RHO_HAND_OFF = 32
 # The _MR_THRESHOLDS rows whose psi fits int64, for the lanes: every lane
 # is below _kernels.LANES_BELOW < psi_9, the last of them.
@@ -170,8 +171,10 @@ _LANE_PSI = np.array([psi for psi, _ in _MR_THRESHOLDS if psi < 1 << 63], dtype=
 _LANE_BASE_COUNT = np.array([len(bases) for _, bases in _MR_THRESHOLDS[: _LANE_PSI.size]])
 _LANE_BASES = np.array(_MR_THRESHOLDS[_LANE_PSI.size - 1][1], dtype=np.int64)
 # _are_prime proves fewer numbers than this with scalar is_prime: the two
-# kernel calls cost about 2 ms however few the lanes, as much as is_prime
-# on 50-60 primes or on about 100 of the sieve's residuals (60% prime).
+# kernel calls cost about 1.7-1.9 ms however few the lanes.  On batches of
+# the residuals of x^3 + 2 (56% prime), scalar is_prime takes 1.3, 1.9,
+# 2.0, 3.4 and 4.6 ms on 32, 48, 64, 96 and 128 of them, against 1.8,
+# 1.9, 1.8, 1.7 and 2.5 ms in the lanes (medians of 7 alternating rounds).
 _PRIME_HAND_OFF = 64
 
 _sieve_lock = threading.Lock()
@@ -424,11 +427,15 @@ def _prime_power_root(n: int, least_base: int) -> tuple[int, int] | None:
 
 def _square_or_cube_roots(ms: Sequence[int]) -> list[tuple[int, int] | None]:
     """[_prime_power_root(m, TRIAL_DIVISION_LIMIT) for m in ms], on int64
-    arrays, for m in (TRIAL_DIVISION_LIMIT**2, 2**50) with no prime factor
-    up to TRIAL_DIVISION_LIMIT.  Such an m is at most a square or a cube,
-    as TRIAL_DIVISION_LIMIT**4 > 2**50.  Every m is exact as a float, so a
-    square's float sqrt is its root exactly; cbrt is not correctly
-    rounded, so the rounded cube root and its neighbours are all cubed.
+    arrays, for m in (TRIAL_DIVISION_LIMIT**2, _kernels.LANES_BELOW = 2**56)
+    with no prime factor up to TRIAL_DIVISION_LIMIT.  The only prime
+    exponents such an m can have are 2 and 3, as TRIAL_DIVISION_LIMIT**5 >
+    2**56 (a fourth power is a square).  From 2**53 on, m itself is not
+    exact as a float, but a square's float sqrt still is its root: for
+    m = s**2, float(m) is s**2 (1 + d) with |d| <= 2**-53, so
+    sqrt(float(m)) is within s * 2**-54 < 2**-26 of s, and the correctly
+    rounded sqrt rounds to s.  cbrt is not correctly rounded, so the
+    rounded cube root and its neighbours are all cubed, exactly in int64.
     The square is taken last, since _prime_power_root tries k = 2 first."""
     a = np.array(ms, dtype=np.int64)
     f = a.astype(np.float64)

@@ -25,7 +25,7 @@ of g's linear factors (the linear rows), are found once per pass
 (sieve.trial_root_table).  The content of g is factored once per pass
 too, and its large primes are listed for every fiber.  Each window of n
 collects its primes along those root progressions, then splits the
-cofactors left over together, one lockstep rho over those below 2**50,
+cofactors left over together, one lockstep rho over those below 2**56,
 so arith.factor gets every prime of most values
 (sieve.segment_prime_lists).  The split is skipped when g is its
 content times linear factors whose values stay within arith.SIEVE_LIMIT:
@@ -148,7 +148,7 @@ def _fiber_stream(
     every prime of every value, splits the cofactors left over in one
     batch (sieve.segment_prime_lists).  So arith.factor skips its trial stage,
     and a value whose primes are all listed never reaches its rho; one
-    the batch gave up (a cofactor at or above 2**50, or past the budget)
+    the batch gave up (a cofactor at or above 2**56, or past the budget)
     is decided there as before.
 
     With jobs > 1 a process pool specializes chunks of

@@ -22,7 +22,7 @@ rather than counted against h).  The scan is exact:
   3. the rare cofactors >= T**3 are fully factored (budgeted); T is then
      arith.TRIAL_DIVISION_LIMIT, so they have no trial prime.  A
      segment's residuals are split together first (arith.split_cofactors:
-     one lockstep primality proof over those below 2**50, one lockstep
+     one lockstep primality proof over those below 2**56, one lockstep
      rho over the composites among them, whose lane step is one fused
      reduction), and each goes to arith.factor once with its primes, or
      with () where the batch gave it up; arith.factor skips its trial

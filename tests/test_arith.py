@@ -275,7 +275,7 @@ def _strong_probable_prime(n, a):
 def test_mr_threshold_table_rows_are_strong_pseudoprimes():
     # The table holds every psi_k.  is_prime reads the rows below psi_6 and
     # above 2**64, Baillie-PSW covering [psi_6, 2**64); the lanes below
-    # 2**50 read the rows up to psi_9, the first above 2**50.
+    # LANES_BELOW = 2**56 read the rows up to psi_9, the first above it.
     assert (arith._BPSW_PROVEN_FROM, arith._BPSW_PROVEN_BELOW) == (_PSI6, 2**64)
     assert _PSI[6] < _kernels.LANES_BELOW < _PSI9
     assert [psi for psi, _ in arith._MR_THRESHOLDS] == _PSI
@@ -435,7 +435,7 @@ def test_rho_least_budget_pinned(p, q, least_budget):
 
 _large_primes = st.one_of(
     st.integers(10**4, 10**7).map(sympy.nextprime),
-    st.integers(2**24, 2**27).map(sympy.nextprime),  # products reach past 2**50
+    st.integers(2**24, 2**27).map(sympy.nextprime),  # products reach past 2**56
 )
 _cofactors = st.lists(st.tuples(_large_primes, st.integers(1, 3)), min_size=1, max_size=3).map(
     lambda parts: math.prod(p**e for p, e in parts)
@@ -457,7 +457,7 @@ def _outcome(m, budget, trial_primes=None):
 )
 @settings(max_examples=150, deadline=None)
 def test_split_cofactors_then_factor_is_factor(ms, budget, hand_off, prime_hand_off):
-    """Primes, pq, p^2 q, three primes, powers, some at or above 2**50:
+    """Primes, pq, p^2 q, three primes, powers, some at or above 2**56:
     factor given the batch's list (or () for None) returns the same
     Factorization, or raises naming the same residual and budget, as
     factor alone.  Lower hand-offs keep the lanes, rho's and the
@@ -475,7 +475,7 @@ def test_split_cofactors_then_factor_is_factor(ms, budget, hand_off, prime_hand_
 # One copy is handed to _brent_rho after round 1; 64 copies stay in the
 # lockstep kernel until they all find the factor together.
 @pytest.mark.parametrize("copies", [1, 64])
-@pytest.mark.parametrize("p, q, least_budget", [c for c in LEAST_BUDGETS if c[0] * c[1] < 2**50])
+@pytest.mark.parametrize("p, q, least_budget", [c for c in LEAST_BUDGETS if c[0] * c[1] < _kernels.LANES_BELOW])
 def test_split_cofactors_least_budget_is_factors(p, q, least_budget, copies):
     ms = [p * q] * copies
     assert arith.split_cofactors(ms, least_budget) == [[p, q]] * copies
@@ -483,11 +483,15 @@ def test_split_cofactors_least_budget_is_factors(p, q, least_budget, copies):
 
 
 def test_split_cofactors_lists_what_fits_the_lanes():
-    p, q, r, s = 10_007, 10_009, 33_554_393, 33_555_439
+    """Everything below _kernels.LANES_BELOW = 2**56 is split, r * s
+    (about 2**50) and r * (2**31 - 1) (just below 2**56) included; r**3,
+    2**61 - 1 and s * (2**31 - 1) (just above 2**56) get None."""
+    p, q, r, s, m31 = 10_007, 10_009, 33_554_393, 33_555_439, 2**31 - 1
     assert r * s >= 2**50 > p * q * 10_037
-    ms = [p, p * q, r**3, 2**61 - 1, p * q * 10_037, p**2 * q, r * s]
+    assert r * m31 < _kernels.LANES_BELOW == 2**56 < s * m31
+    ms = [p, p * q, r**3, 2**61 - 1, p * q * 10_037, p**2 * q, r * s, r * m31, s * m31]
     assert arith.split_cofactors(ms) == [
-        [p], [p, q], None, None, [p, q, 10_037], [p, q], None
+        [p], [p, q], None, None, [p, q, 10_037], [p, q], [r, s], [r, m31], None
     ]
     with pytest.raises(DomainError):
         arith.split_cofactors(ms, 0)
@@ -517,10 +521,12 @@ _T = arith.TRIAL_DIVISION_LIMIT
 _square_bases = st.one_of(
     st.integers(_T, _T + 10**4),
     st.integers(2**25 - 10**5, 2**25 - 40),  # squares near 2**50
+    st.integers(2**28 - 10**5, 2**28 - 60),  # squares near 2**56
 ).map(sympy.nextprime)
 _cube_bases = st.one_of(
     st.integers(_T, _T + 10**4),
     st.integers(103_000, 104_000),  # cubes near 2**50
+    st.integers(415_000, 416_100),  # cubes near 2**56
 ).map(sympy.nextprime)
 
 
@@ -538,8 +544,9 @@ _cube_bases = st.one_of(
 )
 @settings(max_examples=150, deadline=None)
 def test_square_or_cube_roots_is_prime_power_root(ms):
-    """Below 2**50 with every prime above the trial limit, the batch root
-    test finds the root _prime_power_root finds, or none where it does."""
+    """Below LANES_BELOW with every prime above the trial limit, the batch
+    root test finds the root _prime_power_root finds, or none where it
+    does."""
     assert arith._square_or_cube_roots(ms) == [arith._prime_power_root(m, _T) for m in ms]
 
 
@@ -554,6 +561,23 @@ def test_square_or_cube_roots_at_the_envelope_edges():
         (top_square, 2), (top_cube, 3), (bottom, 2), (bottom, 3), None, None, None
     ]
     assert arith._square_or_cube_roots([]) == []
+
+
+def test_square_or_cube_roots_at_the_top_of_the_lanes():
+    """Above 2**53 a cofactor is not exact as a float, but a square's
+    correctly rounded sqrt still is its root: the largest square and cube
+    of a prime below 2**56, fourth powers (squares, as _prime_power_root
+    tries k = 2 first), and products that are neither."""
+    top_square = sympy.prevprime(2**28)
+    top_cube = sympy.prevprime(416_128)
+    fourth = sympy.prevprime(2**14)
+    ms = [top_square**2, top_cube**3, fourth**4, top_square * sympy.prevprime(top_square),
+          top_cube**2 * sympy.nextprime(300_000), top_square**2 - 2]
+    assert 2**53 < min(ms) and max(ms) < _kernels.LANES_BELOW < sympy.nextprime(416_128) ** 3
+    assert arith._square_or_cube_roots(ms) == [
+        (top_square, 2), (top_cube, 3), (fourth**2, 2), None, None, None
+    ]
+    assert arith._square_or_cube_roots(ms) == [arith._prime_power_root(m, _T) for m in ms]
 
 
 def test_a_repeated_large_prime_costs_one_rho_run(monkeypatch):
@@ -644,11 +668,38 @@ _FIXED_LANES = (
 )
 
 
+def _strong_pseudoprimes_to_base_2(ns):
+    return [n for n in ns if not sympy.isprime(n) and _strong_probable_prime(n, 2)]
+
+
+_TOP_OF_THE_LANES = (
+    _chernick(9_550, 12)  # the first Chernick numbers above 2**50
+    + _strong_pseudoprimes_to_base_2(_chernick(11_000, 40))
+    + [p * p for p in sympy.primerange(2**28 - 2_000, 2**28)]
+    + [sympy.prevprime(2**28) * sympy.nextprime(2**27 + k * 10**6) for k in range(4)]
+    + [k * 2**50 + 1 for k in range(3, 64, 2)]  # primes and composites with
+    + [k * 2**51 + 1 for k in range(1, 32, 2)]  # long squaring chains
+)
+
+
+def test_are_prime_in_the_lanes_above_2_50():
+    """On (2**50, 2**56) the lanes read the psi_9 row, nine bases:
+    Chernick Carmichael numbers, some of them strong pseudoprimes to
+    base 2, squares of primes near 2**28, semiprimes of two primes near
+    2**27 and 2**28, and k * 2**51 + 1 with a long squaring chain."""
+    ns = _TOP_OF_THE_LANES
+    assert all(2**50 < n < _kernels.LANES_BELOW and n % 2 for n in ns)
+    assert len(_strong_pseudoprimes_to_base_2(ns)) >= 2
+    want = [sympy.isprime(n) for n in ns]
+    assert _are_prime_in_the_lanes(ns) == want
+    assert [is_prime(n) for n in ns] == want
+
+
 def test_are_prime_in_the_lanes_on_fixed_lanes():
     """psi_1 to psi_7 (psi_7 falls to the ninth base only), Carmichael
     numbers, squares of primes, primes k * 2**s + 1 for s up to 44 and
     the odd k * 2**45 + 1 below 2**50, with long squaring chains, and
-    primes and semiprimes just below 2**50, in one batch."""
+    primes and semiprimes just below LANES_BELOW, in one batch."""
     ns = _FIXED_LANES
     assert max(ns) < _kernels.LANES_BELOW and all(n % 2 for n in ns)
     want = [sympy.isprime(n) for n in ns]

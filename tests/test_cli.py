@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -309,6 +310,38 @@ def test_pooled_reports_byte_identical_to_serial(args, tmp_path):
         assert main(args + ["--jobs", jobs, "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+_QUINTIC = ["strong-diversity", "--cover", "y^5 - (x^4 + 3*x + 7)", "--N", "7000"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "args, status, digest",
+    [
+        # the first unresolved fiber's cofactor, about 2**50.9, is past the
+        # budget: the run aborts there, writing no report
+        (_QUINTIC + ["--factor-budget", "14000"], 3,
+         "15a156970f2133ce9071327c8fa599a4421412741d54d6c47cd9129a7d0e9ca9"),
+        # every fiber resolves, cofactors up to 2**51.1 among them
+        (_QUINTIC + ["--factor-budget", "18000"], 0,
+         "ad9ae25cae567ed22192b1da002071f53da41ca61df0fdc7f81a8ed0f50e4c56"),
+        # values pass 2**50 near n = 104,000; the error names the first 20
+        # of the residuals past the budget
+        (["squarefree-density", "--poly", "x^3 + 2", "--N", "120000",
+          "--factor-budget", "500"], 3,
+         "e1736a5a68c543d103f17c36a9b7249cd1664c674ca6b88778727bf74328723f"),
+    ],
+    ids=["quintic-aborts", "quintic-resolves", "cubic-squarefree-aborts"],
+)
+def test_budgeted_runs_across_2_50_are_pinned(args, status, digest, jobs, tmp_path, capsys):
+    """Budgeted runs whose cofactors cross 2**50 in the lanes of
+    arith.split_cofactors: the exit status, and the sha256 of the report,
+    or of stderr when the run writes none."""
+    out = tmp_path / "report.json"
+    assert main(args + ["--jobs", jobs, "--out", str(out)]) == status
+    blob = out.read_bytes() if out.exists() else capsys.readouterr().err.encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_golden_weak_diversity(tmp_path):

@@ -232,7 +232,8 @@ STREAM_POLYS = (
     "10007*(x^3 + 2)",  # a content prime above 10^4
     "x^2 + 100140024",  # 10007^2 - 25: the cofactor at n = 5 is 10007^2
     "x^2 + 1002101470318",  # 10007^3 - 25: the cofactor at n = 5 is 10007^3
-    "x^4 + 3*x + 2^52 + 1",  # cofactors at or above 2^50
+    "x^4 + 3*x + 2^52 + 1",  # cofactors above 2^50, in the lanes
+    "x^4 + 3*x + 2^58 + 1",  # cofactors at or above 2^56, left to arith.factor
     "x^3 - 64000",  # (x - 40)(x^2 + 40x + 1600): negative values, a branch fiber
 )
 
@@ -254,6 +255,7 @@ def _fiber_fields(fiber):
 @example(p=2, g="x^2 + 100140024", N=6, budget=None)
 @example(p=3, g="x^2 + 1002101470318", N=6, budget=None)
 @example(p=2, g="x^4 + 3*x + 2^52 + 1", N=12, budget=400)
+@example(p=3, g="x^4 + 3*x + 2^58 + 1", N=12, budget=400)
 @example(p=5, g="x^3 - 64000", N=45, budget=None)
 @settings(max_examples=25, deadline=None)
 def test_batched_stream_is_a_specialize_call_per_fiber(p, g, N, budget):

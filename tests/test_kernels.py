@@ -268,7 +268,7 @@ def test_mulmod_agrees_with_python_ints(case):
 
 
 def test_mulmod_near_the_envelope_takes_both_corrections():
-    """10^5 random products mod n in [2**49, 2**50), where the float
+    """10^5 random products mod n in [2**49, LANES_BELOW), where the float
     quotient errs both ways."""
     rng = random.Random(19)
     ns = np.array([rng.randrange(2**49, LANE_LIMIT) for _ in range(100)] * 1000, dtype=np.int64)
@@ -308,8 +308,8 @@ def test_fused_rho_step_agrees_with_python_ints(case):
 
 
 def test_fused_rho_step_near_the_envelope_takes_both_corrections():
-    """10^5 random steps mod n in [2**49, 2**50), where the float quotient
-    errs both ways."""
+    """10^5 random steps mod n in [2**49, LANES_BELOW), where the float
+    quotient errs both ways."""
     rng = random.Random(23)
     ns = np.array([rng.randrange(2**49, LANE_LIMIT) for _ in range(100)] * 1000, dtype=np.int64)
     y = np.array([rng.randrange(n) for n in ns.tolist()], dtype=np.int64)
@@ -321,6 +321,76 @@ def test_fused_rho_step_near_the_envelope_takes_both_corrections():
     assert any(a * a + b - e * n >= n for a, b, e, n in rows)
     got = _kernels._rho_step(y, c, ns, ninv, c * ninv)
     assert got.tolist() == [(a * a + b) % n for a, b, _, n in rows]
+
+
+def test_the_remainder_bound_holds_at_the_envelope():
+    """The bound of mulmod's and _rho_step's docstrings, in integers: the
+    true remainder is below (8 * 2**-53 * n + 1) * n < 2**63 in size for
+    every n up to LANES_BELOW.  And the lanes of arith._are_prime stay
+    below psi_9, the last Miller-Rabin row they read, and above psi_7."""
+    assert (8 * LANE_LIMIT + 2**53) * LANE_LIMIT <= (2**62 + 2**56) * 2**53 < 2**63 * 2**53
+    psi = [psi for psi, _ in arith._MR_THRESHOLDS]
+    assert psi[6] < LANE_LIMIT < psi[7]
+
+
+@st.composite
+def top_of_the_envelope_cases(draw, signed):
+    """n in [2**55, LANES_BELOW) and operands 0, n - 1, n - 2 or random,
+    negated at random when signed."""
+    n = draw(st.integers(2**55, LANE_LIMIT - 1))
+    operand = st.one_of(st.sampled_from([0, n - 1, n - 2]), st.integers(0, n - 1))
+    if signed:
+        operand = st.tuples(operand, st.booleans()).map(lambda vs: -vs[0] if vs[1] else vs[0])
+    return n, [(draw(operand), draw(operand)) for _ in range(draw(st.integers(1, 8)))]
+
+
+@given(top_of_the_envelope_cases(signed=True))
+@example((LANE_LIMIT - 1, [(LANE_LIMIT - 2, LANE_LIMIT - 2), (2 - LANE_LIMIT, LANE_LIMIT - 3)]))
+@example((2**55, [(2**55 - 1, 2**55 - 1), (1 - 2**55, 1 - 2**55), (0, 2 - 2**55)]))
+@settings(max_examples=300, deadline=None)
+def test_mulmod_at_the_top_of_the_envelope_agrees_with_python_ints(case):
+    """Products of operands below n in size, the tree's signed x - y
+    included, land in [0, n) as Python's % puts them."""
+    n, pairs = case
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    ns = np.full(len(pairs), n, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels.mulmod(a, b, ns, 1.0 / ns)
+    assert got.tolist() == [x * y % n for x, y in pairs]
+
+
+@given(top_of_the_envelope_cases(signed=False))
+@example((LANE_LIMIT - 1, [(LANE_LIMIT - 2, LANE_LIMIT - 2), (LANE_LIMIT - 3, LANE_LIMIT - 3)]))
+@example((2**55, [(2**55 - 1, 2**55 - 1), (2**55 - 2, 0), (0, 2**55 - 2)]))
+@settings(max_examples=300, deadline=None)
+def test_fused_rho_step_at_the_top_of_the_envelope_agrees_with_python_ints(case):
+    n, pairs = case
+    y = np.array([a for a, _ in pairs], dtype=np.int64)
+    c = np.array([b for _, b in pairs], dtype=np.int64)
+    ns = np.full(len(pairs), n, dtype=np.int64)
+    ninv = 1.0 / ns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels._rho_step(y, c, ns, ninv, c * ninv)
+    assert got.tolist() == [(a * a + b) % n for a, b in pairs]
+
+
+def test_the_kernels_write_into_out_in_place():
+    """out may be the first operand: the lockstep loops step y and
+    multiply into q in place."""
+    rng = random.Random(29)
+    ns = [rng.randrange(2**55, LANE_LIMIT) for _ in range(64)]
+    a = [rng.randrange(n) for n in ns]
+    b = [rng.randrange(n) for n in ns]
+    n = np.array(ns, dtype=np.int64)
+    x = np.array(a, dtype=np.int64)
+    assert _kernels.mulmod(x, np.array(b, dtype=np.int64), n, 1.0 / n, out=x) is x
+    assert x.tolist() == [u * v % m for u, v, m in zip(a, b, ns)]
+    y, c = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    assert _kernels._rho_step(y, c, n, 1.0 / n, c * (1.0 / n), out=y) is y
+    assert y.tolist() == [(u * u + v) % m for u, v, m in zip(a, b, ns)]
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 7, 16, 17])
@@ -336,7 +406,7 @@ def test_product_mod_is_the_product_of_the_rows(rows):
 
 @st.composite
 def prp_lanes(draw):
-    """(n, a) lanes: odd 37 < n < 2**50, some prime, some with a long
+    """(n, a) lanes: odd 37 < n < LANES_BELOW, some prime, some with a long
     chain of 2s in n - 1, and prime bases a, some dividing n."""
     odd = st.integers(19, LANE_LIMIT // 2 - 1).map(lambda k: 2 * k + 1)
     chain = st.tuples(st.integers(1, 45), st.integers(0, 31)).map(
@@ -384,25 +454,48 @@ def _scalar_rho(n, limit, lane=None, spent=0):
     return d, limit - budget.left
 
 
+def _wide_semiprimes(seed, count):
+    """Semiprimes in [2**50, 2**54), one factor within 10**6 below 2**28,
+    the other in [2**22 + 2**20, 2**26)."""
+    rng = random.Random(seed)
+    return [
+        sympy.prevprime(2**28 - rng.randrange(10**6))
+        * sympy.nextprime(rng.randrange(2**22 + 2**20, 2**26))
+        for _ in range(count)
+    ]
+
+
+# Lanes above 2**50: the gcd of a block is n on the first two (16,002,601
+# and 11,096,081 times primes near 2**28), and the last is the product of
+# the two largest primes below 2**28, near the top of the lanes.
+_WIDE_LANES = (
+    [4_283_150_838_537_617, 2_968_976_051_896_909]
+    + _wide_semiprimes(5, 24)
+    + [268_435_399 * 268_435_367]
+)
+
+
 # counts: lanes handed back to the scalar loop, factors found in the
 # kernel, and overruns.  With hand_off = 0 only lanes whose gcd was n come
 # back; with hand_off past the lane count every lane does, after round 1.
 @pytest.mark.parametrize(
     "hand_off, limit, counts",
     [
-        (0, 10**7, (15, 286, 0)),
-        (48, 10**7, (38, 263, 0)),
-        (48, 3000, (11, 237, 53)),
-        (48, 400, (0, 20, 281)),
-        (10**6, 10**7, (301, 0, 0)),
+        (0, 10**7, (17, 311, 0)),
+        (48, 10**7, (56, 272, 0)),
+        (48, 3000, (11, 239, 78)),
+        (48, 400, (0, 20, 308)),
+        (10**6, 10**7, (328, 0, 0)),
     ],
 )
 def test_lockstep_rho_agrees_lane_by_lane(hand_off, limit, counts):
     """Every lane finds the factor scalar rho finds, after the same steps,
     or overruns where scalar rho overruns, whether it finished in the
-    kernel or was resumed by the scalar loop."""
-    # the last lane is a product of the two largest primes below 2**25
-    ns = _semiprimes(3, 300, 10**4, 3 * 10**6) + [33_554_393 * 33_554_383]
+    kernel or was resumed by the scalar loop, below 2**50 and above it."""
+    # the last lane below 2**50 is a product of the two largest primes
+    # below 2**25
+    ns = _semiprimes(3, 300, 10**4, 3 * 10**6) + [33_554_393 * 33_554_383] + _WIDE_LANES
+    assert all(2**50 <= n < _kernels.LANES_BELOW for n in _WIDE_LANES)
     seeds = [random.Random(n) for n in ns]
     ys = [rng.randrange(1, n) for rng, n in zip(seeds, ns)]
     cs = [rng.randrange(1, n) for rng, n in zip(seeds, ns)]

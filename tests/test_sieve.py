@@ -172,7 +172,7 @@ def test_residual_overruns_are_the_ones_scalar_factor_overruns():
 def test_residuals_reach_scalar_rho_only_when_the_batch_gives_them_up(monkeypatch):
     """x^3 + 2: arith.split_cofactors splits the composite residuals in
     lockstep, and a residual starts rho from scratch in arith.factor only
-    when the batch gave it up (at or above 2**50, or past the budget).  At
+    when the batch gave it up (at or above 2**56, or past the budget).  At
     N = 12,000 it gives up none, so rho never starts from scratch."""
     given_up, fresh = [], []
     split, rho = arith.split_cofactors, arith._brent_rho
@@ -566,7 +566,7 @@ def test_exact_order_direct_factorization_oracle():
 
 @pytest.mark.parametrize(
     "text, n",
-    # cofactors p*q and p*q*r, some of them at or above 2**50 in the second
+    # cofactors p*q and p*q*r, some of them above 2**50 in the second
     [("x^4 + 3x + 10^11 + 7", 150), ("x^4 + 3x + 2^52 + 1", 80)],
 )
 def test_exact_order_on_quartics_with_large_prime_pairs(text, n):
