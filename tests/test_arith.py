@@ -475,7 +475,9 @@ def test_split_cofactors_then_factor_is_factor(ms, budget, hand_off, prime_hand_
 # One copy is handed to _brent_rho after round 1; 64 copies stay in the
 # lockstep kernel until they all find the factor together.
 @pytest.mark.parametrize("copies", [1, 64])
-@pytest.mark.parametrize("p, q, least_budget", [c for c in LEAST_BUDGETS if c[0] * c[1] < _kernels.LANES_BELOW])
+@pytest.mark.parametrize(
+    "p, q, least_budget", [c for c in LEAST_BUDGETS if c[0] * c[1] < _kernels.LANES_BELOW]
+)
 def test_split_cofactors_least_budget_is_factors(p, q, least_budget, copies):
     ms = [p * q] * copies
     assert arith.split_cofactors(ms, least_budget) == [[p, q]] * copies
@@ -677,8 +679,9 @@ _TOP_OF_THE_LANES = (
     + _strong_pseudoprimes_to_base_2(_chernick(11_000, 40))
     + [p * p for p in sympy.primerange(2**28 - 2_000, 2**28)]
     + [sympy.prevprime(2**28) * sympy.nextprime(2**27 + k * 10**6) for k in range(4)]
-    + [k * 2**50 + 1 for k in range(3, 64, 2)]  # primes and composites with
-    + [k * 2**51 + 1 for k in range(1, 32, 2)]  # long squaring chains
+    # primes and composites with long squaring chains
+    + [k * 2**50 + 1 for k in range(3, 64, 2)]
+    + [k * 2**51 + 1 for k in range(1, 32, 2)]
 )
 
 
@@ -686,7 +689,8 @@ def test_are_prime_in_the_lanes_above_2_50():
     """On (2**50, 2**56) the lanes read the psi_9 row, nine bases:
     Chernick Carmichael numbers, some of them strong pseudoprimes to
     base 2, squares of primes near 2**28, semiprimes of two primes near
-    2**27 and 2**28, and k * 2**51 + 1 with a long squaring chain."""
+    2**27 and 2**28, and the odd k * 2**50 + 1 and k * 2**51 + 1, whose
+    squaring chains are long."""
     ns = _TOP_OF_THE_LANES
     assert all(2**50 < n < _kernels.LANES_BELOW and n % 2 for n in ns)
     assert len(_strong_pseudoprimes_to_base_2(ns)) >= 2
