@@ -10,7 +10,9 @@ Every subcommand emits one report with the same JSON envelope:
 (violated precondition, named with its module), 3 budget error.
 
 Execution knobs (--jobs, --out, --output) are not echoed into the config
-section, so reports are byte-identical across worker counts.
+section.  --jobs is accepted for compatibility and must be positive, but
+fibers are always processed serially, so a report is byte-identical for
+every --jobs value.
 """
 
 from __future__ import annotations
@@ -129,7 +131,6 @@ def _run_weak(cfg: RunConfig):
         cover,
         _require(cfg.N, "--N"),
         method,
-        jobs=cfg.jobs,
         budget=cfg.factor_budget,
         prime_budget=cfg.prime_budget,
     )
@@ -153,7 +154,7 @@ def _run_weak(cfg: RunConfig):
 def _run_strong(cfg: RunConfig):
     cover = covers.cover_from_text(_require(cfg.cover_text, "--cover"))
     report = diversity.strong_diversity_rank(
-        cover, _require(cfg.N, "--N"), jobs=cfg.jobs, budget=cfg.factor_budget
+        cover, _require(cfg.N, "--N"), budget=cfg.factor_budget
     )
     config = {
         "subcommand": "strong-diversity",
@@ -372,6 +373,9 @@ def run(cfg: RunConfig) -> tuple[int, str | None]:
     return 0, rendered
 
 
+_JOBS_HELP = "accepted for compatibility; fibers are always processed serially"
+
+
 def _add_common(sub, n_flag=True, poly_source=False, cover_source=False):
     if cover_source:
         sub.add_argument("--cover", help="cover equation, e.g. 'y^2 - (x^3 - x)'")
@@ -381,7 +385,7 @@ def _add_common(sub, n_flag=True, poly_source=False, cover_source=False):
         sub.add_argument("--N", type=int, required=True, help="range bound (fibers 1..N)")
     sub.add_argument("--output", choices=("json", "csv"), default="json")
     sub.add_argument("--out", dest="out_path", help="write the report to this path")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sub.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     sub.add_argument("--factor-budget", type=int, default=None, help="rho iteration budget")
 
 
@@ -414,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also decide whether Q(a^(1/p)) and Q(b^(1/p)) agree")
     cr.add_argument("--output", choices=("json", "csv"), default="json")
     cr.add_argument("--out", dest="out_path")
-    cr.add_argument("--jobs", type=int, default=1)
+    cr.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     cr.add_argument("--factor-budget", type=int, default=None)
 
     bc = subs.add_parser("branch-check", help="branch locus and hypothesis flags")

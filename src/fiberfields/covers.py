@@ -14,9 +14,8 @@ power, so the fiber splits into rational points and contributes the field
 Q), unresolved (factorization budget ran out), or regular with either a
 Kummer class (cyclic) or the irreducible factors of F(n, y) and their
 fingerprints (plane).  A fiber is a FiberSpec, a NamedTuple: immutable,
-compared and hashed as the tuple of its fields, and cheap to build and
-to pickle, since a cyclic stream builds one per n and a process pool
-sends them back to the parent chunk by chunk.
+compared and hashed as the tuple of its fields, and cheap to build, since
+a cyclic stream builds one per n.
 """
 
 from __future__ import annotations

@@ -14,29 +14,27 @@ hold for every prefix):
                  again a certified lower bound.
 
 Fibers are specialized in one lazy pass over n = 1..N, window by window
-(sieve.window_size fibers, at most sieve.LIST_SEGMENT), or by a process
-pool, chunk by chunk: a chunk is a window, or ceil(N / (2 jobs)) fibers
-of a smaller N, so a worker's batch split is as wide as the serial
-stream's, or each worker gets two chunks.  On a cyclic cover the value
-g(n) reaches arith.factor with its trial primes already known: the roots
-of g modulo every trial prime, from one batched root table, and modulo
-every larger prime up to arith.SIEVE_LIMIT that divides a value of one
-of g's linear factors (the linear rows), are found once per pass
-(sieve.trial_root_table).  The content of g is factored once per pass
-too, and its large primes are listed for every fiber.  Each window of n
-collects its primes along those root progressions, then splits the
-cofactors left over together, one lockstep rho over those below 2**56,
-so arith.factor gets every prime of most values
-(sieve.segment_prime_lists).  The split is skipped when g is its
-content times linear factors whose values stay within arith.SIEVE_LIMIT:
-the progressions list every prime then.  Each fiber is folded as it
-arrives, so no fold holds the fibers: a weak fold keeps one int per
-distinct class (exact-kummer: the canonical value of the Kummer class;
-ramified-set: the product of the ramified primes), and compare_methods
-feeds its three folds from the same pass.  Folds are serial in increasing n, so reports
-are identical for every worker count.  Both the rank fold and the
-fingerprint grouper do near-linear work in N: the rank fold pivots each
-row on its newest prime, so a row bringing a new prime needs no
+(sieve.window_size fibers, at most sieve.LIST_SEGMENT).  On a cyclic
+cover the value g(n) reaches arith.factor with its trial primes already
+known: the roots of g modulo every trial prime, from one batched root
+table, and modulo every larger prime up to arith.SIEVE_LIMIT that
+divides a value of one of g's linear factors (the linear rows), are
+found once per pass (sieve.trial_root_table).  The content of g is
+factored once per pass too, and its large primes are listed for every
+fiber.  Each window of n collects its primes along those root
+progressions, then splits the cofactors left over together, one
+lockstep rho over those below 2**56, so arith.factor gets every prime of
+most values (sieve.segment_prime_lists).  The split is skipped when g is
+its content times linear factors whose values stay within
+arith.SIEVE_LIMIT: the progressions list every prime then.  Each fiber
+is folded as it arrives, so no fold holds the fibers: a weak fold keeps
+one int per distinct class (exact-kummer: the canonical value of the
+Kummer class; ramified-set: the product of the ramified primes), and
+compare_methods feeds its three folds from the same pass.  The pass and
+the folds run in one process in increasing n, so a report depends on
+the cover, N, the method and the budgets alone.  Both the rank fold and
+the fingerprint grouper do near-linear work in N: the rank fold pivots
+each row on its newest prime, so a row bringing a new prime needs no
 elimination (FpRowReducer), and the fingerprint grouper indexes its
 representatives by degree shape and by splitting types at small primes,
 so it checks a fiber only against representatives that could match
@@ -46,11 +44,10 @@ so it checks a fiber only against representatives that could match
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterator
-from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
 from . import arith, covers, kummer, polyring, sieve
 from .covers import CoverSpec, CyclicCover, FiberSpec, PlaneCover
@@ -103,17 +100,15 @@ class CompositumReport:
 
 def _specialized(cover, n0, n1, budget, prime_budget, table):
     """The fibers over n0 <= n < n1, each cyclic value handed the primes
-    sieve.segment_prime_lists finds for it (None for a plane cover)."""
+    sieve.segment_prime_lists finds for it (None for a plane cover).  The
+    window's lists go with this generator, before the next window's are
+    built."""
     if table is None:
         lists = repeat(None)
     else:
         lists = sieve.segment_prime_lists(table, cover.g, n0, n1 - n0, budget)
     for n, primes in zip(range(n0, n1), lists):
         yield covers.specialize(cover, n, budget, prime_budget, primes)
-
-
-def _specialize_range(args):
-    return list(_specialized(*args))
 
 
 def _trial_table(g: IntPoly, N: int, budget: int | None) -> sieve.TrialRootTable:
@@ -135,7 +130,6 @@ def _trial_table(g: IntPoly, N: int, budget: int | None) -> sieve.TrialRootTable
 def _fiber_stream(
     cover: CoverSpec,
     N: int,
-    jobs: int = 1,
     budget: int | None = None,
     prime_budget: int = kummer.DEFAULT_PRIME_BUDGET,
 ) -> Iterator[FiberSpec]:
@@ -143,56 +137,18 @@ def _fiber_stream(
 
     For a cyclic cover the trial root table of g, with its linear rows
     and its content's large primes, is built once.  Each window of n
-    (sieve.window_size fibers, or a pool task's chunk) gets its values'
-    trial primes from the root progressions, and, unless the table lists
-    every prime of every value, splits the cofactors left over in one
-    batch (sieve.segment_prime_lists).  So arith.factor skips its trial stage,
+    (sieve.window_size fibers) gets its values' trial primes from the
+    root progressions, and, unless the table lists every prime of every
+    value, splits the cofactors left over in one batch
+    (sieve.segment_prime_lists).  So arith.factor skips its trial stage,
     and a value whose primes are all listed never reaches its rho; one
     the batch gave up (a cofactor at or above 2**56, or past the budget)
-    is decided there as before.
-
-    With jobs > 1 a process pool specializes chunks of
-    min(sieve.window_size(N), ceil(N / (2 * jobs))) fibers, each task
-    carrying the parent's table, and the stream yields each chunk in order
-    as it arrives.  A chunk is one batch split, and every batch pays the
-    same tail of lockstep rho steps whatever its width (see
-    sieve.LIST_SEGMENT), so a chunk is a window unless N is too small to
-    give each worker two: the parent then folds the first chunks while
-    the workers run the rest, and values that grow with n are shared out
-    (y^5 = x^4 + 3x + 7 at N = 2e4 with --jobs 2: 3.15 s in chunks of
-    5,000 fibers against 3.94 s in chunks of 10,000, medians of 4
-    in-process pairs).  At most 2 * jobs chunks are submitted and not
-    yet fully yielded, so finished chunks cannot pile up in the parent
-    while the fold lags behind the workers.  Closing the stream early
-    cancels the chunks no worker has started."""
+    is decided there as before."""
     table = _trial_table(cover.g, N, budget) if isinstance(cover, CyclicCover) else None
-    if jobs <= 1:
-        window = sieve.window_size(N)
-        for n0 in range(1, N + 1, window):
-            n1 = min(n0 + window, N + 1)
-            yield from _specialized(cover, n0, n1, budget, prime_budget, table)
-        return
-    # imported here: the pool machinery (multiprocessing) costs every run
-    # that never starts a pool about 10 ms of import time
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = min(sieve.window_size(N), -(-N // (2 * jobs)))
-    tasks = (
-        (cover, n0, min(n0 + chunk, N + 1), budget, prime_budget, table)
-        for n0 in range(1, N + 1, chunk)
-    )
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        window = deque(
-            pool.submit(_specialize_range, task) for task in islice(tasks, 2 * jobs)
-        )
-        while window:
-            yield from window.popleft().result()
-            task = next(tasks, None)
-            if task is not None:
-                window.append(pool.submit(_specialize_range, task))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    window = sieve.window_size(N)
+    for n0 in range(1, N + 1, window):
+        n1 = min(n0 + window, N + 1)
+        yield from _specialized(cover, n0, n1, budget, prime_budget, table)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +182,10 @@ def _multiset_compatible(
 
 # Small primes at which the grouper indexes splitting types; a fingerprint
 # lists each good prime in increasing order, so these are at its front.
-_PROBE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+# The first 24 primes: on y^3 + x*y + x^2 + 1 the grouper makes 1
+# _multiset_compatible call at N = 100 and 1 at N = 1,000, against 71 and
+# 8,415 with the first 8, and the series is the same.
+_PROBE_PRIMES = tuple(arith.primes_up_to(89))
 
 
 def _index_keys(key: tuple[FieldFingerprint, ...]):
@@ -450,7 +409,6 @@ def weak_diversity_count(
     cover: CoverSpec,
     N: int,
     method: str = "exact-kummer",
-    jobs: int = 1,
     budget: int | None = None,
     prime_budget: int = kummer.DEFAULT_PRIME_BUDGET,
 ) -> DiversityReport:
@@ -461,9 +419,8 @@ def weak_diversity_count(
     """
     _validate(cover, N, method, prime_budget)
     fold = _WeakFold(cover, method, budget, prime_budget)
-    with closing(_fiber_stream(cover, N, jobs, budget, prime_budget)) as fibers:
-        for fiber in fibers:
-            fold.add(fiber)
+    for fiber in _fiber_stream(cover, N, budget, prime_budget):
+        fold.add(fiber)
     return fold.report(N)
 
 
@@ -550,7 +507,6 @@ class FpRowReducer:
 def strong_diversity_rank(
     cover: CoverSpec,
     N: int,
-    jobs: int = 1,
     budget: int | None = None,
 ) -> CompositumReport:
     """Rank over F_p of the kernel exponent vectors of g(1..n); the
@@ -569,19 +525,18 @@ def strong_diversity_rank(
     reducer = FpRowReducer(cover.p)
     ranks: list[int] = []
     skipped: list[tuple[int, str]] = []
-    with closing(_fiber_stream(cover, N, jobs, budget)) as fibers:
-        for fiber in fibers:
-            if fiber.status == "unresolved":
-                raise BudgetError(
-                    "diversity",
-                    f"strong_diversity_rank aborted: fiber n = {fiber.n} unresolved "
-                    f"({fiber.note})",
-                )
-            if fiber.status == "branch":
-                skipped.append((fiber.n, "branch"))
-            else:
-                reducer.add_kernel(fiber.kummer_class.kernel)
-            ranks.append(reducer.rank)
+    for fiber in _fiber_stream(cover, N, budget):
+        if fiber.status == "unresolved":
+            raise BudgetError(
+                "diversity",
+                f"strong_diversity_rank aborted: fiber n = {fiber.n} unresolved "
+                f"({fiber.note})",
+            )
+        if fiber.status == "branch":
+            skipped.append((fiber.n, "branch"))
+        else:
+            reducer.add_kernel(fiber.kummer_class.kernel)
+        ranks.append(reducer.rank)
     return CompositumReport(
         cover=cover.describe(),
         p=cover.p,
@@ -636,7 +591,6 @@ class MethodComparison:
 def compare_methods(
     cover: CoverSpec,
     N: int,
-    jobs: int = 1,
     budget: int | None = None,
     prime_budget: int = kummer.DEFAULT_PRIME_BUDGET,
 ) -> MethodComparison:
@@ -647,10 +601,9 @@ def compare_methods(
     for method in METHODS:
         _validate(cover, N, method, prime_budget)
     folds = [_WeakFold(cover, method, budget, prime_budget) for method in METHODS]
-    with closing(_fiber_stream(cover, N, jobs, budget, prime_budget)) as fibers:
-        for fiber in fibers:
-            for fold in folds:
-                fold.add(fiber)
+    for fiber in _fiber_stream(cover, N, budget, prime_budget):
+        for fold in folds:
+            fold.add(fiber)
     exact, ramified, fingerprint = (fold.report(N) for fold in folds)
     cmp = MethodComparison(exact=exact, ramified=ramified, fingerprint=fingerprint)
     for method, report in (("ramified-set", cmp.ramified), ("fingerprint", cmp.fingerprint)):

@@ -11,8 +11,8 @@ class FiberFieldsError(Exception):
     def __reduce__(self):
         # The subclasses' __init__ signatures differ from their `args` (the
         # formatted message), so rebuild without calling __init__: restore
-        # `args` and the attributes (`module`, `residual`, ...) as they are.
-        # Errors raised in a worker process then reach the caller intact.
+        # `args` and the attributes (`module`, `residual`, ...) as they are,
+        # so a pickled or copied error comes back intact.
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 

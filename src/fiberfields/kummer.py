@@ -41,10 +41,10 @@ class KummerClass:
     instance's __dict__: the weak isomorphism count reads it, the rank fold
     and the ramified sets do not.  For p = 2 the canonical form is the
     kernel itself (its only twist is j = 1), so it is returned without a
-    cache entry.  Equality and hashing see only p and the kernel, so a
-    class, pickled or not, compares equal whether or not its canonical
-    form was read.  (functools.cached_property would do the same, but
-    before Python 3.12 it takes a lock on every first read.)
+    cache entry.  Equality and hashing see only p and the kernel, so two
+    classes with the same p and kernel compare equal whether or not either
+    one's canonical form was read.  (functools.cached_property would do
+    the same, but before Python 3.12 it takes a lock on every first read.)
 
     KummerClass(p, kernel) is the public constructor.  radical_class, which
     builds one per cyclic fiber, writes p and the kernel straight into a

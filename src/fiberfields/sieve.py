@@ -73,7 +73,7 @@ from .polyring import IntPoly
 _SIEVE_PRIME_CAP = arith.TRIAL_DIVISION_LIMIT
 _SEGMENT = 1 << 20
 # The most values per segment_prime_lists call, in exact_order_prime_ratio
-# and on a serial fiber stream, and in a pool chunk (see window_size).  Each
+# and in a window of the fiber stream (see window_size).  Each
 # call splits its cofactors in one lockstep rho (arith.split_cofactors),
 # and every lockstep rho runs about the same number of steps, each a
 # fixed number of numpy calls, whatever its width, until fewer than

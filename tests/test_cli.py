@@ -219,6 +219,29 @@ def test_exit_code_budget_error(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["weak-diversity", "--cover", "y^2 - (x^3 - x)", "--N", "5"],
+        ["strong-diversity", "--cover", "y^2 - (x^3 - x)", "--N", "5"],
+        ["squarefree-density", "--poly", "x^2 + 1", "--N", "5"],
+        ["classify-radical", "16", "3"],
+        ["branch-check", "--cover", "y^2 - (x^3 - x)"],
+        ["norm-collisions", "--poly", "x^2 + 1", "--N", "5"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_jobs_is_accepted_but_must_be_positive(args, capsys):
+    """Every subcommand takes --jobs and processes fibers serially
+    whatever its value, but a value below 1 is refused."""
+    with pytest.raises(SystemExit):
+        main([args[0], "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "accepted for compatibility; fibers are always processed serially" in help_text
+    assert main(args + ["--jobs", "0"]) == 2
+    assert capsys.readouterr().err == "error: cli: --jobs must be positive\n"
+
+
 def test_csv_unavailable_for_classify(capsys):
     status = main(["classify-radical", "16", "3", "--output", "csv"])
     assert status == 2
@@ -315,7 +338,6 @@ def test_pooled_reports_byte_identical_to_serial(args, tmp_path):
 _QUINTIC = ["strong-diversity", "--cover", "y^5 - (x^4 + 3*x + 7)", "--N", "7000"]
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize(
     "args, status, digest",
     [
@@ -334,12 +356,12 @@ _QUINTIC = ["strong-diversity", "--cover", "y^5 - (x^4 + 3*x + 7)", "--N", "7000
     ],
     ids=["quintic-aborts", "quintic-resolves", "cubic-squarefree-aborts"],
 )
-def test_budgeted_runs_across_2_50_are_pinned(args, status, digest, jobs, tmp_path, capsys):
+def test_budgeted_runs_across_2_50_are_pinned(args, status, digest, tmp_path, capsys):
     """Budgeted runs whose cofactors cross 2**50 in the lanes of
     arith.split_cofactors: the exit status, and the sha256 of the report,
     or of stderr when the run writes none."""
     out = tmp_path / "report.json"
-    assert main(args + ["--jobs", jobs, "--out", str(out)]) == status
+    assert main(args + ["--out", str(out)]) == status
     blob = out.read_bytes() if out.exists() else capsys.readouterr().err.encode()
     assert hashlib.sha256(blob).hexdigest() == digest
 
@@ -428,16 +450,3 @@ def test_package_runs_as_module():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
-
-
-def test_importing_the_cli_loads_no_process_pool():
-    """The pool machinery is imported only when --jobs > 1 starts a pool."""
-    pool_modules = ("concurrent.futures.process", "multiprocessing")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, fiberfields.cli; print([m for m in {pool_modules!r} if m in sys.modules])"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"

@@ -1,11 +1,8 @@
-import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
 import random
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -108,14 +105,6 @@ def test_weak_plane_fingerprint_counts_split_fibers():
     assert rep.distinct >= exact.distinct - 2  # tight on this sample
 
 
-def test_weak_jobs_determinism():
-    cov = cover_from_text("y^2 - (x^3 - x)")
-    reports = [
-        weak_diversity_count(cov, 120, "exact-kummer", jobs=j) for j in (1, 3, 7)
-    ]
-    assert reports[0] == reports[1] == reports[2]
-
-
 @pytest.mark.parametrize("prime_budget", [0, -1])
 def test_nonpositive_prime_budget_rejected(prime_budget):
     """A fingerprint needs at least one prime; a budget below 1 used to
@@ -129,54 +118,34 @@ def test_nonpositive_prime_budget_rejected(prime_budget):
         kummer._fingerprint_irreducible(poly("x^2 - 2"), prime_budget)
 
 
-def test_worker_error_reaches_caller(monkeypatch):
-    """An error raised in a pool worker is re-raised as itself in the
-    caller, not as a broken pool."""
-
-    def refuse(cover, n, budget=None, prime_budget=None, trial_primes=None):
-        raise DomainError("covers", f"refused fiber {n}")
-
-    monkeypatch.setattr(covers, "specialize", refuse)
-    with pytest.raises(DomainError, match="covers: refused fiber") as exc:
-        list(diversity._fiber_stream(cover_from_text("y^2 - (x^3 - x)"), 10, jobs=2))
-    assert exc.value.module == "covers"
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_cyclic_stream_hands_every_factor_its_trial_primes(jobs, monkeypatch, tmp_path):
-    """No cyclic fiber falls back to arith.factor's gcd trial stage, in the
-    serial stream or in a pool worker.  Workers append to a shared log, so
-    a call they made unpatched would be missing from it."""
-    log = tmp_path / "factor-calls"
+def test_cyclic_stream_hands_every_factor_its_trial_primes(monkeypatch):
+    """No cyclic fiber falls back to arith.factor's gcd trial stage."""
+    calls = []
     real = arith.factor
 
     def recording(n, budget=None, trial_primes=None):
-        with open(log, "a") as fh:
-            fh.write(f"{n} {trial_primes is not None}\n")
+        calls.append((n, trial_primes is not None))
         return real(n, budget, trial_primes)
 
     monkeypatch.setattr(arith, "factor", recording)
     cover = cover_from_text("y^2 - (x^3 - x)")
-    fibers = list(diversity._fiber_stream(cover, 70, jobs=jobs))
-    calls = [line.split() for line in log.read_text().splitlines()]
-    assert sorted(int(n) for n, _ in calls) == sorted(
+    fibers = list(diversity._fiber_stream(cover, 70))
+    assert sorted(n for n, _ in calls) == sorted(
         f.value for f in fibers if f.status != "branch"
     )
-    assert {hinted for _, hinted in calls} == {"True"}
+    assert {hinted for _, hinted in calls} == {True}
 
 
 @pytest.fixture
-def rho_log(monkeypatch, tmp_path):
-    """A log file with a line for every arith._split and arith._brent_rho
-    call, in this process or in a pool worker forked from it."""
-    log = tmp_path / "rho-calls"
-    log.touch()
+def rho_log(monkeypatch):
+    """A list with an entry for every arith._split and arith._brent_rho
+    call."""
+    log = []
     for name in ("_split", "_brent_rho"):
         real = getattr(arith, name)
 
         def recording(*args, real=real, name=name):
-            with open(log, "a") as fh:
-                fh.write(f"{name} {args[0]}\n")
+            log.append(f"{name} {args[0]}")
             return real(*args)
 
         monkeypatch.setattr(arith, name, recording)
@@ -185,8 +154,8 @@ def rho_log(monkeypatch, tmp_path):
 
 def test_split_values_never_reach_rho(rho_log, tmp_path):
     """y^2 = x^3 - x: every prime of (n - 1) n (n + 1) is on a linear row,
-    so no value is left for _split or rho, serially or in a pool, and the
-    two reports are byte-identical.  N is past TRIAL_DIVISION_LIMIT, so
+    so no value is left for _split or rho under --jobs 1 or 2, and the two
+    reports are byte-identical.  N is past TRIAL_DIVISION_LIMIT, so
     primes above it (10007 to 10099) divide some values."""
     blobs = []
     for jobs in ("1", "2"):
@@ -194,7 +163,7 @@ def test_split_values_never_reach_rho(rho_log, tmp_path):
         assert main(["weak-diversity", "--cover", "y^2 - (x^3 - x)", "--N", "10100",
                      "--method", "exact", "--jobs", jobs, "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
-    assert rho_log.read_text() == ""
+    assert rho_log == []
     assert blobs[0] == blobs[1]
 
 
@@ -202,8 +171,7 @@ def test_large_content_prime_is_factored_once(rho_log):
     """100160063 = 10007 * 10009 is split once per pass, not once a fiber."""
     cover = cover_from_text("y^2 - 100160063*(x^3 - x)")
     fibers = list(diversity._fiber_stream(cover, 300))
-    calls = rho_log.read_text().splitlines()
-    assert [c for c in calls if c.startswith("_brent_rho")] == ["_brent_rho 100160063"]
+    assert [c for c in rho_log if c.startswith("_brent_rho")] == ["_brent_rho 100160063"]
     assert all(
         f.kummer_class.kernel.support() >= {10007, 10009} for f in fibers if f.status == "regular"
     )
@@ -259,10 +227,10 @@ def _fiber_fields(fiber):
 @example(p=5, g="x^3 - 64000", N=45, budget=None)
 @settings(max_examples=25, deadline=None)
 def test_batched_stream_is_a_specialize_call_per_fiber(p, g, N, budget):
-    """Every fiber of the stream, serial or pooled, is the one
-    covers.specialize gives with the table's trial primes alone, where
-    arith.factor runs rho on the whole cofactor: the same status, value,
-    class and note, unresolved fibers included.  Without a budget it is
+    """Every fiber of the stream is the one covers.specialize gives with
+    the table's trial primes alone, where arith.factor runs rho on the
+    whole cofactor: the same status, value, class and note, unresolved
+    fibers included.  Without a budget it is
     also the one specialize gives with no trial primes, where arith.factor
     runs its own trial stage.  Under a budget that can differ: a listed
     prime above the trial limit (a linear row or the content's) shrinks
@@ -275,9 +243,8 @@ def test_batched_stream_is_a_specialize_call_per_fiber(p, g, N, budget):
     ]
     if budget is None:
         assert want == [_fiber_fields(covers.specialize(cover, n)) for n in range(1, N + 1)]
-    for jobs in (1, 2):
-        got = diversity._fiber_stream(cover, N, jobs, budget)
-        assert [_fiber_fields(f) for f in got] == want
+    got = diversity._fiber_stream(cover, N, budget)
+    assert [_fiber_fields(f) for f in got] == want
 
 
 def test_stream_splits_cofactors_in_lanes_unless_the_table_is_complete(monkeypatch, tmp_path):
@@ -317,7 +284,8 @@ def test_serial_stream_splits_one_batch_per_window(monkeypatch, tmp_path):
     """y^5 = x^4 + 3x + 7 at N = 5,000 fits one window (sieve.window_size),
     so the serial stream makes one arith.split_cofactors call: each
     lockstep rho pays the same tail of steps whatever its width, and a
-    window of 4,096 paid it twice.  The report is the --jobs 2 report."""
+    window of 4,096 paid it twice.  The --jobs 2 run makes the same
+    split and writes the same report."""
     splits = []
     split = arith.split_cofactors
 
@@ -332,7 +300,7 @@ def test_serial_stream_splits_one_batch_per_window(monkeypatch, tmp_path):
         assert main(["strong-diversity", "--cover", "y^5 - (x^4 + 3*x + 7)", "--N", "5000",
                      "--jobs", jobs, "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
-    assert len(splits) == 1  # pool workers record in their own processes
+    assert len(splits) == 2 and splits[0] == splits[1]
     assert blobs[0] == blobs[1]
     assert hashlib.sha256(blobs[0]).hexdigest() == (
         "b6a3eb5b406d457a5e466b2e86559f28053a6bc6c881a884462cab8a35852b48"
@@ -368,51 +336,6 @@ def test_quintic_report_is_the_same_for_every_worker_count(tmp_path):
                      "--jobs", jobs, "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
-
-
-def test_pooled_stream_cancels_pending_chunks_on_early_exit(monkeypatch):
-    shutdowns = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            shutdowns.append(cancel_futures)
-            super().shutdown(wait, cancel_futures=cancel_futures)
-
-    # _fiber_stream imports the pool class when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    stream = diversity._fiber_stream(cover_from_text("y^2 - (x^3 - x)"), 40, jobs=2)
-    assert next(stream).n == 1
-    stream.close()
-    assert shutdowns == [True]
-
-
-def test_pooled_stream_bounds_chunks_in_flight(monkeypatch):
-    """A chunk is min(sieve.window_size(N), ceil(N / (2 * jobs))) fibers,
-    and at most 2 * jobs chunks are in flight: two workers take a quarter
-    of N = 40 at a time, and a window of 8 cuts it into five chunks."""
-    submitted = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            submitted.append(args[0][1:3])
-            return super().submit(fn, *args, **kwargs)
-
-    # _fiber_stream imports the pool class when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    cover = cover_from_text("y^2 - (x^3 - x)")
-    jobs, N = 2, 40
-    serial = list(diversity._fiber_stream(cover, N))
-    assert list(diversity._fiber_stream(cover, N, jobs=jobs)) == serial
-    assert submitted == [(1, 11), (11, 21), (21, 31), (31, 41)]
-    submitted.clear()
-    monkeypatch.setattr(sieve, "LIST_SEGMENT", 8)
-    with closing(diversity._fiber_stream(cover, N, jobs=jobs)) as stream:
-        assert next(stream).n == 1
-        assert 0 < len(submitted) <= 2 * jobs
-        rest = list(stream)
-    assert [f.n for f in rest] == list(range(2, N + 1))
-    assert submitted == [(n0, n0 + 8) for n0 in range(1, N + 1, 8)]
-    assert rest == serial[1:]
 
 
 def _old_key_series(cover, N, method):
@@ -578,7 +501,9 @@ def test_grouper_matches_naive_scan(keys):
 
 def test_grouper_compat_checks_stay_near_linear(monkeypatch):
     """The index keeps the grouper far from one check per (fiber, rep)
-    pair: a full scan makes 44,552 checks here."""
+    pair: a full scan makes 44,552 checks at N = 300.  At N = 1,000 it
+    makes at most one per fiber; probing the first 8 primes alone made
+    8,415 there."""
     calls = 0
     real = diversity._multiset_compatible
 
@@ -588,9 +513,14 @@ def test_grouper_compat_checks_stay_near_linear(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(diversity, "_multiset_compatible", counted)
-    rep = weak_diversity_count(cover_from_text("y^3 + x*y + x^2 + 1"), 300, "fingerprint")
+    cover = cover_from_text("y^3 + x*y + x^2 + 1")
+    rep = weak_diversity_count(cover, 300, "fingerprint")
     assert rep.distinct == 299
     assert 0 < calls < 5_000
+    calls = 0
+    rep = weak_diversity_count(cover, 1000, "fingerprint")
+    assert rep.distinct == 999
+    assert 0 < calls <= 1000
 
 
 # ---------------------------------------------------------------------------
@@ -657,19 +587,12 @@ def dict_factor_support(n):
     return oracle_factor(n).keys()
 
 
-def test_strong_jobs_determinism():
-    cov = normalize_cyclic(3, poly("x^2 + 1"))
-    reps = [strong_diversity_rank(cov, 80, jobs=j) for j in (1, 4)]
-    assert reps[0] == reps[1]
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_strong_aborts_on_unresolved(jobs):
+def test_strong_aborts_on_unresolved():
     p = 1_000_000_007
     q = 1_000_000_033
     cov = normalize_cyclic(2, IntPoly((p * q - 1, 0, 0, 1)))  # g(1) = p*q
     with pytest.raises(BudgetError) as exc:
-        strong_diversity_rank(cov, 3, jobs=jobs, budget=4)
+        strong_diversity_rank(cov, 3, budget=4)
     assert "n = 1" in str(exc.value)
 
 

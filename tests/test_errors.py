@@ -21,7 +21,8 @@ from fiberfields.errors import (
     ids=["DomainError", "BudgetError", "UnfactoredResidualError", "PolyParseError"],
 )
 def test_errors_survive_pickling(err, attrs):
-    """Errors cross process boundaries (the --jobs pool) by pickling."""
+    """Errors come back from pickling as themselves: type, message and
+    attributes."""
     back = pickle.loads(pickle.dumps(err))
     assert type(back) is type(err)
     assert str(back) == str(err)

@@ -53,3 +53,21 @@ def test_library_does_not_use_functools_cached_property():
         )
     ]
     assert found == []
+
+
+def test_library_starts_no_worker_processes():
+    # Fibers are processed serially in one process: a pool lost to the
+    # serial stream on every workload, so no module imports one back.
+    pool_modules = ("concurrent.futures", "multiprocessing")
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        # `from concurrent import futures` imports concurrent.futures
+        for name in [f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom)
+                     else alias.name]
+        if any(name == m or name.startswith(m + ".") for m in pool_modules)
+    ]
+    assert found == []
