@@ -100,9 +100,9 @@ class CompositumReport:
 
 def _specialized(cover, n0, n1, budget, prime_budget, table):
     """The fibers over n0 <= n < n1, each cyclic value handed the primes
-    sieve.segment_prime_lists finds for it (None for a plane cover).  The
-    window's lists go with this generator, before the next window's are
-    built."""
+    sieve.segment_prime_lists finds for it (None for a plane cover).  A
+    generator of its own, so a window's lists are freed before the next
+    window's are built."""
     if table is None:
         lists = repeat(None)
     else:
