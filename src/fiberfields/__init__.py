@@ -10,7 +10,7 @@ norm-collision bounds, ramified-prime fingerprints) exactly.
 
 __version__ = "0.1.0"
 
-from .arith import Factorization, factor, p_free_kernel, squarefree_kernel, valuation
+from .arith import Factorization, factor
 from .covers import (
     CoverSpec,
     CyclicCover,
@@ -38,7 +38,6 @@ from .kummer import (
     field_fingerprint,
     radical_class,
     radical_fields_isomorphic,
-    ramified_set,
 )
 from .polyring import (
     IntPoly,
@@ -50,7 +49,6 @@ from .polyring import (
     parse_poly,
     radical,
     resultant,
-    roots_mod,
     y_discriminant,
 )
 from .sieve import SieveReport, euler_density, exact_order_prime_ratio, squarefree_value_count
@@ -59,9 +57,6 @@ __all__ = [
     "__version__",
     "Factorization",
     "factor",
-    "valuation",
-    "squarefree_kernel",
-    "p_free_kernel",
     "IntPoly",
     "PlanePoly",
     "IrreducibleFactorization",
@@ -72,12 +67,10 @@ __all__ = [
     "resultant",
     "y_discriminant",
     "factor_over_Q",
-    "roots_mod",
     "KummerClass",
     "FieldFingerprint",
     "radical_class",
     "radical_fields_isomorphic",
-    "ramified_set",
     "field_fingerprint",
     "CoverSpec",
     "CyclicCover",

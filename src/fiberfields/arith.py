@@ -1,5 +1,5 @@
-"""Exact integer arithmetic: primality, factorization, valuations, and
-multiplicative kernels modulo perfect powers.
+"""Exact integer arithmetic: primality, factorization, and the reduction
+of a factorization modulo p-th powers.
 
 All of the counting machinery upstream (Kummer classes, ramified sets,
 squarefree statistics) reduces to exact signed prime-power decompositions
@@ -48,65 +48,52 @@ then the other bases of the lanes that pass it run as one lane per
 is_prime on a single number or one at or above 2**56, stay scalar.
 
 The trial stage finds the distinct primes up to TRIAL_DIVISION_LIMIT
-that divide m, in ascending order; each is then divided out of m with its
-full exponent.  A caller that already knows m's small primes passes them
-to factor as trial_primes and the stage is skipped: the sieve finds them
-along the root progressions of a polynomial (sieve.trial_root_table),
-together with every prime of its linear factors' values up to
-SIEVE_LIMIT and the large primes of its content, and its squarefree
-residuals have none.  trial_primes are ascending distinct primes dividing
-m, and they include every prime <= the limit that divides m; primes above
-the limit may be listed too.  That is the caller's obligation, as
-primality of the listed primes is the producer's for Factorization: a
-missing small prime reaches _split and is recorded as a prime part, and a
-listed non-divisor corrupts the cofactor.
-
-Without trial_primes the stage costs a few big-integer gcds, not one
-Python division per prime.  g = gcd(m, product of all trial primes) is the
-product of the distinct trial primes dividing m.  g is peeled in
-ascending blocks of _TRIAL_BLOCK primes: a block is skipped when its
-product is coprime to what is left of g, and the scan stops once the
-block's first prime squared exceeds it, because the rest of g is then a
-single prime.
+that divide m, in ascending order, one division per prime; each is then
+divided out of m with its full exponent.  A caller that already knows m's
+small primes passes them to factor as trial_primes and the stage is
+skipped: the sieve finds them along the root progressions of a polynomial
+(sieve.trial_root_table), together with every prime of its linear
+factors' values up to SIEVE_LIMIT and the large primes of its content,
+and its squarefree residuals have none.  trial_primes are ascending
+distinct primes dividing m, and they include every prime <= the limit
+that divides m; primes above the limit may be listed too.  That is the
+caller's obligation, as primality of the listed primes is the producer's
+for Factorization: a missing small prime reaches _split and is recorded
+as a prime part, and a listed non-divisor corrupts the cofactor.
 
 Either way the cofactor left over is m with every prime <= the limit
 removed, and possibly some larger primes too.  Every part of it that is
 at most TRIAL_DIVISION_LIMIT**2 is therefore prime, since all its prime
 factors exceed the limit, so it is recorded without a test (_split).
-Without listed large primes it is exactly what a prime-by-prime loop
-leaves whenever it reaches rho (that loop only stops early, at p * p > m,
-when the rest of m is 1 or a prime below TRIAL_DIVISION_LIMIT**2, which
-_split records the same way), so rho sees the same numbers, from the
-same seeds, and spends the same budget.  A listed large prime only
-shrinks the cofactor; when the list holds all of m's primes, nothing
-reaches _split.
+A listed large prime only shrinks the cofactor; when the list holds all
+of m's primes, nothing reaches _split.
 
 A caller holding many such cofactors at once (the squarefree sieve's
 residuals, and each segment of values of a cyclic fiber stream or of
-exact_order_prime_ratio, through sieve.segment_prime_lists) splits them
-first with split_cofactors and hands each one's primes to factor.  Only
-cofactors below 2**56, the envelope of the kernels' float-assisted
-mulmod, are split.  Their primality is proven in one batch (_are_prime),
-and the composites run Brent's rho together, one lane of int64 arrays
-each (_kernels.brent_rho_lanes), on _brent_rho's seeds and schedule: the
-lanes share the step counter, so a lane's steps, gcds and spend are
-those of _brent_rho on it alone.  A lane whose gcd is n, and every lane
-once fewer than _RHO_HAND_OFF are left, resumes in _brent_rho from its
-(x, y, q, r, k) with its spend carried over, so the backtrack and the
-retries stay there.  The parts of every split, the factor d found and
-the cofactor with d's primes divided out to their full powers, as
-_split_composite takes them, are then proven in one more batch, and a
-composite part goes to _split's rho on a budget carrying that spend, as
-in factor, so it is finished by the same rho calls factor would make.  A
-cofactor at or above 2**56 gets None before any check, and one whose
-split runs past the budget gets None too; both go through factor as
-before, so the factorizations and the UnfactoredResidualErrors are the
-same either way.
+exact_order_prime_ratio, through sieve.segment_prime_lists) decides them
+all with split_cofactors, which gives each one a verdict: its primes, for
+factor's trial_primes, or the UnfactoredResidualError that factor on it
+would raise.  Cofactors below 2**56, the envelope of the kernels'
+float-assisted mulmod, are split in the lanes.  Their primality is proven
+in one batch (_are_prime), and the composites run Brent's rho together,
+one lane of int64 arrays each (_kernels.brent_rho_lanes), on _brent_rho's
+seeds and schedule: the lanes share the step counter, so a lane's steps,
+gcds and spend are those of _brent_rho on it alone.  A lane whose gcd is
+n, and every lane once fewer than _RHO_HAND_OFF are left, resumes in
+_brent_rho from its (x, y, q, r, k) with its spend carried over, so the
+backtrack and the retries stay there.  The parts of every split, the
+factor d found and the cofactor with d's primes divided out to their full
+powers, as _split_composite takes them, are then proven in one more
+batch, and a composite part goes to _split's rho on a budget carrying
+that spend, as in factor, so it is finished by the same rho calls factor
+would make.  A cofactor at or above 2**56 is split by _split alone, as
+factor splits it.  So a verdict is what factor would find, primes or
+overrun, and no caller runs rho on a cofactor twice.  A caller hands an
+error verdict to factor as its trial_primes, and factor raises it.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 import threading
@@ -147,11 +134,6 @@ _MR_THRESHOLDS = (
 _BPSW_PROVEN_FROM = 3_474_749_660_383
 _BPSW_PROVEN_BELOW = 2**64
 
-# Trial primes per block of the gcd trial stage in factor().  Sizes 16 to
-# 64 time alike on smooth, rho-bound and sieve-residual values; the gcd
-# against the product of all trial primes (~10 us) dominates.
-_TRIAL_BLOCK = 32
-
 # Rho's steps between two gcds (Brent's m).
 _RHO_BLOCK = 128
 # split_cofactors runs rho on its composites below _kernels.LANES_BELOW in
@@ -179,10 +161,6 @@ _PRIME_HAND_OFF = 64
 
 _sieve_lock = threading.Lock()
 _prime_cache: dict[int, list[int]] = {}
-# (trial primes, their product, blocks of (first prime squared, block
-# product, block primes)), built under _sieve_lock at the first factor().
-_TrialTable = tuple[list[int], int, tuple[tuple[int, int, list[int]], ...]]
-_trial_table: _TrialTable | None = None
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -196,21 +174,6 @@ def primes_up_to(limit: int) -> list[int]:
             cached = np.nonzero(flags)[0].tolist()
             _prime_cache[limit] = cached
         return cached
-
-
-def _trial_blocks() -> _TrialTable:
-    global _trial_table
-    table = _trial_table
-    if table is None:
-        primes = primes_up_to(TRIAL_DIVISION_LIMIT)
-        with _sieve_lock:
-            if _trial_table is None:
-                starts = range(0, len(primes), _TRIAL_BLOCK)
-                chunks = [primes[i:i + _TRIAL_BLOCK] for i in starts]
-                blocks = tuple((c[0] * c[0], math.prod(c), c) for c in chunks)
-                _trial_table = (primes, math.prod(primes), blocks)
-            table = _trial_table
-    return table
 
 
 @dataclass(frozen=True, slots=True)
@@ -408,14 +371,10 @@ def introot(n: int, k: int) -> int:
     return x
 
 
-def perfect_power(n: int) -> tuple[int, int] | None:
-    """(b, k) with b**k == n and k prime, if any; None otherwise.  n >= 2."""
-    return _prime_power_root(n, 2)
-
-
 def _prime_power_root(n: int, least_base: int) -> tuple[int, int] | None:
-    """perfect_power(n) for n all of whose roots are >= least_base: only
-    prime exponents k with least_base**k <= n are tried."""
+    """(b, k) with b**k == n (n >= 2) and k prime, if any, else None, for
+    n all of whose roots are >= least_base: only prime exponents k with
+    least_base**k <= n are tried."""
     for k in primes_up_to(n.bit_length()):
         if least_base**k > n:
             break
@@ -546,32 +505,6 @@ def _split_composite(m: int, counts: dict[int, int], mult: int, budget: _Budget)
         _split(m, counts, mult, budget)
 
 
-def _trial_stage(m: int) -> list[int]:
-    """The distinct primes <= TRIAL_DIVISION_LIMIT dividing m (> 0),
-    ascending, by the gcd scan of the module docstring."""
-    trial, product, blocks = _trial_blocks()
-    g = math.gcd(m, product)  # the product of the distinct trial primes dividing m
-    found: list[int] = []
-    for first_sq, block, primes in blocks:
-        if first_sq > g:
-            break  # every prime left in g is >= this block's first: g is 1 or a prime
-        h = math.gcd(g, block)
-        if h > 1:
-            g //= h
-            for p in primes:
-                if h % p == 0:
-                    found.append(p)
-                    h //= p
-                    if h == 1:
-                        break
-    if g > 1:
-        # Take the table's int object, not g: factorizations then share one
-        # object per trial prime (the 50k cubic-smooth-weak factorizations
-        # hold 30.7 MB instead of 32.0 MB).
-        found.append(trial[bisect.bisect_left(trial, g)])
-    return found
-
-
 def _budget_total(budget: int | None) -> int:
     if budget is None:
         return DEFAULT_FACTOR_BUDGET
@@ -580,44 +513,53 @@ def _budget_total(budget: int | None) -> int:
     return budget
 
 
-def split_cofactors(ms: Sequence[int], budget: int | None = None) -> list[list[int] | None]:
+def split_cofactors(
+    ms: Sequence[int], budget: int | None = None
+) -> list[list[int] | UnfactoredResidualError]:
     """For each m (> 1, with no prime factor up to TRIAL_DIVISION_LIMIT,
-    as _split takes it), the ascending distinct primes of m, or None.
+    as _split takes it), its verdict: the ascending distinct primes of m,
+    or the UnfactoredResidualError that factor(m, budget) raises, naming
+    the same residual and budget.
 
-    A cofactor at or above _kernels.LANES_BELOW gets None at once.  The
-    rest take _split's checks: the T**2 rule, primality for the whole
-    batch at once (_are_prime), and _prime_power_root, for all of the
-    batch's composites at once too (_square_or_cube_roots).  The composites
-    then run Brent's rho together (_kernels.brent_rho_lanes), from the
-    seeds and on the schedule of _brent_rho, the last lanes and those
-    whose gcd is n finishing in _brent_rho itself.  The parts of every
-    split (the factor d, then the rest with d's primes divided out, as in
-    _split_composite), and the base of every prime power, are proven
-    prime in one more batch, and each composite part is finished as
-    _split finishes it (_split_composite), on a _Budget that carries the
-    spend so far.  So the rho calls, their seeds and the budget are those
-    of factor(m, budget, trial_primes=()), which finds the same primes;
-    factor(m, budget, trial_primes=primes) then gives the same
-    Factorization.  None covers a cofactor at or above
-    _kernels.LANES_BELOW and a spend past budget: a caller hands factor ()
-    for those, and it decides them as before.
+    A cofactor at or above _kernels.LANES_BELOW is split by _split alone,
+    on a budget of its own.  The rest take _split's checks: the T**2 rule,
+    primality for the whole batch at once (_are_prime), and
+    _prime_power_root, for all of the batch's composites at once too
+    (_square_or_cube_roots).  The composites then run Brent's rho together
+    (_kernels.brent_rho_lanes), from the seeds and on the schedule of
+    _brent_rho, the last lanes and those whose gcd is n finishing in
+    _brent_rho itself.  The parts of every split (the factor d, then the
+    rest with d's primes divided out, as in _split_composite), and the
+    base of every prime power, are proven prime in one more batch, and
+    each composite part is finished as _split finishes it
+    (_split_composite), on a _Budget that carries the spend so far.  So
+    the rho calls, their seeds and the budget are those of
+    factor(m, budget), and factor(m, budget, trial_primes=primes) gives
+    the same Factorization.
     """
     total = _budget_total(budget)
     small = TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT
-    primes: list[list[int] | None] = [None] * len(ms)
+    verdicts: list = [None] * len(ms)
     tested = []
     for i, m in enumerate(ms):
         if m <= small:
-            primes[i] = [m]
+            verdicts[i] = [m]
         elif m < _kernels.LANES_BELOW:
             tested.append(i)
+        else:
+            counts: dict[int, int] = {}
+            try:
+                _split(m, counts, 1, _Budget(total))
+                verdicts[i] = sorted(counts)
+            except UnfactoredResidualError as err:
+                verdicts[i] = err
     # (index, parts, rho steps spent) of each cofactor left to finish
     splits: list[tuple[int, tuple[int, ...], int]] = []
     composite = []
     unproven = []
     for i, prime in zip(tested, _are_prime([ms[i] for i in tested])):
         if prime:
-            primes[i] = [ms[i]]
+            verdicts[i] = [ms[i]]
         else:
             unproven.append(i)
     for i, power in zip(unproven, _square_or_cube_roots([ms[i] for i in unproven])):
@@ -638,11 +580,13 @@ def split_cofactors(ms: Sequence[int], budget: int | None = None) -> list[list[i
             try:
                 rho_budget.spend(s, n)
                 d = _brent_rho(n, rho_budget, lane)
-            except UnfactoredResidualError:
+            except UnfactoredResidualError as err:
+                verdicts[i] = err
                 continue
             s = total - rho_budget.left
         elif not d:
-            continue  # past the budget
+            verdicts[i] = UnfactoredResidualError(n, total)  # where _brent_rho overruns
+            continue
         rest = n // d  # then d's primes to their full powers, as _split_composite
         while (g := math.gcd(rest, d)) > 1:
             rest //= g
@@ -651,7 +595,7 @@ def split_cofactors(ms: Sequence[int], budget: int | None = None) -> list[list[i
     proven = {p for p, prime in zip(parts, _are_prime(parts)) if prime}
     for i, ps, steps in splits:
         part_budget = _Budget(total)
-        counts: dict[int, int] = {}
+        counts = {}
         try:
             part_budget.spend(steps, ms[i])
             for p in ps:
@@ -659,14 +603,17 @@ def split_cofactors(ms: Sequence[int], budget: int | None = None) -> list[list[i
                     counts[p] = 1
                 else:
                     _split_composite(p, counts, 1, part_budget)
-        except UnfactoredResidualError:
+        except UnfactoredResidualError as err:
+            verdicts[i] = err
             continue
-        primes[i] = sorted(counts)
-    return primes
+        verdicts[i] = sorted(counts)
+    return verdicts
 
 
 def factor(
-    n: int, budget: int | None = None, trial_primes: Sequence[int] | None = None
+    n: int,
+    budget: int | None = None,
+    trial_primes: Sequence[int] | UnfactoredResidualError | None = None,
 ) -> Factorization:
     """Complete signed prime factorization of a nonzero integer.
 
@@ -678,14 +625,17 @@ def factor(
     the module docstring), and the trial stage is skipped.  A list that is
     not strictly ascending raises DomainError.  What is left after
     dividing them out has no prime factor up to the limit, so _split's
-    T**2 rule still holds for it.
+    T**2 rule still holds for it.  trial_primes may instead be the error
+    verdict split_cofactors gave n's cofactor, which is raised as it is.
     """
     if n == 0:
         raise DomainError("arith", "factor(0) is undefined")
+    if isinstance(trial_primes, UnfactoredResidualError):
+        raise trial_primes
     sign = 1 if n > 0 else -1
     m = abs(n)
     if trial_primes is None:
-        trial_primes = _trial_stage(m)
+        trial_primes = [p for p in primes_up_to(TRIAL_DIVISION_LIMIT) if m % p == 0]
     factors = []
     last = 1
     for p in trial_primes:
@@ -707,45 +657,11 @@ def factor(
     return Factorization.ordered(sign, tuple(factors))
 
 
-def valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n (n nonzero, p prime)."""
-    if n == 0:
-        raise DomainError("arith", "valuation of 0 is undefined")
-    if p < 2 or not is_prime(p):
-        raise DomainError("arith", f"valuation requires a prime, got {p}")
-    e = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
-def squarefree_kernel(n: int, budget: int | None = None) -> int:
-    """sign(n) times the product of primes appearing to odd exponent in n.
-
-    The output is squarefree and n divided by it is a perfect square.
-    """
-    f = factor(n, budget)
-    k = f.sign
-    for p, e in f.factors:
-        if e % 2:
-            k *= p
-    return k
-
-
-def p_free_kernel(n: int, p: int, budget: int | None = None) -> Factorization:
-    """Canonical representative of n in Q*/(Q*)^p: exponents reduced into
-    [1, p-1].  The sign is retained for p = 2 and absorbed for odd p
-    (-1 is then a p-th power)."""
-    if not is_prime(p):
-        raise DomainError("arith", f"p_free_kernel requires a prime, got {p}")
-    return _p_free(factor(n, budget), p)
-
-
 def _p_free(f: Factorization, p: int) -> Factorization:
-    """p_free_kernel of the number f factors, for p already proven prime.
-    f itself when it is reduced already: every exponent below p, and the
+    """The canonical representative in Q*/(Q*)^p of the number f factors,
+    for p already proven prime: exponents reduced into [1, p-1], the sign
+    kept for p = 2 and absorbed for odd p (-1 is then a p-th power).  f
+    itself when it is reduced already: every exponent below p, and the
     sign kept (p = 2, or f positive)."""
     factors = f.factors
     if p == 2:

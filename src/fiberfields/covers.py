@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import kummer, polyring
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, UnfactoredResidualError
 from .kummer import FieldFingerprint, KummerClass
 from .polyring import IntPoly, PlanePoly
 
@@ -185,13 +185,15 @@ def specialize(
     n: int,
     budget: int | None = None,
     prime_budget: int = kummer.DEFAULT_PRIME_BUDGET,
-    trial_primes: Sequence[int] | None = None,
+    trial_primes: Sequence[int] | UnfactoredResidualError | None = None,
 ) -> FiberSpec:
     """Classify the fiber over x = n; never silently skips a fiber.
 
     trial_primes, for a cyclic cover only, are ascending distinct primes
     dividing g(n), every one <= arith.TRIAL_DIVISION_LIMIT among them,
-    handed to arith.factor (see sieve.segment_prime_lists)."""
+    handed to arith.factor (see sieve.segment_prime_lists), or the
+    UnfactoredResidualError the batch split gave g(n)'s cofactor, which
+    arith.factor raises, so the fiber is unresolved with its note."""
     if isinstance(cover, CyclicCover):
         value = cover.g(n)
         if value == 0:

@@ -23,9 +23,10 @@ found once per pass (sieve.trial_root_table).  The content of g is
 factored once per pass too, and its large primes are listed for every
 fiber.  Each window of n collects its primes along those root
 progressions, then splits the cofactors left over together, one
-lockstep rho over those below 2**56, so arith.factor gets every prime of
-most values (sieve.segment_prime_lists).  The split is skipped when g is
-its content times linear factors whose values stay within
+lockstep rho over those below 2**56 and scalar rho past it, so
+arith.factor gets every prime of each value, or the budget overrun the
+split met on it (sieve.segment_prime_lists).  The split is skipped when
+g is its content times linear factors whose values stay within
 arith.SIEVE_LIMIT: the progressions list every prime then.  Each fiber
 is folded as it arrives, so no fold holds the fibers: a weak fold keeps
 one int per distinct class (exact-kummer: the canonical value of the
@@ -115,7 +116,7 @@ def _trial_table(g: IntPoly, N: int, budget: int | None) -> sieve.TrialRootTable
     """The trial root table of g, with a row for each large prime of g's
     content from one factorization of the content under the caller's
     budget.  If that overruns, the table lists none of them, and each
-    fiber's factorization finds them as before."""
+    fiber's cofactor keeps them, for the batch split to decide."""
     table = sieve.trial_root_table(g, N)
     content = g.content()
     if abs(content) <= arith.TRIAL_DIVISION_LIMIT:
@@ -140,10 +141,10 @@ def _fiber_stream(
     (sieve.window_size fibers) gets its values' trial primes from the
     root progressions, and, unless the table lists every prime of every
     value, splits the cofactors left over in one batch
-    (sieve.segment_prime_lists).  So arith.factor skips its trial stage,
-    and a value whose primes are all listed never reaches its rho; one
-    the batch gave up (a cofactor at or above 2**56, or past the budget)
-    is decided there as before."""
+    (sieve.segment_prime_lists).  So arith.factor skips its trial stage
+    and never reaches its rho: it gets every prime of the value, or the
+    split's UnfactoredResidualError, which it raises, and the fiber is
+    unresolved."""
     table = _trial_table(cover.g, N, budget) if isinstance(cover, CyclicCover) else None
     window = sieve.window_size(N)
     for n0 in range(1, N + 1, window):

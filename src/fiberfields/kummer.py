@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import _modpoly, arith, polyring
 from .arith import Factorization
-from .errors import DomainError
+from .errors import DomainError, UnfactoredResidualError
 from .polyring import IntPoly
 
 DEFAULT_PRIME_BUDGET = 32
@@ -36,10 +36,11 @@ DEFAULT_PRIME_BUDGET = 32
 class KummerClass:
     """Class of a nonzero rational in Q*/(Q*)^p up to exponent twist.
 
-    The fields are p and the kernel (arith.p_free_kernel).  The canonical
-    form is a function of them, built on first read and cached in the
-    instance's __dict__: the weak isomorphism count reads it, the rank fold
-    and the ramified sets do not.  For p = 2 the canonical form is the
+    The fields are p and the kernel, the factorization with its exponents
+    reduced mod p (arith._p_free).  The canonical form is a function of
+    them, built on first read and cached in the instance's __dict__: the
+    weak isomorphism count reads it, the rank fold and the ramified sets
+    do not.  For p = 2 the canonical form is the
     kernel itself (its only twist is j = 1), so it is returned without a
     cache entry.  Equality and hashing see only p and the kernel, so two
     classes with the same p and kernel compare equal whether or not either
@@ -98,11 +99,15 @@ def _canonicalize(kernel: Factorization, p: int) -> Factorization:
 
 
 def radical_class(
-    a, p: int, budget: int | None = None, trial_primes: Sequence[int] | None = None
+    a,
+    p: int,
+    budget: int | None = None,
+    trial_primes: Sequence[int] | UnfactoredResidualError | None = None,
 ) -> KummerClass:
     """Kummer class of the nonzero rational a for the prime p; its
     canonical form is built when first read.  trial_primes, for an int a
-    only, is passed to arith.factor; p is proven prime here, once."""
+    only, is passed to arith.factor (a list, or an error verdict it
+    raises); p is proven prime here, once."""
     if type(a) is not int:  # a plain int skips both conversions
         if trial_primes is not None:
             raise DomainError("kummer", "trial_primes needs an integer a")
@@ -134,20 +139,6 @@ def radical_fields_isomorphic(a, b, p: int, budget: int | None = None) -> bool:
     if ca.is_trivial or cb.is_trivial:
         raise DomainError("kummer", "input is a p-th power (degenerate radical field)")
     return ca.key() == cb.key()
-
-
-def ramified_set(a, p: int, excluded: frozenset[int] | set[int] = frozenset(),
-                 budget: int | None = None) -> frozenset[int]:
-    """Primes dividing the kernel of a, minus `excluded` and minus p itself.
-
-    Away from p and the excluded set these are exactly the primes ramified
-    in Q(a^(1/p))/Q; ramification at p or at excluded primes is left
-    undetermined on purpose.
-    """
-    cls = radical_class(a, p, budget)
-    if cls.is_trivial:
-        raise DomainError("kummer", "ramified_set of a p-th power is undefined")
-    return frozenset(cls.kernel.support()) - frozenset(excluded) - {p}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ operations this module provides:
   * complete factorization into irreducibles over Q (squarefree
     decomposition, modular factorization, Hensel lifting to a
     Landau-Mignotte bound, subset recombination), and
-  * exact root counts modulo arbitrary m >= 2.
+  * exact root counts modulo prime powers.
 """
 
 from __future__ import annotations
@@ -26,14 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
-from . import _kernels, _modpoly, arith
+from . import _modpoly, arith
 from .errors import DomainError, PolyParseError
 
 FACTOR_DEGREE_BOUND = 12
 _MAX_EXPONENT = 1024
-_ROOTS_BRUTE_BOUND = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -677,14 +674,6 @@ class IrreducibleFactorization:
             out = out * poly.pow(mult)
         return out
 
-    @property
-    def is_irreducible(self) -> bool:
-        return (
-            len(self.factors) == 1
-            and self.factors[0][1] == 1
-            and abs(self.content) == 1
-        )
-
 
 def _det_rng(tag: str, *ints: int) -> random.Random:
     h = hashlib.sha256(
@@ -831,7 +820,7 @@ def factor_over_Q(
 
 
 # ---------------------------------------------------------------------------
-# roots modulo m
+# roots modulo prime powers
 # ---------------------------------------------------------------------------
 
 
@@ -864,21 +853,3 @@ def root_count_mod_prime_power(f: IntPoly, q: int, a: int) -> int:
         return sum(count_from(r + t * step, k + 1) for t in range(q))
 
     return sum(count_from(r, 1) for r in base_roots)
-
-
-def roots_mod(f: IntPoly, m: int) -> int:
-    """Count of residues r mod m with f(r) = 0 (exact; m >= 2).
-
-    Exhaustive below a fixed bound, prime-power lifting plus CRT above it.
-    """
-    if m < 2:
-        raise DomainError("polyring", "roots_mod needs modulus >= 2")
-    if m <= _ROOTS_BRUTE_BOUND:
-        arr = np.array([c % m for c in f.coeffs], dtype=np.int64)
-        return int(_kernels.poly_roots_mod(arr, m).shape[0])
-    total = 1
-    for q, a in arith.factor(m).factors:
-        total *= root_count_mod_prime_power(f, q, a)
-        if total == 0:
-            return 0
-    return total

@@ -21,13 +21,13 @@ rather than counted against h).  The scan is exact:
      math.isqrt on object ones (_squares_and_residuals), and
   3. the rare cofactors >= T**3 are fully factored (budgeted); T is then
      arith.TRIAL_DIVISION_LIMIT, so they have no trial prime.  A
-     segment's residuals are split together first (arith.split_cofactors:
+     segment's residuals are decided together (arith.split_cofactors:
      one lockstep primality proof over those below 2**56, one lockstep
      rho over the composites among them, whose lane step is one fused
-     reduction), and each goes to arith.factor once with its primes, or
-     with () where the batch gave it up; arith.factor skips its trial
-     stage either way, and decides the given-up ones, budget overruns
-     included, as it always has.
+     reduction, and scalar rho on those at or above 2**56).  Each
+     residual the batch factored goes to arith.factor once with its
+     primes, so arith.factor skips its trial stage; one past the budget
+     is named in the BudgetError, and rho never runs on it again.
 
 The same progressions give the cyclic fibers their trial primes (line
 sieving; Pomerance, "A tale of two sieves", 1996).  A prime q divides g(n)
@@ -69,7 +69,7 @@ from .errors import BudgetError, DomainError, UnfactoredResidualError
 from .polyring import IntPoly
 
 # Residual cofactors have no prime factor up to this cap, which is what lets
-# arith.factor skip its trial stage on them.
+# arith.split_cofactors decide them and arith.factor skip its trial stage.
 _SIEVE_PRIME_CAP = arith.TRIAL_DIVISION_LIMIT
 _SEGMENT = 1 << 20
 # The most values per segment_prime_lists call, in exact_order_prime_ratio
@@ -242,18 +242,18 @@ def trial_prime_lists(table: TrialRootTable, n0: int, count: int) -> list[list[i
 
 def segment_prime_lists(
     table: TrialRootTable, g: IntPoly, n0: int, count: int, budget: int | None = None
-) -> list[list[int]]:
+) -> list[list[int] | UnfactoredResidualError]:
     """lists[i]: ascending distinct primes dividing g(n0 + i), to hand
     arith.factor as its trial primes, for the table of g and
     1 <= n0 + i <= its N.
 
     Each list starts as the table's (trial_prime_lists).  Unless the
     table is complete, every nonzero value is divided by its listed primes,
-    the cofactors > 1 are split at once (arith.split_cofactors), and a
+    the cofactors > 1 are decided at once (arith.split_cofactors), and a
     split's primes are merged into the list, which then holds every prime
-    of the value.  Where the split gives up, the list stays the table's,
-    so arith.factor decides that value, budget overruns included, as it
-    would on its own."""
+    of the value.  Where the split overran the budget, the slot holds its
+    UnfactoredResidualError instead, the one arith.factor on the value
+    would raise; arith.factor raises it when handed it as trial_primes."""
     lists = trial_prime_lists(table, n0, count)
     if table.complete:
         return lists
@@ -263,7 +263,9 @@ def segment_prime_lists(
     ]
     rest = [i for i, c in enumerate(cofactors) if c > 1]
     for i, large in zip(rest, arith.split_cofactors([cofactors[i] for i in rest], budget)):
-        if large:
+        if isinstance(large, UnfactoredResidualError):
+            lists[i] = large
+        else:
             lists[i] = sorted(lists[i] + large)
     return lists
 
@@ -372,12 +374,11 @@ def squarefree_value_count(
         residuals += rest.size
         rest_values = cofactors[rest].tolist()
         split = arith.split_cofactors(rest_values, budget)
-        for i, c, hint in zip(rest.tolist(), rest_values, split):
-            try:
-                fact = arith.factor(c, budget, trial_primes=hint or ())
-            except UnfactoredResidualError:
+        for i, c, primes in zip(rest.tolist(), rest_values, split):
+            if isinstance(primes, UnfactoredResidualError):
                 bad.append(n0 + i)
                 continue
+            fact = arith.factor(c, budget, trial_primes=primes)
             if any(e >= 2 for _, e in fact.factors):
                 flags[i] = False
         flags_all.extend(flags.astype(np.uint8).tobytes())
@@ -447,9 +448,10 @@ def exact_order_prime_ratio(
     Each segment of m takes its prime lists from segment_prime_lists
     (g has no linear factor, so the table lists exactly the primes <= the
     trial limit, and the batch split adds the rest), and each value is
-    factored once with its list.  A cofactor the batch gave up is left to
-    arith.factor, so an overrun raises the same UnfactoredResidualError at
-    the same first m as a factor call per value."""
+    factored once with its list.  A value whose cofactor overran the
+    budget holds the split's error instead, which arith.factor raises, so
+    an overrun raises the same UnfactoredResidualError at the same first
+    m as a factor call per value."""
     if n < 1:
         raise DomainError("sieve", "n >= 1 required")
     if g.degree < 2:

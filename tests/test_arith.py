@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiberfields import _kernels, arith
-from fiberfields.arith import (
-    Factorization,
-    factor,
-    is_prime,
-    p_free_kernel,
-    squarefree_kernel,
-    valuation,
-)
+from fiberfields.arith import Factorization, factor, is_prime
 from fiberfields.errors import DomainError, UnfactoredResidualError
 from fiberfields.kummer import radical_class
 
@@ -70,38 +63,18 @@ def test_is_prime_small_and_carmichael():
     assert is_prime(2**61 - 1)
 
 
-def test_valuation_examples():
-    assert valuation(12, 2) == 2
-    assert valuation(7, 2) == 0
-    assert valuation(-8, 2) == 3
-
-
-def test_valuation_rejects_composite_and_zero():
-    with pytest.raises(DomainError):
-        valuation(12, 4)
-    with pytest.raises(DomainError):
-        valuation(0, 2)
-
-
-@given(st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n),
-       st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n),
-       st.sampled_from([2, 3, 5, 7]))
-@settings(max_examples=100, deadline=None)
-def test_valuation_multiplicative(a, b, p):
-    assert valuation(a * b, p) == valuation(a, p) + valuation(b, p)
-
-
 def test_squarefree_kernel_examples():
-    assert squarefree_kernel(12) == 3
-    assert squarefree_kernel(1) == 1
-    assert squarefree_kernel(-18) == -2
-    assert squarefree_kernel(12) == oracle_squarefree_kernel(12)
+    # the squarefree kernel is the 2-free kernel, sign kept
+    assert radical_class(12, 2).kernel.reconstruct() == 3
+    assert radical_class(1, 2).kernel.reconstruct() == 1
+    assert radical_class(-18, 2).kernel.reconstruct() == -2
+    assert radical_class(12, 2).kernel.reconstruct() == oracle_squarefree_kernel(12)
 
 
 @given(nonzero_ints, st.integers(min_value=1, max_value=300))
 @settings(max_examples=100, deadline=None)
 def test_squarefree_kernel_square_invariance(n, k):
-    assert squarefree_kernel(n * k * k) == squarefree_kernel(n)
+    assert radical_class(n * k * k, 2).kernel == radical_class(n, 2).kernel
 
 
 def oracle_trial_primes(n: int) -> list[int]:
@@ -144,28 +117,28 @@ def test_factor_checks_the_budget_when_no_rho_runs():
 
 
 def test_p_free_kernel_needs_a_prime():
-    with pytest.raises(DomainError, match="arith: p_free_kernel requires a prime, got 4"):
-        p_free_kernel(12, 4)
+    with pytest.raises(DomainError, match="kummer: radical_class needs a prime, got 4"):
+        radical_class(12, 4)
 
 
 def test_p_free_kernel_examples():
-    assert p_free_kernel(8, 3) == Factorization(1, ())
-    assert p_free_kernel(12, 3) == Factorization(1, ((2, 2), (3, 1)))
-    assert p_free_kernel(-4, 2) == Factorization(-1, ())
-    assert p_free_kernel(-8, 3) == Factorization(1, ())  # sign absorbed for odd p
+    assert radical_class(8, 3).kernel == Factorization(1, ())
+    assert radical_class(12, 3).kernel == Factorization(1, ((2, 2), (3, 1)))
+    assert radical_class(-4, 2).kernel == Factorization(-1, ())
+    assert radical_class(-8, 3).kernel == Factorization(1, ())  # sign absorbed for odd p
 
 
 @given(nonzero_ints, st.integers(min_value=1, max_value=40), st.sampled_from([2, 3, 5]))
 @settings(max_examples=100, deadline=None)
 def test_p_free_kernel_pth_power_invariance(n, k, p):
-    assert p_free_kernel(n * k**p, p) == p_free_kernel(n, p)
+    assert radical_class(n * k**p, p).kernel == radical_class(n, p).kernel
 
 
 @given(nonzero_ints)
 @settings(max_examples=100, deadline=None)
 def test_squarefree_kernel_is_2_free_kernel(n):
-    assert squarefree_kernel(n) == p_free_kernel(n, 2).reconstruct()
-    assert squarefree_kernel(n) == oracle_p_free_value(n, 2)
+    assert radical_class(n, 2).kernel.reconstruct() == oracle_squarefree_kernel(n)
+    assert radical_class(n, 2).kernel.reconstruct() == oracle_p_free_value(n, 2)
 
 
 @pytest.mark.parametrize(
@@ -179,12 +152,12 @@ def test_p_free_returns_a_reduced_factorization_itself(n, p, same):
     f = factor(n)
     kernel = arith._p_free(f, p)
     assert (kernel is f) == same
-    assert kernel == p_free_kernel(n, p)
+    assert kernel == radical_class(n, p).kernel
     assert kernel.reconstruct() == oracle_p_free_value(n, p)
 
 
 def test_p_free_kernel_exponent_range():
-    f = p_free_kernel(2**9 * 3**5 * 5, 5)
+    f = radical_class(2**9 * 3**5 * 5, 5).kernel
     assert all(1 <= e <= 4 for _, e in f.factors)
     assert f == Factorization(1, ((2, 4), (5, 1)))
 
@@ -192,10 +165,10 @@ def test_p_free_kernel_exponent_range():
 def test_introot_and_perfect_power():
     assert arith.introot(10**12, 2) == 10**6
     assert arith.introot(2**60 - 1, 3) == 2**20 - 1
-    b, k = arith.perfect_power(2**10)
+    b, k = arith._prime_power_root(2**10, 2)
     assert b**k == 2**10 and oracle_is_prime(k)
-    assert arith.perfect_power(3**5) == (3, 5)
-    assert arith.perfect_power(60) is None
+    assert arith._prime_power_root(3**5, 2) == (3, 5)
+    assert arith._prime_power_root(60, 2) is None
 
 
 def test_factorization_invariants_enforced():
@@ -217,7 +190,7 @@ _JUST_ABOVE_LIMIT = [10_007, 10_009, 10_037, 10_039, 10_061, 10_067, 10_069, 10_
 _smooth = st.lists(
     st.tuples(st.sampled_from(_TRIAL), st.integers(1, 12)), min_size=1, max_size=8
 ).map(lambda fs: math.prod(p**e for p, e in fs))
-# one prime from each of several trial blocks, large ones included
+# up to 14 distinct trial primes, large ones included
 _spread = st.lists(
     st.integers(0, len(_TRIAL) - 1), min_size=2, max_size=14, unique=True
 ).map(lambda idx: math.prod(_TRIAL[i] for i in idx))
@@ -437,8 +410,16 @@ _large_primes = st.one_of(
     st.integers(10**4, 10**7).map(sympy.nextprime),
     st.integers(2**24, 2**27).map(sympy.nextprime),  # products reach past 2**56
 )
-_cofactors = st.lists(st.tuples(_large_primes, st.integers(1, 3)), min_size=1, max_size=3).map(
-    lambda parts: math.prod(p**e for p, e in parts)
+_cofactors = st.one_of(
+    st.lists(st.tuples(_large_primes, st.integers(1, 3)), min_size=1, max_size=3).map(
+        lambda parts: math.prod(p**e for p, e in parts)
+    ),
+    st.sampled_from([p * q for p, q, _ in LEAST_BUDGETS]),
+)
+# budgets anywhere, and next to the least budget of a LEAST_BUDGETS product
+_budgets = st.one_of(
+    st.integers(1, 10**4),
+    st.sampled_from([b for _, _, least in LEAST_BUDGETS for b in range(least - 2, least + 2)]),
 )
 
 
@@ -449,27 +430,37 @@ def _outcome(m, budget, trial_primes=None):
         return exc.residual, exc.budget
 
 
+def _verdict(primes):
+    if isinstance(primes, UnfactoredResidualError):
+        return primes.residual, primes.budget
+    return primes
+
+
 @given(
     st.lists(_cofactors, min_size=1, max_size=12),
-    st.integers(1, 10**4),
+    _budgets,
     st.sampled_from([0, 3, arith._RHO_HAND_OFF]),
     st.sampled_from([0, arith._PRIME_HAND_OFF]),
 )
 @settings(max_examples=150, deadline=None)
 def test_split_cofactors_then_factor_is_factor(ms, budget, hand_off, prime_hand_off):
     """Primes, pq, p^2 q, three primes, powers, some at or above 2**56:
-    factor given the batch's list (or () for None) returns the same
-    Factorization, or raises naming the same residual and budget, as
-    factor alone.  Lower hand-offs keep the lanes, rho's and the
-    primality proofs', in the kernels."""
+    every verdict is the outcome of factor alone, the primes it finds or
+    the residual and budget it names when it overruns, and factor given
+    the verdict returns that Factorization or raises that error.  Lower
+    hand-offs keep the lanes, rho's and the primality proofs', in the
+    kernels."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arith, "_RHO_HAND_OFF", hand_off)
         mp.setattr(arith, "_PRIME_HAND_OFF", prime_hand_off)
         split = arith.split_cofactors(ms, budget)
     for m, primes in zip(ms, split):
-        assert _outcome(m, budget, primes or ()) == _outcome(m, budget)
-        if primes is not None:
-            assert primes == sorted(sympy.factorint(m))
+        alone = _outcome(m, budget)
+        if isinstance(alone, Factorization):
+            assert _verdict(primes) == sorted(alone.support()) == sorted(sympy.factorint(m))
+        else:
+            assert _verdict(primes) == alone
+        assert _outcome(m, budget, primes) == alone
 
 
 # One copy is handed to _brent_rho after round 1; 64 copies stay in the
@@ -481,20 +472,24 @@ def test_split_cofactors_then_factor_is_factor(ms, budget, hand_off, prime_hand_
 def test_split_cofactors_least_budget_is_factors(p, q, least_budget, copies):
     ms = [p * q] * copies
     assert arith.split_cofactors(ms, least_budget) == [[p, q]] * copies
-    assert arith.split_cofactors(ms, least_budget - 1) == [None] * copies
+    short = arith.split_cofactors(ms, least_budget - 1)
+    assert [_verdict(v) for v in short] == [(p * q, least_budget - 1)] * copies
 
 
-def test_split_cofactors_lists_what_fits_the_lanes():
-    """Everything below _kernels.LANES_BELOW = 2**56 is split, r * s
-    (about 2**50) and r * (2**31 - 1) (just below 2**56) included; r**3,
-    2**61 - 1 and s * (2**31 - 1) (just above 2**56) get None."""
+def test_split_cofactors_decides_past_the_lanes():
+    """Everything below _kernels.LANES_BELOW = 2**56 is split in the lanes,
+    r * s (about 2**50) and r * (2**31 - 1) (just below 2**56) included;
+    r**3, 2**61 - 1 and s * (2**31 - 1) (just above 2**56) are split by
+    scalar rho in the same call, and overrun the budget as factor does."""
     p, q, r, s, m31 = 10_007, 10_009, 33_554_393, 33_555_439, 2**31 - 1
     assert r * s >= 2**50 > p * q * 10_037
     assert r * m31 < _kernels.LANES_BELOW == 2**56 < s * m31
     ms = [p, p * q, r**3, 2**61 - 1, p * q * 10_037, p**2 * q, r * s, r * m31, s * m31]
     assert arith.split_cofactors(ms) == [
-        [p], [p, q], None, None, [p, q, 10_037], [p, q], [r, s], [r, m31], None
+        [p], [p, q], [r], [2**61 - 1], [p, q, 10_037], [p, q], [r, s], [r, m31], [s, m31]
     ]
+    [overrun] = arith.split_cofactors([s * m31], 8)
+    assert _verdict(overrun) == _outcome(s * m31, 8) == (s * m31, 8)
     with pytest.raises(DomainError):
         arith.split_cofactors(ms, 0)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -119,7 +120,7 @@ def test_nonpositive_prime_budget_rejected(prime_budget):
 
 
 def test_cyclic_stream_hands_every_factor_its_trial_primes(monkeypatch):
-    """No cyclic fiber falls back to arith.factor's gcd trial stage."""
+    """No cyclic fiber falls back to arith.factor's own trial stage."""
     calls = []
     real = arith.factor
 
@@ -278,6 +279,41 @@ def test_stream_splits_cofactors_in_lanes_unless_the_table_is_complete(monkeypat
     cover = cover_from_text("y^2 - (x^3 - x)")
     assert weak_diversity_count(cover, 5000).distinct > 0
     assert splits == rho_calls == []
+
+
+def test_stream_runs_rho_once_on_a_cofactor_past_the_budget(monkeypatch, tmp_path):
+    """y^5 = x^4 + 3x + 7 at N = 5,000 under a budget of 2,000: the batch
+    split decides every cofactor, 138 of them past the budget, and each
+    such fiber is unresolved with the error the split named.  Rho runs
+    inside arith.split_cofactors only; with a rerun in arith.factor it
+    started from scratch 138 more times, and the report was the same."""
+    inside, outside = [], []
+    split, rho = arith.split_cofactors, arith._brent_rho
+
+    def recording_split(ms, budget=None):
+        inside.append(True)
+        try:
+            return split(ms, budget)
+        finally:
+            inside.pop()
+
+    def recording_rho(n, budget, lane=None):
+        if not inside:
+            outside.append(n)
+        return rho(n, budget, lane)
+
+    monkeypatch.setattr(arith, "split_cofactors", recording_split)
+    monkeypatch.setattr(arith, "_brent_rho", recording_rho)
+    out = tmp_path / "weak.json"
+    assert main(["weak-diversity", "--cover", "y^5 - (x^4 + 3*x + 7)", "--N", "5000",
+                 "--method", "exact", "--factor-budget", "2000", "--out", str(out)]) == 0
+    blob = out.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "73af62d300adeb9b85447e038d6350310488557e11426205c6a048933c987d90"
+    )
+    skipped = json.loads(blob)["skipped"]
+    assert len(skipped) == 138 and {s["reason"] for s in skipped} == {"unresolved"}
+    assert outside == []
 
 
 def test_serial_stream_splits_one_batch_per_window(monkeypatch, tmp_path):

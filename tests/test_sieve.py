@@ -118,9 +118,9 @@ def test_residual_above_cube_of_sieve_bound_with_repeated_large_prime():
 
 def test_residuals_skip_the_trial_stage(monkeypatch):
     """Every residual cofactor is free of the trial primes, so it reaches
-    arith.factor once, with trial_primes () or, from arith.split_cofactors,
-    its complete ascending prime list, all above the trial limit; either
-    way it factors as it would without."""
+    arith.factor once, with its complete ascending prime list from
+    arith.split_cofactors, all above the trial limit, and factors as it
+    would without."""
     assert sieve._SIEVE_PRIME_CAP == arith.TRIAL_DIVISION_LIMIT
     trial_product = math.prod(arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT))
     calls = []
@@ -135,14 +135,11 @@ def test_residuals_skip_the_trial_stage(monkeypatch):
     rep = squarefree_value_count(h, 40)
     assert rep.flags == sympy_flags(h, 40, ())
     assert len(calls) == rep.residuals_factored >= 1
-    listed = 0
     for c, trial_primes in calls:
-        assert list(trial_primes) in ([], sorted(sympy.factorint(c)))
+        assert trial_primes == sorted(sympy.factorint(c))
         assert all(q > arith.TRIAL_DIVISION_LIMIT for q in trial_primes)
         assert math.gcd(c, trial_product) == 1
         assert real(c, trial_primes=trial_primes) == real(c)
-        listed += bool(trial_primes)
-    assert listed >= 1
 
 
 def test_residual_overruns_are_the_ones_scalar_factor_overruns():
@@ -169,29 +166,54 @@ def test_residual_overruns_are_the_ones_scalar_factor_overruns():
     assert str(exc.value).endswith("at n = 2, 14, 26")
 
 
+def test_residuals_reach_arith_factor_only_when_the_batch_resolves_them(monkeypatch):
+    """Of the six residuals of x + 3e12 (n <= 60), arith.split_cofactors
+    gives three an error verdict under a budget of 400: the sieve names
+    their n and hands only the other three to arith.factor."""
+    calls = []
+    real = arith.factor
+
+    def recording(n, budget=None, trial_primes=None):
+        calls.append(n)
+        return real(n, budget, trial_primes)
+
+    monkeypatch.setattr(arith, "factor", recording)
+    with pytest.raises(BudgetError, match="at n = 2, 14, 26$"):
+        squarefree_value_count(IntPoly((3 * 10**12, 1)), 60, budget=400)
+    assert len(calls) == 3
+
+
 def test_residuals_reach_scalar_rho_only_when_the_batch_gives_them_up(monkeypatch):
-    """x^3 + 2: arith.split_cofactors splits the composite residuals in
-    lockstep, and a residual starts rho from scratch in arith.factor only
-    when the batch gave it up (at or above 2**56, or past the budget).  At
-    N = 12,000 it gives up none, so rho never starts from scratch."""
-    given_up, fresh = [], []
+    """x^3 + 2: arith.split_cofactors decides every residual, so rho runs
+    inside it only, never from scratch in arith.factor.  At N = 12,000
+    under a budget of 500 it gives 40 residuals an error verdict, and the
+    sieve names them without running rho on them again."""
+    inside, given_up, outside = [], [], []
     split, rho = arith.split_cofactors, arith._brent_rho
 
     def recording_split(ms, budget=None):
-        primes = split(ms, budget)
-        given_up.extend(m for m, listed in zip(ms, primes) if listed is None)
-        return primes
+        inside.append(True)
+        try:
+            verdicts = split(ms, budget)
+        finally:
+            inside.pop()
+        given_up.extend(v for v in verdicts if isinstance(v, UnfactoredResidualError))
+        return verdicts
 
     def recording_rho(n, budget, lane=None):
-        if lane is None:
-            fresh.append(n)
+        if not inside:
+            outside.append(n)
         return rho(n, budget, lane)
 
     monkeypatch.setattr(arith, "split_cofactors", recording_split)
     monkeypatch.setattr(arith, "_brent_rho", recording_rho)
     rep = squarefree_value_count(poly("x^3 + 2"), 12_000)
     assert rep.residuals_factored == 170
-    assert all(any(m % n == 0 for m in given_up) for n in fresh)
+    with pytest.raises(BudgetError) as exc:
+        squarefree_value_count(poly("x^3 + 2"), 12_000, budget=500)
+    assert len(given_up) == 40 and all(err.budget == 500 for err in given_up)
+    assert str(exc.value).count(",") == 19 and str(exc.value).endswith("...")
+    assert outside == []
 
 
 def test_fixed_square_primes_honours_the_budget(tmp_path, capsys):
