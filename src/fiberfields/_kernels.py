@@ -9,8 +9,9 @@ in one pass over lanes, one prime each (Cantor-Zassenhaus): the trial
 root table (sieve.trial_root_table), the squarefree scan and the Euler
 product (sieve.euler_density) each call it once.  poly_roots_mod finds
 roots by exhaustion: the table uses it only for the primes dividing the
-leading coefficient, and the tests use it as the table's oracle;
-polyring and _modpoly count and find roots mod a single modulus with it.
+leading coefficient, sieve.fixed_square_primes tries every residue
+mod p and p**2 for the primes p <= deg h with it, and the tests use it
+as the table's oracle.
 
 The root and prime kernels work on int64 arrays; the root kernels reduce
 the coefficients mod each prime first, so they also take object

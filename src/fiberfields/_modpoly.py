@@ -19,10 +19,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
-from . import _kernels
-
 
 def trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
@@ -243,43 +239,3 @@ def factor_squarefree_monic(f, p: int, rng: random.Random):
     for block, d in distinct_degree_split(f, p):
         out.extend(equal_degree_split(block, d, p, rng))
     return sorted(out, key=lambda g: (deg(g), tuple(reversed(g))))
-
-
-_BRUTE_ROOT_LIMIT = 1 << 15
-
-
-def roots_mod_prime(coeffs, p: int) -> list[int]:
-    """Sorted roots in [0, p) of the integer polynomial coeffs mod prime p.
-
-    Exhaustive below a small bound (via the array kernels), gcd with
-    x**p - x plus degree-1 splitting above it.
-    """
-    f = from_int_coeffs(coeffs, p)
-    if not f:
-        return list(range(p))
-    if deg(f) == 0:
-        return []
-    if p <= _BRUTE_ROOT_LIMIT:
-        arr = np.array(f, dtype=np.int64)
-        return [int(r) for r in _kernels.poly_roots_mod(arr, p)]
-    xp = pow_mod([0, 1], p, f, p)
-    lin = gcd(sub(xp, [0, 1], p), f, p)
-    if deg(lin) <= 0:
-        return []
-    rng = random.Random(p * 0x9E3779B1 ^ len(coeffs))
-    roots = []
-    stack = [lin]
-    while stack:
-        g = stack.pop()
-        if deg(g) == 1:
-            roots.append((-g[0]) * pow(g[1], -1, p) % p)
-            continue
-        while True:
-            a = rng.randrange(p)
-            b = pow_mod([a, 1], (p - 1) // 2, g, p)
-            h = gcd(sub(b, [1], p), g, p)
-            if 0 < deg(h) < deg(g):
-                stack.append(h)
-                stack.append(divmod_(g, h, p)[0])
-                break
-    return sorted(roots)

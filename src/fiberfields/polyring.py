@@ -13,8 +13,7 @@ operations this module provides:
   * separable radicals preserving the leading coefficient,
   * complete factorization into irreducibles over Q (squarefree
     decomposition, modular factorization, Hensel lifting to a
-    Landau-Mignotte bound, subset recombination), and
-  * exact root counts modulo prime powers.
+    Landau-Mignotte bound, subset recombination).
 """
 
 from __future__ import annotations
@@ -817,39 +816,3 @@ def factor_over_Q(
             out.append((irr, mult))
     out.sort(key=lambda t: (t[0].degree, tuple(reversed(t[0].coeffs))))
     return IrreducibleFactorization(content, tuple(out))
-
-
-# ---------------------------------------------------------------------------
-# roots modulo prime powers
-# ---------------------------------------------------------------------------
-
-
-def root_count_mod_prime_power(f: IntPoly, q: int, a: int) -> int:
-    """Exact number of roots of f in Z/q**a (q prime, a >= 1).
-
-    When q**a divides every coefficient, every residue is a root and the
-    count is q**a at once.  Otherwise roots mod q are lifted one level at a
-    time: a root where f' is a unit mod q lifts uniquely, and the q lifts
-    of any other root mod q**k are all roots mod q**(k+1) or none are.
-    Exact also when f vanishes mod q, where every residue is such a
-    singular root.
-    """
-    if all(c % q**a == 0 for c in f.coeffs):
-        return q**a
-    base_roots = _modpoly.roots_mod_prime(f.coeffs, q)
-    if a == 1:
-        return len(base_roots)
-    der = f.derivative()
-
-    def count_from(r: int, k: int) -> int:
-        if k == a:
-            return 1
-        if der(r) % q != 0:
-            return 1  # nonsingular: unique lift at every further level
-        mod_next = q ** (k + 1)
-        if f(r) % mod_next != 0:
-            return 0
-        step = q**k
-        return sum(count_from(r + t * step, k + 1) for t in range(q))
-
-    return sum(count_from(r, 1) for r in base_roots)

@@ -271,22 +271,30 @@ def segment_prime_lists(
 
 
 def fixed_square_primes(h: IntPoly, budget: int | None = None) -> tuple[int, ...]:
-    """Primes p with p**2 dividing h(n) for every integer n.
+    """Primes p with p**2 dividing h(n) for every integer n, ascending.
 
-    Any such p divides the content or is at most deg h: otherwise h mod p
-    is a nonzero polynomial of degree < p, so it cannot vanish at every
-    residue.  Only those candidates are tried, each confirmed by an exact
-    root count mod p**2.  budget bounds the factorization of the content.
+    A prime p <= deg h is fixed exactly when every residue mod p**2 is a
+    root of h, which _kernels.poly_roots_mod decides by exhaustion (it
+    needs p**4 < 2**63, which p <= deg h meets below degree 55,000); all
+    p residues mod p are tried first, as a root mod p**2 is one mod p.
+
+    A prime p > deg h is fixed exactly when p**2 divides the content c of
+    h.  Let p**e be the exact power of p in c, so h = p**e h1 with h1 mod p
+    nonzero.  h1 mod p has degree < p, so it does not vanish at every
+    residue, and some h(n) has exactly e factors p: e >= 2 is needed, and
+    it is enough.  budget bounds the factorization of c.
     """
-    candidates = set(arith.primes_up_to(h.degree))
-    content = h.content()
-    if abs(content) > 1:
-        candidates |= arith.factor(content, budget).support()
+    coeffs = np.array(h.coeffs, dtype=object)
     fixed = [
         p
-        for p in sorted(candidates)
-        if polyring.root_count_mod_prime_power(h, p, 2) == p * p
+        for p in arith.primes_up_to(h.degree)
+        if all(_kernels.poly_roots_mod(coeffs, m).size == m for m in (p, p * p))
     ]
+    content = h.content()
+    if abs(content) > 1:
+        fixed += [
+            p for p, e in arith.factor(content, budget).factors if p > h.degree and e >= 2
+        ]
     return tuple(fixed)
 
 
@@ -357,7 +365,7 @@ def squarefree_value_count(
     fixed = fixed_square_primes(h, budget)
     bound = _coefficient_bound(h, N)
     T = max(37, min(_SIEVE_PRIME_CAP, arith.introot(bound, 3) + 1))
-    primes = [q for q in arith.primes_up_to(T)]
+    primes = arith.primes_up_to(T)
     small_fixed = [p for p in fixed if p <= T]
     big_fixed = [p for p in fixed if p > T]
     # bound also caps every coefficient and every Horner partial sum
@@ -374,11 +382,11 @@ def squarefree_value_count(
         residuals += rest.size
         rest_values = cofactors[rest].tolist()
         split = arith.split_cofactors(rest_values, budget)
-        for i, c, primes in zip(rest.tolist(), rest_values, split):
-            if isinstance(primes, UnfactoredResidualError):
+        for i, c, large in zip(rest.tolist(), rest_values, split):
+            if isinstance(large, UnfactoredResidualError):
                 bad.append(n0 + i)
                 continue
-            fact = arith.factor(c, budget, trial_primes=primes)
+            fact = arith.factor(c, budget, trial_primes=large)
             if any(e >= 2 for _, e in fact.factors):
                 flags[i] = False
         flags_all.extend(flags.astype(np.uint8).tobytes())

@@ -1,13 +1,10 @@
 import random
-from fractions import Fraction
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiberfields import _kernels, _modpoly
 from fiberfields.errors import DomainError, PolyParseError
 from fiberfields.polyring import (
     IntPoly,
@@ -20,7 +17,6 @@ from fiberfields.polyring import (
     poly_gcd,
     radical,
     resultant,
-    root_count_mod_prime_power,
     squarefree_decomposition,
     y_discriminant,
 )
@@ -262,99 +258,6 @@ def test_squarefree_decomposition_round_trip():
     for a, i in parts:
         rebuilt = rebuilt * a.pow(i)
     assert rebuilt == f
-
-
-# ---------------------------------------------------------------------------
-# root counts modulo prime powers
-# ---------------------------------------------------------------------------
-
-
-def test_roots_mod_examples():
-    assert root_count_mod_prime_power(poly("x^2 + 1"), 5, 1) == 2
-    assert root_count_mod_prime_power(poly("x^2 + 1"), 3, 1) == 0
-    assert root_count_mod_prime_power(poly("x"), 2, 2) == 1
-
-
-def test_roots_mod_matches_exhaustion():
-    rng = random.Random(31)
-    prime_powers = [q**a for q in (2, 3, 5, 7, 11, 13) for a in range(1, 8) if q**a <= 250]
-    for _ in range(40):
-        f = IntPoly([rng.randint(-40, 40) for _ in range(rng.randint(1, 6))])
-        m = rng.choice(prime_powers + list(sympy.primerange(17, 250)))
-        q, a = next(iter(sympy.factorint(m).items()))
-        brute = sum(1 for r in range(m) if f(r) % m == 0)
-        assert root_count_mod_prime_power(f, q, a) == brute
-
-
-def test_roots_mod_prime_power_lift_path():
-    rng = random.Random(37)
-    cases = [
-        (IntPoly([rng.randint(-20, 20) for _ in range(rng.randint(1, 5))]),
-         rng.choice([2, 3, 5, 7]), rng.randint(1, 3))
-        for _ in range(30)
-    ]
-    # f vanishing mod p, and mod p**2, takes the all-lifts-or-none branch
-    cases += [
-        (poly(text), p, a)
-        for text, p in (("4x + 4", 2), ("9x^2 + 9", 3), ("3x^3 + 6", 3))
-        for a in (1, 2, 3)
-    ]
-    for f, p, a in cases:
-        brute = sum(1 for r in range(p**a) if f(r) % p**a == 0)
-        assert root_count_mod_prime_power(f, p, a) == brute, (f, p, a)
-
-
-def test_prime_power_count_when_q_power_divides_every_coefficient(monkeypatch):
-    # 1000003**2 (x^2 + 1): every residue mod q**2 is a root, counted
-    # without finding a single root mod q
-    def refuse(*args):
-        raise AssertionError("roots mod q searched")
-
-    monkeypatch.setattr(_modpoly, "roots_mod_prime", refuse)
-    q = 1_000_003
-    f = IntPoly((q * q, 0, q * q))
-    assert root_count_mod_prime_power(f, q, 2) == q * q
-
-
-def _exhaustive_roots(coeffs, m):
-    return _kernels.poly_roots_mod(np.array([c % m for c in coeffs], dtype=np.int64), m)
-
-
-@st.composite
-def _polys_mod(draw, m):
-    """Integer coefficient lists, lowest degree first: random, a product of
-    distinct linear factors mod m, or vanishing mod a prime factor of m."""
-    kind = draw(st.sampled_from(["random", "linear", "vanishing"]))
-    if kind == "linear":
-        roots = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=5, unique=True))
-        f = [1]
-        for r in roots:  # f * (x - r)
-            f = [a - r * b for a, b in zip([0] + f, f + [0])]
-        return f
-    coeffs = draw(st.lists(st.integers(-(10**7), 10**7), min_size=1, max_size=6))
-    if kind == "vanishing":
-        q = draw(st.sampled_from(sorted(sympy.factorint(m))))
-        coeffs = [q * c for c in coeffs]
-    return coeffs
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data(), st.integers(32_771, 200_000))
-def test_roots_mod_prime_above_brute_limit_match_exhaustion(data, k):
-    p = sympy.prevprime(k + 1)  # a prime in (2**15, 2 * 10**5]
-    coeffs = data.draw(_polys_mod(p))
-    assert _modpoly.roots_mod_prime(coeffs, p) == _exhaustive_roots(coeffs, p).tolist()
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.data(), st.sampled_from([(1009, 2), (3, 13), (2, 20)]))
-def test_roots_mod_crt_path_matches_exhaustion(data, prime_power):
-    """Prime powers whose roots lift level by level, against exhaustion."""
-    q, a = prime_power
-    coeffs = data.draw(_polys_mod(q**a))
-    assert root_count_mod_prime_power(IntPoly(coeffs), q, a) == len(
-        _exhaustive_roots(coeffs, q**a)
-    )
 
 
 # ---------------------------------------------------------------------------

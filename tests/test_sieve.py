@@ -8,7 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fiberfields import arith, diversity, polyring, sieve
+from fiberfields import _kernels, arith, diversity, polyring, sieve
 from fiberfields.cli import main
 from fiberfields.errors import BudgetError, DomainError, UnfactoredResidualError
 from fiberfields.polyring import IntPoly, parse_poly
@@ -77,6 +77,39 @@ def test_fixed_primes_examples():
     assert fixed_square_primes(poly("x^2 + x + 4")) == ()  # h(1) = 6, only one factor 2
     assert fixed_square_primes(poly("x")) == ()
     assert fixed_square_primes(poly("9x^2 + 9")) == (3,)
+    q = 2**31 - 1  # a content prime past int32: q (x^2 + 1) and q^2 (x^2 + 1)
+    assert fixed_square_primes(IntPoly((q, 0, q))) == ()
+    assert fixed_square_primes(IntPoly((q * q, 0, q * q))) == (q,)
+
+
+@st.composite
+def _content_times_primitive(draw):
+    """c * f, with c a product of primes 2-13 at exponents 0-3, and f a
+    random primitive polynomial of degree 1-4 or the product of x - r over
+    all r mod a prime p <= 13."""
+    content = math.prod(q ** draw(st.integers(0, 3)) for q in (2, 3, 5, 7, 11, 13))
+    if draw(st.booleans()):
+        f = IntPoly((1,))
+        for r in range(draw(st.sampled_from([2, 3, 5, 7, 11, 13]))):
+            f = f * IntPoly((-r, 1))
+    else:
+        coeffs = draw(st.lists(st.integers(-30, 30), min_size=2, max_size=5))
+        f = IntPoly(coeffs[:-1] + [draw(st.integers(1, 30))]).primitive()
+    return f.scale(content)
+
+
+@given(_content_times_primitive())
+@example(poly("4x + 4"))
+@example(poly("9x^2 + 9"))
+@example(poly("3x^3 + 6"))
+@settings(max_examples=200, deadline=None)
+def test_fixed_square_primes_match_exhaustion(h):
+    """Every prime up to 13 tried on all p**2 residues.  No larger prime
+    can be fixed: it divides no content drawn, and deg h <= 13."""
+    want = tuple(
+        p for p in arith.primes_up_to(13) if all(h(n) % (p * p) == 0 for n in range(p * p))
+    )
+    assert fixed_square_primes(h) == want
 
 
 def test_sieve_agrees_with_full_factorization():
@@ -114,6 +147,18 @@ def test_residual_above_cube_of_sieve_bound_with_repeated_large_prime():
     assert rep.count == 3
     assert rep.flags == sympy_flags(h, 5, ())
     assert rep.residuals_factored >= 1
+
+
+def test_every_segment_scans_with_the_sieve_primes(monkeypatch):
+    """x + 10**13 leaves residuals in each of three segments of 1,001
+    values; the segments after the first still divide out every prime up
+    to T and flag as one segment does."""
+    h = IntPoly((10**13, 1))
+    one = squarefree_value_count(h, 3000)
+    monkeypatch.setattr(sieve, "_SEGMENT", 1001)
+    many = squarefree_value_count(h, 3000)
+    assert many.flags == one.flags == sympy_flags(h, 3000, ())
+    assert many.residuals_factored == one.residuals_factored
 
 
 def test_residuals_skip_the_trial_stage(monkeypatch):
@@ -519,12 +564,13 @@ def test_euler_density_skips_fixed_primes():
 
 
 def _euler_oracle(h, bound):
-    """euler_density with rho from polyring.root_count_mod_prime_power,
-    prime by prime."""
+    """euler_density with rho counted by exhaustion mod p**2, prime by
+    prime."""
     h = polyring.radical(h)
+    coeffs = np.array(h.coeffs, dtype=object)
     out = Fraction(1)
     for p in arith.primes_up_to(bound):
-        rho = polyring.root_count_mod_prime_power(h, p, 2)
+        rho = _kernels.poly_roots_mod(coeffs, p * p).size
         if 0 < rho < p * p:
             out *= Fraction(p * p - rho, p * p)
     return out
@@ -542,7 +588,7 @@ def _euler_oracle(h, bound):
 @example(coeffs=[1, 1], lead=1, content=4, double=0, bound=3)  # h = 0 mod 4: p = 2 fixed
 @settings(max_examples=80, deadline=None)
 def test_euler_density_agrees_with_root_counts_per_prime(coeffs, lead, content, double, bound):
-    """The lifts of the table's roots mod p against root_count_mod_prime_power,
+    """The lifts of the table's roots mod p against exhaustion mod p**2,
     on h times a squared linear factor or not, with p | lc(h) and content
     divisible by 2**3 or 3**2."""
     h = IntPoly(tuple(c * content for c in coeffs[:-1]) + (coeffs[-1] * lead * content,))

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import fiberfields
@@ -69,5 +70,31 @@ def test_library_starts_no_worker_processes():
         for name in [f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom)
                      else alias.name]
         if any(name == m or name.startswith(m + ".") for m in pool_modules)
+    ]
+    assert found == []
+
+
+def test_every_library_function_has_a_caller():
+    # A top-level function or class that no other code in the library
+    # names, and that the package does not export, is dead: no workload
+    # reaches it.  A name used only inside its own body (recursion) does
+    # not count.
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+
+    def names(node):
+        return Counter(
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))
+        )
+
+    used = sum((names(tree) for tree in trees), Counter())
+    found = [
+        f"{path.name}:{node.lineno}:{node.name}"
+        for path, tree in zip(SOURCES, trees)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in fiberfields.__all__
+        and used[node.name] == names(node)[node.name]
     ]
     assert found == []
