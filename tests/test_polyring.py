@@ -5,6 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiberfields import _kernels, sieve
 from fiberfields.errors import DomainError, PolyParseError
 from fiberfields.polyring import (
     IntPoly,
@@ -258,6 +259,24 @@ def test_squarefree_decomposition_round_trip():
     for a, i in parts:
         rebuilt = rebuilt * a.pow(i)
     assert rebuilt == f
+
+
+def test_prime_power_count_when_q_power_divides_every_coefficient(monkeypatch):
+    # 1000003**2 (x^2 + 1): every residue mod q**2 is a root, so q is a
+    # fixed square prime, read off the content without trying a single
+    # residue mod q
+    q = 1_000_003
+    count_roots = _kernels.poly_roots_mod
+
+    def refuse_q(coeffs, m):
+        if m % q == 0:
+            raise AssertionError("roots mod q searched")
+        return count_roots(coeffs, m)
+
+    monkeypatch.setattr(_kernels, "poly_roots_mod", refuse_q)
+    f = IntPoly((q * q, 0, q * q))
+    assert f.content() % (q * q) == 0
+    assert sieve.fixed_square_primes(f) == (q,)
 
 
 # ---------------------------------------------------------------------------
