@@ -70,7 +70,7 @@ of m's primes, nothing reaches _split.
 
 A caller holding many such cofactors at once (the squarefree sieve's
 residuals, and each segment of values of a cyclic fiber stream or of
-exact_order_prime_ratio, through sieve.segment_prime_lists) decides them
+exact_order_prime_ratio, through sieve.value_prime_lists) decides them
 all with split_cofactors, which gives each one a verdict: its primes, for
 factor's trial_primes, or the UnfactoredResidualError that factor on it
 would raise.  Cofactors below 2**56, the envelope of the kernels'
@@ -88,8 +88,7 @@ batch, and a composite part goes to _split's rho on a budget carrying
 that spend, as in factor, so it is finished by the same rho calls factor
 would make.  A cofactor at or above 2**56 is split by _split alone, as
 factor splits it.  So a verdict is what factor would find, primes or
-overrun, and no caller runs rho on a cofactor twice.  A caller hands an
-error verdict to factor as its trial_primes, and factor raises it.
+overrun, and no caller runs rho on a cofactor twice.
 """
 
 from __future__ import annotations
@@ -613,7 +612,7 @@ def split_cofactors(
 def factor(
     n: int,
     budget: int | None = None,
-    trial_primes: Sequence[int] | UnfactoredResidualError | None = None,
+    trial_primes: Sequence[int] | None = None,
 ) -> Factorization:
     """Complete signed prime factorization of a nonzero integer.
 
@@ -625,13 +624,10 @@ def factor(
     the module docstring), and the trial stage is skipped.  A list that is
     not strictly ascending raises DomainError.  What is left after
     dividing them out has no prime factor up to the limit, so _split's
-    T**2 rule still holds for it.  trial_primes may instead be the error
-    verdict split_cofactors gave n's cofactor, which is raised as it is.
+    T**2 rule still holds for it.
     """
     if n == 0:
         raise DomainError("arith", "factor(0) is undefined")
-    if isinstance(trial_primes, UnfactoredResidualError):
-        raise trial_primes
     sign = 1 if n > 0 else -1
     m = abs(n)
     if trial_primes is None:

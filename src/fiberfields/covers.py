@@ -191,13 +191,16 @@ def specialize(
 
     trial_primes, for a cyclic cover only, are ascending distinct primes
     dividing g(n), every one <= arith.TRIAL_DIVISION_LIMIT among them,
-    handed to arith.factor (see sieve.segment_prime_lists), or the
-    UnfactoredResidualError the batch split gave g(n)'s cofactor, which
-    arith.factor raises, so the fiber is unresolved with its note."""
+    handed to arith.factor, or the UnfactoredResidualError the batch split
+    gave g(n)'s cofactor, which makes a fiber off the branch locus
+    unresolved with its note (the verdicts of
+    sieve.value_prime_lists)."""
     if isinstance(cover, CyclicCover):
         value = cover.g(n)
         if value == 0:
             return FiberSpec(n, "branch", 0)
+        if isinstance(trial_primes, UnfactoredResidualError):
+            return FiberSpec(n, "unresolved", value, note=str(trial_primes))
         try:
             cls = kummer.radical_class(value, cover.p, budget, trial_primes)
         except BudgetError as err:

@@ -13,21 +13,9 @@ hold for every prefix):
                  are provably pairwise non-isomorphic, so the group count is
                  again a certified lower bound.
 
-Fibers are specialized in one lazy pass over n = 1..N, window by window
-(sieve.window_size fibers, at most sieve.LIST_SEGMENT).  On a cyclic
-cover the value g(n) reaches arith.factor with its trial primes already
-known: the roots of g modulo every trial prime, from one batched root
-table, and modulo every larger prime up to arith.SIEVE_LIMIT that
-divides a value of one of g's linear factors (the linear rows), are
-found once per pass (sieve.trial_root_table).  The content of g is
-factored once per pass too, and its large primes are listed for every
-fiber.  Each window of n collects its primes along those root
-progressions, then splits the cofactors left over together, one
-lockstep rho over those below 2**56 and scalar rho past it, so
-arith.factor gets every prime of each value, or the budget overrun the
-split met on it (sieve.segment_prime_lists).  The split is skipped when
-g is its content times linear factors whose values stay within
-arith.SIEVE_LIMIT: the progressions list every prime then.  Each fiber
+Fibers are specialized in one lazy pass over n = 1..N.  On a cyclic cover
+the value g(n) reaches arith.factor with its primes already known, or
+with the budget overrun met on it, from sieve.value_prime_lists.  Each fiber
 is folded as it arrives, so no fold holds the fibers: a weak fold keeps
 one int per distinct class (exact-kummer: the canonical value of the
 Kummer class; ramified-set: the product of the ramified primes), and
@@ -48,11 +36,10 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
 
 from . import arith, covers, kummer, polyring, sieve
 from .covers import CoverSpec, CyclicCover, FiberSpec, PlaneCover
-from .errors import BudgetError, DomainError, UnfactoredResidualError
+from .errors import BudgetError, DomainError
 from .kummer import FieldFingerprint
 from .polyring import IntPoly
 
@@ -99,57 +86,20 @@ class CompositumReport:
 # ---------------------------------------------------------------------------
 
 
-def _specialized(cover, n0, n1, budget, prime_budget, table):
-    """The fibers over n0 <= n < n1, each cyclic value handed the primes
-    sieve.segment_prime_lists finds for it (None for a plane cover).  A
-    generator of its own, so a window's lists are freed before the next
-    window's are built."""
-    if table is None:
-        lists = repeat(None)
-    else:
-        lists = sieve.segment_prime_lists(table, cover.g, n0, n1 - n0, budget)
-    for n, primes in zip(range(n0, n1), lists):
-        yield covers.specialize(cover, n, budget, prime_budget, primes)
-
-
-def _trial_table(g: IntPoly, N: int, budget: int | None) -> sieve.TrialRootTable:
-    """The trial root table of g, with a row for each large prime of g's
-    content from one factorization of the content under the caller's
-    budget.  If that overruns, the table lists none of them, and each
-    fiber's cofactor keeps them, for the batch split to decide."""
-    table = sieve.trial_root_table(g, N)
-    content = g.content()
-    if abs(content) <= arith.TRIAL_DIVISION_LIMIT:
-        return table  # no prime of the content is large
-    try:
-        factored = arith.factor(content, budget)
-    except UnfactoredResidualError:
-        return table
-    return sieve.with_content_rows(table, factored)
-
-
 def _fiber_stream(
     cover: CoverSpec,
     N: int,
     budget: int | None = None,
     prime_budget: int = kummer.DEFAULT_PRIME_BUDGET,
 ) -> Iterator[FiberSpec]:
-    """The fibers over x = 1..N in increasing n, specialized lazily.
-
-    For a cyclic cover the trial root table of g, with its linear rows
-    and its content's large primes, is built once.  Each window of n
-    (sieve.window_size fibers) gets its values' trial primes from the
-    root progressions, and, unless the table lists every prime of every
-    value, splits the cofactors left over in one batch
-    (sieve.segment_prime_lists).  So arith.factor skips its trial stage
-    and never reaches its rho: it gets every prime of the value, or the
-    split's UnfactoredResidualError, which it raises, and the fiber is
-    unresolved."""
-    table = _trial_table(cover.g, N, budget) if isinstance(cover, CyclicCover) else None
-    window = sieve.window_size(N)
-    for n0 in range(1, N + 1, window):
-        n1 = min(n0 + window, N + 1)
-        yield from _specialized(cover, n0, n1, budget, prime_budget, table)
+    """The fibers over x = 1..N in increasing n, specialized lazily; a
+    cyclic value is handed the primes sieve.value_prime_lists gives it."""
+    if isinstance(cover, CyclicCover):
+        for n, primes in sieve.value_prime_lists(cover.g, N, budget):
+            yield covers.specialize(cover, n, budget, prime_budget, primes)
+    else:
+        for n in range(1, N + 1):
+            yield covers.specialize(cover, n, budget, prime_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import _modpoly, arith, polyring
 from .arith import Factorization
-from .errors import DomainError, UnfactoredResidualError
+from .errors import DomainError
 from .polyring import IntPoly
 
 DEFAULT_PRIME_BUDGET = 32
@@ -102,12 +102,11 @@ def radical_class(
     a,
     p: int,
     budget: int | None = None,
-    trial_primes: Sequence[int] | UnfactoredResidualError | None = None,
+    trial_primes: Sequence[int] | None = None,
 ) -> KummerClass:
     """Kummer class of the nonzero rational a for the prime p; its
     canonical form is built when first read.  trial_primes, for an int a
-    only, is passed to arith.factor (a list, or an error verdict it
-    raises); p is proven prime here, once."""
+    only, is passed to arith.factor; p is proven prime here, once."""
     if type(a) is not int:  # a plain int skips both conversions
         if trial_primes is not None:
             raise DomainError("kummer", "trial_primes needs an integer a")

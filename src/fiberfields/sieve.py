@@ -37,18 +37,20 @@ batched root table the scan reads too, one pass over all of them on g's
 coefficients mod q (exhaustion is left to the primes dividing lc(g), and
 to the tests as the table's oracle), and for every larger prime
 q <= arith.SIEVE_LIMIT that can divide a value of a linear factor b*x + c
-of g, as -c/b mod q (the linear rows).  with_content_rows adds the large
-primes of g's content, which divide every value.  trial_prime_lists walks
-the progressions over a segment of n, so arith.factor receives each
+of g, as -c/b mod q (the linear rows), and the large primes of g's
+content, which divide every value (the content rows).  trial_prime_lists
+walks the progressions over a segment of n, so arith.factor receives each
 g(n)'s trial primes instead of finding them by gcds.  When g is a
 content times linear factors whose values stay below arith.SIEVE_LIMIT,
 the lists hold every prime of g(n) and nothing is left for rho; the
 table then says it is complete.
 
-segment_prime_lists is the one way a segment of values gets its primes,
-for the cyclic fiber stream (diversity) and for exact_order_prime_ratio:
-the trial lists, and unless the table is complete, the primes of each
-value's cofactor, split together by the batch split of step 3.
+value_prime_lists is the one way a pass over g(1..N) gets its values'
+primes, for the cyclic fiber stream (diversity) and for
+exact_order_prime_ratio: one table, and window by window
+(segment_prime_lists) the trial lists and, unless the table is complete,
+the primes of each value's cofactor, split together by the batch split
+of step 3.
 
 euler_density gives the truncated prediction prod (1 - rho(p^2)/p^2) as an
 exact fraction, from one batched root table over its primes and the lifts
@@ -59,6 +61,7 @@ primes dividing some early value exactly once.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,19 +75,18 @@ from .polyring import IntPoly
 # arith.split_cofactors decide them and arith.factor skip its trial stage.
 _SIEVE_PRIME_CAP = arith.TRIAL_DIVISION_LIMIT
 _SEGMENT = 1 << 20
-# The most values per segment_prime_lists call, in exact_order_prime_ratio
-# and in a window of the fiber stream (see window_size).  Each
-# call splits its cofactors in one lockstep rho (arith.split_cofactors),
-# and every lockstep rho runs about the same number of steps, each a
-# fixed number of numpy calls, whatever its width, until fewer than
-# arith._RHO_HAND_OFF lanes are left.  y^5 = x^4 + 3x + 7 at N = 5,000
-# ran 3,454 steps on 987 lanes and 3,070 on 301 at 4,096 (the split
-# 0.15-0.23 s, 158 scalar _brent_rho calls), and runs 3,838 on 1,288 at
-# 16,384 (0.12-0.16 s, 120 calls).  The lists of a window are live at
+# The most values per window of value_prime_lists, one segment_prime_lists
+# call (see window_size).  Each call splits its cofactors in one lockstep
+# rho (arith.split_cofactors), and every lockstep rho runs about the same
+# number of steps, each a fixed number of numpy calls, whatever its width,
+# until fewer than arith._RHO_HAND_OFF lanes are left.  y^5 = x^4 + 3x + 7
+# at N = 5,000 ran 3,454 steps on 987 lanes and 3,070 on 301 at 4,096 (the
+# split 0.15-0.23 s, 158 scalar _brent_rho calls), and runs 3,838 on 1,288
+# at 16,384 (0.12-0.16 s, 120 calls).  The lists of a window are live at
 # once (2.3 MB for 16,384 values of x^3 - x, 0.56 MB for 4,096), and each
-# window walks every root progression (5,133 rows for x^3 - x at
-# N = 5e4, most of them linear rows of primes above the window, which
-# cost a step per root and window).
+# window walks every root progression (5,133 rows for x^3 - x at N = 5e4,
+# most of them linear rows of primes above the window, which cost a step
+# per root and window).
 LIST_SEGMENT = 16384
 DEFAULT_EULER_BOUND = 1_000
 
@@ -127,10 +129,6 @@ class TrialRootTable:
     # every prime q listed for some value g(n), ascending in q; the roots
     # are None when q divides every value (a large prime of g's content).
     rows: tuple[tuple[int, tuple[int, ...] | None], ...]
-    # g is its content times linear factors whose values stay within
-    # arith.SIEVE_LIMIT: the rows list every prime of every g(n) but the
-    # content's primes above arith.TRIAL_DIVISION_LIMIT.
-    linear: bool
     # The rows list every prime of every nonzero g(n), n <= N.
     complete: bool
 
@@ -139,10 +137,11 @@ def _coefficient_bound(h: IntPoly, N: int) -> int:
     return sum(abs(c) * N**i for i, c in enumerate(h.coeffs))
 
 
-def trial_root_table(g: IntPoly, N: int) -> TrialRootTable:
+def trial_root_table(g: IntPoly, N: int, budget: int | None = None) -> TrialRootTable:
     """The residues n mod q at which q divides g(n), valid for 1 <= n <= N,
-    for every prime q <= arith.TRIAL_DIVISION_LIMIT and for the larger
-    primes q <= arith.SIEVE_LIMIT of the linear factors' values.
+    for every prime q <= arith.TRIAL_DIVISION_LIMIT, for the larger
+    primes q <= arith.SIEVE_LIMIT of the linear factors' values, and None
+    for each prime of g's content above arith.TRIAL_DIVISION_LIMIT.
 
     Below the limit they are the roots of g mod q, from one
     _kernels.poly_roots_table over all those primes, the kernel the
@@ -155,10 +154,13 @@ def trial_root_table(g: IntPoly, N: int) -> TrialRootTable:
     residues 1..N only.  A prime dividing no value g(n), n <= N, is left
     out.
 
-    The same factorization says whether the table is linear: every factor
-    of g is linear, each with |b*n + c| <= arith.SIEVE_LIMIT.  It is
-    complete when, besides, |content| <= arith.TRIAL_DIVISION_LIMIT; for
-    a larger content, with_content_rows completes it."""
+    The content is factored under budget, and its large primes replace
+    their linear rows, if any: they divide every value.  The content's
+    smaller primes have rows already, as every residue is a root of g mod
+    them.  The table is complete when every factor of g is linear, each
+    with |b*n + c| <= arith.SIEVE_LIMIT, unless the content's
+    factorization overran the budget: the table then lists none of its
+    large primes, and each value's cofactor keeps them."""
     coeffs = np.array(g.coeffs, dtype=object)
     qs = np.array(arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT), dtype=np.int64)
     rows = []
@@ -171,11 +173,19 @@ def trial_root_table(g: IntPoly, N: int) -> TrialRootTable:
     linear = [f.coeffs for f, _ in fact.factors if f.degree == 1]
     reach = [max(abs(b + c), abs(b * N + c)) for c, b in linear]
     only_linear = len(linear) == len(fact.factors) and max(reach, default=0) <= arith.SIEVE_LIMIT
-    return TrialRootTable(
-        tuple(rows) + _linear_rows(linear, reach, N),
-        only_linear,
-        only_linear and abs(fact.content) <= arith.TRIAL_DIVISION_LIMIT,
-    )
+    rows = tuple(rows) + _linear_rows(linear, reach, N)
+    if abs(fact.content) <= arith.TRIAL_DIVISION_LIMIT:
+        return TrialRootTable(rows, only_linear)  # no prime of the content is large
+    try:
+        content = arith.factor(fact.content, budget)
+    except UnfactoredResidualError:
+        return TrialRootTable(rows, False)
+    large = [q for q, _ in content.factors if q > arith.TRIAL_DIVISION_LIMIT]
+    if large:
+        merged = dict(rows)
+        merged.update((q, None) for q in large)
+        rows = tuple(sorted(merged.items()))
+    return TrialRootTable(rows, only_linear)
 
 
 def _linear_rows(
@@ -206,17 +216,6 @@ def _linear_rows(
     return tuple(
         (q, tuple(key_roots[i:j])) for q, i, j in zip(key_qs[starts].tolist(), starts, ends)
     )
-
-
-def with_content_rows(table: TrialRootTable, content: arith.Factorization) -> TrialRootTable:
-    """The table of g with a row (q, None) for each prime q of g's content
-    (factored by the caller) above arith.TRIAL_DIVISION_LIMIT, in place of
-    q's linear row if it has one.  The content's smaller primes have rows
-    already: every residue is a root of g mod them.  So the new table is
-    complete when the old one's rows were linear."""
-    rows = dict(table.rows)
-    rows.update((q, None) for q, _ in content.factors if q > arith.TRIAL_DIVISION_LIMIT)
-    return TrialRootTable(tuple(sorted(rows.items())), table.linear, table.linear)
 
 
 def trial_prime_lists(table: TrialRootTable, n0: int, count: int) -> list[list[int]]:
@@ -253,7 +252,7 @@ def segment_prime_lists(
     split's primes are merged into the list, which then holds every prime
     of the value.  Where the split overran the budget, the slot holds its
     UnfactoredResidualError instead, the one arith.factor on the value
-    would raise; arith.factor raises it when handed it as trial_primes."""
+    would raise."""
     lists = trial_prime_lists(table, n0, count)
     if table.complete:
         return lists
@@ -268,6 +267,22 @@ def segment_prime_lists(
         else:
             lists[i] = sorted(lists[i] + large)
     return lists
+
+
+def value_prime_lists(
+    g: IntPoly, N: int, budget: int | None = None
+) -> Iterator[tuple[int, list[int] | UnfactoredResidualError]]:
+    """(n, the ascending distinct primes of g(n), or the split's error on
+    its cofactor) for n = 1..N in increasing n, from one trial root table
+    and a segment_prime_lists call per window of window_size(N) values.
+    Its reader decides what an error means: covers.specialize makes the
+    fiber unresolved, exact_order_prime_ratio raises it.  A window's lists
+    are freed before the next window's are built."""
+    table = trial_root_table(g, N, budget)
+    window = window_size(N)
+    for n0 in range(1, N + 1, window):
+        count = min(window, N + 1 - n0)
+        yield from zip(range(n0, n0 + count), segment_prime_lists(table, g, n0, count, budget))
 
 
 def fixed_square_primes(h: IntPoly, budget: int | None = None) -> tuple[int, ...]:
@@ -453,13 +468,13 @@ def exact_order_prime_ratio(
     """Count of primes q >= n with v_q(g(m)) = 1 for some m <= n, and the
     ratio count/n.  Requires g irreducible over Q of degree >= 2.
 
-    Each segment of m takes its prime lists from segment_prime_lists
-    (g has no linear factor, so the table lists exactly the primes <= the
-    trial limit, and the batch split adds the rest), and each value is
-    factored once with its list.  A value whose cofactor overran the
-    budget holds the split's error instead, which arith.factor raises, so
-    an overrun raises the same UnfactoredResidualError at the same first
-    m as a factor call per value."""
+    Each value is factored once with its primes from value_prime_lists
+    (g has no linear factor, so the table lists the primes <= the trial
+    limit and the content's, and the batch split adds the rest).  The
+    first value whose cofactor overran the budget raises the split's
+    error, the UnfactoredResidualError a factor call per value raises at
+    the same first m, when g's content has no prime above the trial
+    limit."""
     if n < 1:
         raise DomainError("sieve", "n >= 1 required")
     if g.degree < 2:
@@ -475,16 +490,13 @@ def exact_order_prime_ratio(
             "exact_order_prime_ratio needs an irreducible polynomial "
             "(hypothesis violated: g factors over Q)",
         )
-    table = trial_root_table(g, n)
     hits: set[int] = set()
-    window = window_size(n)
-    for m0 in range(1, n + 1, window):
-        count = min(window, n + 1 - m0)
-        lists = segment_prime_lists(table, g, m0, count, budget)
-        for m, primes in zip(range(m0, m0 + count), lists):
-            # g is irreducible of degree >= 2, so no value is 0
-            f = arith.factor(g(m), budget, trial_primes=primes)
-            hits.update(q for q, e in f.factors if e == 1 and q >= n)
+    for m, primes in value_prime_lists(g, n, budget):
+        if isinstance(primes, UnfactoredResidualError):
+            raise primes
+        # g is irreducible of degree >= 2, so no value is 0
+        f = arith.factor(g(m), budget, trial_primes=primes)
+        hits.update(q for q, e in f.factors if e == 1 and q >= n)
     return len(hits), Fraction(len(hits), n)
 
 

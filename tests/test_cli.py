@@ -1,15 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fiberfields import __version__, cli
 from fiberfields.cli import REPORT_SCHEMA, main
+from fiberfields.covers import cover_from_text
+from fiberfields.polyring import IntPoly, format_poly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -364,6 +370,115 @@ def test_budgeted_runs_across_2_50_are_pinned(args, status, digest, tmp_path, ca
     assert main(args + ["--out", str(out)]) == status
     blob = out.read_bytes() if out.exists() else capsys.readouterr().err.encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# reference reports of cyclic covers, from sympy.factorint alone
+# ---------------------------------------------------------------------------
+
+
+def _reference_reports(p: int, g: IntPoly, N: int) -> dict[str, tuple[list, list]]:
+    """(series, skipped) of weak-diversity --method exact and ramified and
+    of strong-diversity on y^p = g(x), g with no factor of multiplicity
+    >= p.  By Kummer theory Q(a^(1/p)) is fixed by the subgroup a
+    generates in Q*/Q*^p, so an exact class is the set of the p - 1
+    nontrivial powers of a's exponent vector (the sign counts for p = 2
+    only: -1 is a p-th power for odd p).  The ramified set leaves out the
+    primes of p, lc(g) and disc(radical(g)); the rank is that of the
+    exponent vectors over F_p, pivoting on the smallest column."""
+    x = sympy.Symbol("x")
+    G = sympy.Poly(list(reversed(g.coeffs)), x)
+    distinct = [f for f, _ in sympy.factor_list(G)[1]]
+    rad = math.prod(distinct[1:], start=distinct[0])
+    rad = rad * (G.LC() // rad.LC())
+    excluded = {p} | set(sympy.factorint(abs(G.LC())))
+    excluded |= set(sympy.factorint(abs(rad.discriminant())))
+    exact, ramified, pivots = set(), set(), {}
+    out = {"exact": ([], []), "ramified": ([], []), "strong": ([], [])}
+    for n in range(1, N + 1):
+        value = g(n)
+        if value == 0:
+            for series, skipped in out.values():
+                skipped.append({"n": n, "reason": "branch"})
+        else:
+            exponents = {q: e % p for q, e in sympy.factorint(abs(value)).items() if e % p}
+            sign = -1 if value < 0 and p == 2 else 1
+            if not exponents and sign == 1:
+                out["exact"][1].append({"n": n, "reason": "degenerate-counted-as-Q"})
+                out["ramified"][1].append({"n": n, "reason": "degenerate-counted-as-Q"})
+                exact.add("Q")
+                ramified.add("Q")
+            else:
+                exact.add(frozenset(
+                    (sign**k, frozenset((q, k * e % p) for q, e in exponents.items()))
+                    for k in range(1, p)
+                ))
+                ramified.add(frozenset(q for q in exponents if q not in excluded))
+            row = dict(exponents)
+            if sign == -1:
+                row[-1] = 1  # the sign column
+            while row:
+                col = min(row)
+                if col not in pivots:
+                    inv = pow(row[col], -1, p)
+                    pivots[col] = {k: v * inv % p for k, v in row.items()}
+                    break
+                c = row[col]
+                for k, v in pivots[col].items():
+                    w = (row.get(k, 0) - c * v) % p
+                    if w:
+                        row[k] = w
+                    else:
+                        row.pop(k, None)
+        out["exact"][0].append(len(exact))
+        out["ramified"][0].append(len(ramified))
+        out["strong"][0].append(len(pivots))
+    return out
+
+
+_factor_of_g = st.one_of(
+    st.integers(1, 150).map(lambda r: (-r, 1)),  # x - r: a zero value if r <= N
+    # b x + c with values past 10^4, some past arith.SIEVE_LIMIT: linear rows
+    st.tuples(st.integers(-(3 * 10**6), 3 * 10**6), st.sampled_from([1, 2, 3, 10007])),
+    st.sampled_from([(1, 0, 1), (-2, 0, 1), (41, 1, 1), (7, 3, 0, 1)]),
+)
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    # a prime above 10^4 divides every value: content rows
+    content=st.sampled_from([10007, -10009, 6 * 10007, 10007 * 10009, -(10007**2), 1000003]),
+    factors=st.lists(_factor_of_g, min_size=1, max_size=3),
+    N=st.integers(1, 150),
+)
+@example(p=2, content=10007, factors=[(-3, 1), (2_000_000, 1)], N=150)
+@example(p=3, content=-(10007**2), factors=[(-5, 1), (-20_000, 1)], N=40)
+@example(p=5, content=6 * 10007, factors=[(7, 3, 0, 1)], N=150)
+@settings(max_examples=50, deadline=None)
+def test_cyclic_reports_match_a_reference_from_factorint(p, content, factors, N):
+    """weak-diversity --method exact and ramified and strong-diversity on
+    y^p = g(x): the series and skipped lists of cli.run's JSON are those
+    computed from sympy.factorint of each value g(n)."""
+    g = IntPoly((content,))
+    for f in factors:
+        g = g * IntPoly(f)
+    assume(g.degree <= 3)
+    x = sympy.Symbol("x")
+    assume(all(m < p for _, m in sympy.factor_list(sympy.Poly(list(reversed(g.coeffs)), x))[1]))
+    text = f"y^{p} - ({format_poly(g)})"
+    assert cover_from_text(text).g == g  # no factor was reduced mod p
+    want = _reference_reports(p, g, N)
+    for name, subcommand, method, key in (
+        ("exact", "weak-diversity", "exact", "D"),
+        ("ramified", "weak-diversity", "ramified", "D"),
+        ("strong", "strong-diversity", "exact", "r"),
+    ):
+        cfg = cli.RunConfig(subcommand=subcommand, cover_text=text, N=N, method=method)
+        with contextlib.redirect_stdout(io.StringIO()):
+            status, rendered = cli.run(cfg)
+        assert status == 0
+        doc = json.loads(rendered)
+        assert (doc["series"][key], doc["skipped"]) == want[name], name
 
 
 def test_golden_weak_diversity(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fiberfields import kummer
-from fiberfields.arith import Factorization
+from fiberfields.arith import Factorization, split_cofactors
 from fiberfields.covers import (
     CyclicCover,
     FiberSpec,
@@ -22,7 +22,7 @@ from fiberfields.covers import (
     specialize,
 )
 from fiberfields.diversity import _WeakFold
-from fiberfields.errors import DomainError
+from fiberfields.errors import DomainError, UnfactoredResidualError
 from fiberfields.kummer import KummerClass, radical_class
 from fiberfields.polyring import IntPoly, parse_poly, poly_gcd
 
@@ -185,6 +185,22 @@ def test_specialize_trial_primes():
         specialize(plane_cover(parse_poly("y^3 + x*y + x^2 + 1")), 2, trial_primes=[])
     with pytest.raises(DomainError, match="kummer: radical_class needs a prime"):
         specialize(CyclicCover(4, poly("x + 1")), 2, trial_primes=[3])
+
+
+def test_specialize_takes_an_error_verdict_as_unresolved():
+    """The batch split's error on a cofactor past the budget makes the
+    fiber unresolved with that error as its note, the fiber specialize
+    gives when arith.factor overruns on the whole value; a branch fiber
+    stays a branch fiber."""
+    c = normalize_cyclic(5, poly("x^2 + 1002101470318"))
+    (err,) = split_cofactors([24441499279], 40)  # the cofactor of g(11)
+    assert isinstance(err, UnfactoredResidualError)
+    fiber = specialize(c, 11, 40, trial_primes=err)
+    assert fiber == FiberSpec(11, "unresolved", c.g(11), note=str(err))
+    assert fiber == specialize(c, 11, 40)
+    assert specialize(normalize_cyclic(2, poly("x - 3")), 3, trial_primes=err) == FiberSpec(
+        3, "branch", 0
+    )
 
 
 def test_specialize_cross_module_consistency():

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fiberfields import _kernels, arith, diversity, polyring, sieve
+from fiberfields import _kernels, arith, polyring, sieve
 from fiberfields.cli import main
 from fiberfields.errors import BudgetError, DomainError, UnfactoredResidualError
 from fiberfields.polyring import IntPoly, parse_poly
@@ -373,7 +373,7 @@ def oracle_listed_primes(g: IntPoly, n: int) -> list[int]:
 def sieved_lists(g: IntPoly, N: int, cuts) -> list[list[int]]:
     """The trial-prime lists of g(1..N), segmented at the cut points, from
     the table a cyclic pass builds (content rows included)."""
-    table = diversity._trial_table(g, N, None)
+    table = trial_root_table(g, N, None)
     bounds = sorted({1, N + 1, *(c for c in cuts if 1 < c <= N)})
     lists = []
     for n0, n1 in zip(bounds, bounds[1:]):
@@ -472,7 +472,7 @@ def test_linear_rows_list_every_prime_of_linear_values(content, linear, twin, re
 def test_trial_root_table_examples():
     assert trial_root_table(poly("6x^3 + 6"), 10).rows[:2] == ((2, (0, 1)), (3, (0, 1, 2)))
     empty = trial_root_table(poly("8x - 7"), 1)
-    assert empty == TrialRootTable((), linear=True, complete=True)
+    assert empty == TrialRootTable((), complete=True)
     assert trial_prime_lists(empty, 1, 1) == [[]]
     # N < q: only the residues met by n <= N are kept
     assert 9973 not in dict(trial_root_table(poly("x - 9973"), 5).rows)
@@ -490,17 +490,21 @@ def test_trial_root_table_examples():
 def test_content_rows_replace_linear_rows():
     """A large content prime divides every value, so its row holds None in
     place of the linear factor's root; a content whose factorization
-    overruns the budget leaves the table as it was."""
+    overruns the budget leaves them out, and the table is incomplete."""
+    assert dict(trial_root_table(poly("x - 3"), 20_000).rows)[10007] == (3,)
     g = poly("10007x - 30021")  # 10007 (x - 3)
-    assert dict(trial_root_table(g, 20_000).rows)[10007] == (3,)
-    table = diversity._trial_table(g, 20_000, None)
+    table = trial_root_table(g, 20_000, None)
     assert [q for q, _ in table.rows].count(10007) == 1 and dict(table.rows)[10007] is None
+    assert table.complete
     lists = trial_prime_lists(table, 1, 30)
     assert all(10007 in primes for primes in lists)
     big = 1_000_003 * 1_000_033
     g = IntPoly((big, big))  # big (x + 1)
-    assert dict(diversity._trial_table(g, 10, None).rows)[1_000_033] is None
-    assert diversity._trial_table(g, 10, 1) == trial_root_table(g, 10)
+    full = trial_root_table(g, 10, None)
+    assert dict(full.rows)[1_000_033] is None and full.complete
+    assert trial_root_table(g, 10, 1) == TrialRootTable(
+        tuple((q, roots) for q, roots in full.rows if roots is not None), complete=False
+    )
 
 
 def test_trial_prime_lists_beyond_the_value_window():
@@ -663,6 +667,27 @@ def test_exact_order_overrun_is_the_first_one_of_factor(text, n, budget):
     with pytest.raises(UnfactoredResidualError) as got:
         exact_order_prime_ratio(g, n, budget)
     assert (got.value.residual, got.value.budget) == (want.value.residual, budget)
+
+
+def test_exact_order_lists_the_content_primes(monkeypatch):
+    """1000003 * 1000033 * (x^2 + 1) at n = 2,000: the content's primes
+    are listed for every value (the content rows), so the batch split
+    gets the cofactors of x^2 + 1 alone, 944 of them, instead of one per
+    value with the content in it."""
+    sizes = []
+    split = arith.split_cofactors
+
+    def recording(ms, budget=None):
+        sizes.append(len(ms))
+        return split(ms, budget)
+
+    monkeypatch.setattr(arith, "split_cofactors", recording)
+    exact_order_prime_ratio(poly("x^2 + 1"), 2000)
+    plain = sum(sizes)
+    sizes.clear()
+    big = 1_000_003 * 1_000_033
+    assert exact_order_prime_ratio(IntPoly((big, 0, big)), 2000) == (1280, Fraction(1280, 2000))
+    assert sum(sizes) == plain == 944
 
 
 def test_exact_order_rejects_hypothesis_violations():

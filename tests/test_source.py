@@ -98,3 +98,26 @@ def test_every_library_function_has_a_caller():
         and used[node.name] == names(node)[node.name]
     ]
     assert found == []
+
+
+def test_value_primes_have_one_owner():
+    # Which primes each value g(n) gets, from the trial root table and its
+    # windows, is decided in sieve alone; every other module reads
+    # sieve.value_prime_lists.
+    owned = {
+        "trial_root_table",
+        "segment_prime_lists",
+        "trial_prime_lists",
+        "window_size",
+        "TrialRootTable",
+    }
+    found = [
+        f"{path.name}:{node.lineno}:{name}"
+        for path in SOURCES
+        if path.name != "sieve.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in [node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute) else None]
+        if name in owned
+    ]
+    assert found == []
