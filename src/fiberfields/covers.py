@@ -194,7 +194,15 @@ def specialize(
     handed to arith.factor, or the UnfactoredResidualError the batch split
     gave g(n)'s cofactor, which makes a fiber off the branch locus
     unresolved with its note (the verdicts of
-    sieve.value_prime_lists)."""
+    sieve.value_prime_lists).
+
+    A plane fiber is F(n, y), monic of degree deg_y F, split by
+    kummer.factor_certified: the fingerprint of F(n, y) comes first, and
+    when one of its primes is inert the fiber is one regular field with
+    that fingerprint, with no call to factor_over_Q.  Otherwise
+    factor_over_Q decides: a repeated factor (a zero discriminant) is a
+    branch fiber, an irreducible F(n, y) keeps the fingerprint it has, and
+    each factor of a reducible one gets its own."""
     if isinstance(cover, CyclicCover):
         value = cover.g(n)
         if value == 0:
@@ -213,9 +221,11 @@ def specialize(
     if trial_primes is not None:
         raise DomainError("covers", "trial_primes applies to cyclic covers only")
     fy = cover.F.specialize_x(n)
-    fact = polyring.factor_over_Q(fy)
-    if any(mult >= 2 for _, mult in fact.factors):
+    fact, fp = kummer.factor_certified(fy, prime_budget)
+    if fp is None:  # disc F(n, y) = 0: a repeated factor
         return FiberSpec(n, "branch")
+    if len(fact.factors) == 1:
+        return FiberSpec(n, "regular", factors=((fy, fp),))
     pairs = tuple(
         (poly, kummer._fingerprint_irreducible(poly, prime_budget))
         for poly, _ in fact.factors
@@ -225,11 +235,11 @@ def specialize(
 
 def plane_cover(F: PlanePoly) -> PlaneCover:
     """Wrap a plane polynomial as a cover, hunting for an irreducible
-    specialization F(n, y) as a finite irreducibility certificate."""
+    specialization F(n, y) as a finite irreducibility certificate (by
+    kummer.factor_certified, as specialize decides a fiber)."""
     witness = None
     for n in range(1, _IRRED_SAMPLE_POINTS + 1):
-        fy = F.specialize_x(n)
-        fact = polyring.factor_over_Q(fy)
+        fact, _ = kummer.factor_certified(F.specialize_x(n))
         if len(fact.factors) == 1 and fact.factors[0][1] == 1:
             witness = n
             break

@@ -15,6 +15,15 @@ fingerprints that disagree at a shared good prime certify distinct fields.
 Fingerprint equality is agreement at all shared listed primes; the listed
 primes themselves depend on the defining polynomial, so equality is
 deliberately not structural.
+
+A fingerprint also certifies irreducibility.  Its primes divide neither
+the leading coefficient nor the discriminant of a primitive f, so a
+factorization of f in Z[x] reduces mod each of them to one with the same
+degrees; when f is irreducible mod one listed prime (it is inert), f is
+irreducible over Q.  factor_certified reads that certificate first and
+calls factor_over_Q only when no listed prime is inert; it is the one
+place covers and kummer decide whether a fiber or a minimal polynomial is
+irreducible.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from fractions import Fraction
 from . import _modpoly, arith, polyring
 from .arith import Factorization
 from .errors import DomainError
-from .polyring import IntPoly
+from .polyring import IntPoly, IrreducibleFactorization
 
 DEFAULT_PRIME_BUDGET = 32
 
@@ -180,6 +189,30 @@ class FieldFingerprint:
         return hash(("FieldFingerprint", self.degree))
 
 
+def factor_certified(
+    f: IntPoly, prime_budget: int = DEFAULT_PRIME_BUDGET
+) -> tuple[IrreducibleFactorization, FieldFingerprint | None]:
+    """factor_over_Q(f), and the fingerprint of f's primitive part when
+    that part is squarefree of degree 1..polyring.FACTOR_DEGREE_BOUND
+    (else None: f is constant, has a repeated factor, or is refused by
+    factor_over_Q's degree bound).
+
+    The fingerprint comes first.  When one of its primes is inert, the
+    primitive part is irreducible (see the module docstring), and the
+    factorization factor_over_Q would return, content times that part, is
+    built without calling it.  The discriminant is computed once, here."""
+    prim = f.primitive()
+    if 1 <= prim.degree <= polyring.FACTOR_DEGREE_BOUND:
+        disc = polyring.discriminant(prim)
+        if disc:
+            fp = _fingerprint_irreducible(prim, prime_budget, disc)
+            whole = (prim.degree,)
+            if any(degrees == whole for _, degrees in fp.splitting):
+                return IrreducibleFactorization(f.content(), ((prim, 1),)), fp
+            return polyring.factor_over_Q(f), fp
+    return polyring.factor_over_Q(f), None
+
+
 def field_fingerprint(
     minpoly: IntPoly, prime_budget: int = DEFAULT_PRIME_BUDGET
 ) -> FieldFingerprint:
@@ -187,21 +220,34 @@ def field_fingerprint(
     first prime_budget primes dividing neither disc(minpoly) nor its
     leading coefficient.
 
-    minpoly must be irreducible over Q (checked via factor_over_Q).
+    minpoly must be irreducible over Q (checked by factor_certified: a
+    squarefree minpoly with a single irreducible factor).
     """
-    fact = polyring.factor_over_Q(minpoly)
-    if len(fact.factors) != 1 or fact.factors[0][1] != 1 or minpoly.degree < 1:
+    fact, fp = factor_certified(minpoly, prime_budget)
+    if fp is None or len(fact.factors) != 1:
         raise DomainError("kummer", "fingerprint needs an irreducible minimal polynomial")
-    prim = fact.factors[0][0]
-    return _fingerprint_irreducible(prim, prime_budget)
+    return fp
 
 
-def _fingerprint_irreducible(prim: IntPoly, prime_budget: int) -> FieldFingerprint:
-    """Fingerprint of a certified-irreducible primitive polynomial."""
+def _fingerprint_irreducible(
+    prim: IntPoly, prime_budget: int, disc: int | None = None
+) -> FieldFingerprint:
+    """Fingerprint of a primitive polynomial of degree >= 1 and nonzero
+    discriminant (disc, when the caller has computed it).
+
+    Its splitting types describe a field only when prim is irreducible
+    over Q: certified by factor_over_Q, by an inert prime among them (as
+    factor_certified reads it), or by construction (a radical x^p - a, a
+    not a p-th power).  A zero discriminant raises DomainError: every
+    prime divides it, so none could be listed."""
     if prime_budget < 1:
         raise DomainError("kummer", "prime_budget must be positive")
     degree = prim.degree
-    skip = abs(polyring.discriminant(prim)) * abs(prim.lc) if degree >= 1 else abs(prim.lc)
+    if disc is None:  # raises for degree < 1
+        disc = polyring.discriminant(prim)
+    if disc == 0:
+        raise DomainError("kummer", "fingerprint needs a squarefree polynomial (zero discriminant)")
+    skip = abs(disc) * abs(prim.lc)
     splitting = []
     limit = 1000
     while True:

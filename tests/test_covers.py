@@ -7,7 +7,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fiberfields import kummer
+from fiberfields import kummer, polyring
 from fiberfields.arith import Factorization, split_cofactors
 from fiberfields.covers import (
     CyclicCover,
@@ -24,7 +24,7 @@ from fiberfields.covers import (
 from fiberfields.diversity import _WeakFold
 from fiberfields.errors import DomainError, UnfactoredResidualError
 from fiberfields.kummer import KummerClass, radical_class
-from fiberfields.polyring import IntPoly, parse_poly, poly_gcd
+from fiberfields.polyring import IntPoly, PlanePoly, parse_poly, poly_gcd
 
 from conftest import poly
 
@@ -224,6 +224,88 @@ def test_specialize_plane():
     fib8 = specialize(G, 4)
     assert fib8.status == "regular"
     assert [f.degree for f, _ in fib8.factors] == [1, 1]
+
+
+def _factor_first(cover, n):
+    """Reference plane fiber: F(n, y) factored over Q first, a branch on a
+    repeated factor, and a fingerprint for every irreducible factor."""
+    fy = cover.F.specialize_x(n)
+    fact = polyring.factor_over_Q(fy)
+    if any(mult >= 2 for _, mult in fact.factors):
+        return FiberSpec(n, "branch")
+    pairs = tuple(
+        (poly, kummer._fingerprint_irreducible(poly, kummer.DEFAULT_PRIME_BUDGET))
+        for poly, _ in fact.factors
+    )
+    return FiberSpec(n, "regular", factors=pairs)
+
+
+def _structural(fiber):
+    # FieldFingerprint equality is agreement at shared primes; compare the
+    # listed primes and splitting types themselves.
+    if fiber.factors is None:
+        return fiber
+    return fiber._replace(
+        factors=tuple((poly, fp.degree, fp.splitting) for poly, fp in fiber.factors)
+    )
+
+
+def _inert(fp):
+    return any(degrees == (fp.degree,) for _, degrees in fp.splitting)
+
+
+@given(
+    d=st.integers(2, 5),
+    lower=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(-6, 6)), max_size=6
+    ),
+)
+@example(4, [(1, 2, 1), (0, 0, 1)])  # y^4 + x*y^2 + 1: V4, never an inert prime
+@example(3, [(0, 1, -3), (1, 0, 1)])  # y^3 - 3*y + x: n = 2 is a branch fiber
+@example(3, [(1, 1, 1), (2, 0, 1), (0, 0, 1)])  # n = 1 and n = 37 are reducible
+@settings(max_examples=25, deadline=None)
+def test_plane_specialize_matches_factoring_first(d, lower):
+    """A plane fiber certified irreducible by an inert prime is the fiber
+    that factoring F(n, y) over Q first gives, down to each listed prime
+    and splitting type; so is every fiber that falls back.  Certified fibers are irreducible for sympy."""
+    terms = {(0, d): 1}
+    for i, j, c in lower:
+        terms[i, j % d] = terms.get((i, j % d), 0) + c
+    try:
+        cover = plane_cover(PlanePoly(tuple(terms.items())))
+    except DomainError:  # inseparable in y, or free of x
+        assume(False)
+    y = sympy.symbols("y")
+    for n in range(-2, 39):
+        fiber = specialize(cover, n)
+        assert _structural(fiber) == _structural(_factor_first(cover, n)), n
+        if fiber.status == "regular" and len(fiber.factors) == 1 and _inert(fiber.factors[0][1]):
+            fy = cover.F.specialize_x(n)
+            _, factors = sympy.Poly(list(reversed(fy.coeffs)), y).factor_list()
+            assert [m for _, m in factors] == [1] and factors[0][0].degree() == d, n
+
+
+def test_plane_fibers_reach_factor_over_Q_only_without_an_inert_prime(monkeypatch):
+    """On y^3 + x*y + x^2 + 1, n <= 300, only F(1, y) and F(37, y) have no
+    inert prime among their 32 (both are reducible); every other fiber is
+    certified irreducible without factor_over_Q."""
+    cover = plane_cover(parse_poly("y^3 + x*y + x^2 + 1"))
+    real = polyring.factor_over_Q
+    factored = []
+
+    def recording(f, *args):
+        factored.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(polyring, "factor_over_Q", recording)
+    fibers = [specialize(cover, n) for n in range(1, 301)]
+    no_inert = [
+        n for n in range(1, 301)
+        if not _inert(kummer._fingerprint_irreducible(cover.F.specialize_x(n), 32))
+    ]
+    assert no_inert == [1, 37]
+    assert factored == [cover.F.specialize_x(n) for n in no_inert]
+    assert [len(fibers[n - 1].factors) for n in no_inert] == [2, 2]
 
 
 @pytest.mark.parametrize("text", ["y^2", "(y^2 - x)^2"])

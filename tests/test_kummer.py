@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fiberfields import arith, kummer
+from fiberfields import arith, kummer, polyring
 from fiberfields.arith import Factorization
 from fiberfields.covers import cover_from_text
 from fiberfields.diversity import strong_diversity_rank, weak_diversity_count
@@ -19,6 +19,7 @@ from fiberfields.kummer import (
     radical_class,
     radical_fields_isomorphic,
 )
+from fiberfields.polyring import IntPoly
 
 from conftest import oracle_squarefree_kernel, poly
 
@@ -248,6 +249,58 @@ def test_fingerprint_examples():
     lin = field_fingerprint(poly("x - 5"), 10)
     assert lin.degree == 1
     assert all(degrees == (1,) for _, degrees in lin.splitting)
+
+
+def test_fingerprint_of_a_repeated_factor_raises(monkeypatch):
+    """Every prime divides a zero discriminant, so no prime can be listed:
+    the search raises at once instead of growing its sieve without bound
+    (primes_up_to is patched to refuse limits above 1e5)."""
+    real = arith.primes_up_to
+
+    def bounded(limit):
+        if limit > 10**5:
+            raise RuntimeError(f"prime sieve grew to {limit}")
+        return real(limit)
+
+    monkeypatch.setattr(arith, "primes_up_to", bounded)
+    with pytest.raises(DomainError, match="zero discriminant"):
+        kummer._fingerprint_irreducible(poly("x^2 - 2*x + 1"), 8)
+    with pytest.raises(DomainError, match="irreducible minimal polynomial"):
+        field_fingerprint(poly("(x^2 + 1)^2"), 8)
+
+
+@given(
+    coeffs=st.lists(st.integers(-20, 20), min_size=1, max_size=7),
+    scale=st.integers(-6, 6).filter(bool),
+    square=st.booleans(),
+)
+@example([1, 0, 1], -3, False)  # -3 (x^2 + 1): certified, negative content
+@example([2, 0, 0, 1], 1, True)  # (x^3 + 2)^2: a repeated factor, no fingerprint
+@example([1, 0, 1, 0, 1], 1, False)  # x^4 + x^2 + 1, reducible: no inert prime
+@example([1, 0, 3, 0, 1], 2, False)  # 2 (x^4 + 3x^2 + 1), V4: never an inert prime
+@example([5], 1, False)  # a constant
+@settings(max_examples=150, deadline=None)
+def test_factor_certified_is_factor_over_Q(coeffs, scale, square):
+    """The factorization is factor_over_Q's, object for object; the
+    fingerprint is that of the primitive part when it is squarefree."""
+    f = IntPoly(coeffs).scale(scale)
+    if square:
+        f = f * f
+    assume(not f.is_zero)
+    fact, fp = kummer.factor_certified(f)
+    assert fact == polyring.factor_over_Q(f)
+    prim = f.primitive()
+    squarefree = prim.degree >= 1 and polyring.discriminant(prim) != 0
+    assert (fp is not None) == squarefree
+    if squarefree:
+        ref = kummer._fingerprint_irreducible(prim, kummer.DEFAULT_PRIME_BUDGET)
+        assert (fp.degree, fp.splitting) == (ref.degree, ref.splitting)
+
+
+def test_factor_certified_keeps_the_degree_bound():
+    # x^13 + 2 is Eisenstein at 2, so an inert prime would certify it
+    with pytest.raises(DomainError, match="exceeds factorization bound"):
+        kummer.factor_certified(poly("x^13 + 2"))
 
 
 def test_fingerprint_rejects_reducible():

@@ -121,3 +121,24 @@ def test_value_primes_have_one_owner():
         if name in owned
     ]
     assert found == []
+
+
+def test_irreducibility_is_decided_in_one_place():
+    # Whether F(n, y) or a minimal polynomial is irreducible is decided by
+    # one rule: an inert prime among its fingerprint's first,
+    # factor_over_Q only without one.  kummer.factor_certified applies it.
+    # The other callers of factor_over_Q in covers need every factor of g
+    # or of the branch polynomial with its multiplicity, on cyclic covers
+    # too, where no splitting type is computed.
+    allowed = {"factor_certified", "normalize_cyclic", "has_nonrational_branch_point"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name in ("covers.py", "kummer.py")
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        if getattr(top, "name", None) not in allowed
+        for node in ast.walk(top)
+        if (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None) == "factor_over_Q"
+    ]
+    assert found == []
