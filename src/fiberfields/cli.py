@@ -234,11 +234,11 @@ def _fact_dict(f) -> dict:
 
 def _run_branch_check(cfg: RunConfig):
     cover = covers.cover_from_text(_require(cfg.cover_text, "--cover"))
-    bp = covers.branch_polynomial(cover)
-    nonrational, witness = covers.has_nonrational_branch_point(cover)
-    factor_degrees = sorted(
-        poly.degree for poly, _ in polyring.factor_over_Q(bp).factors
-    )
+    fact = covers.branch_factorization(cover)
+    bp = fact.reconstruct()
+    witness = covers.nonrational_witness(fact)
+    nonrational = witness is not None
+    factor_degrees = sorted(poly.degree for poly, _ in fact.factors)
     if isinstance(cover, covers.CyclicCover):
         n_inf = covers.points_over_infinity(cover)
     else:

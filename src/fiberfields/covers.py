@@ -1,12 +1,18 @@
 """Covers of the affine line over Q and their fibers.
 
 Two kinds of cover: a cyclic cover y^p = g(x) of prime degree p, stored
-with g normalized so every irreducible factor has multiplicity in
+as the factorization of g over Q with every multiplicity reduced to
 [1, p-1] (removing s(x)^p divisors changes no fiber class away from the
-removed roots), and a plane cover F(x, y) = 0 monic in y.  Covers whose
-defining g is a p-th power up to constants, and plane models free of x,
-are rejected: the curve is geometrically reducible and the diversity
-counting statements do not apply to it.
+removed roots), and a plane cover F(x, y) = 0 monic in y, stored with its
+y-discriminant.  Covers whose defining g is a p-th power up to constants,
+plane models free of x, and plane models of y-degree 2 whose
+y-discriminant is a constant times a square are rejected: the curve is
+geometrically reducible and the diversity counting statements do not
+apply to it.
+
+g is factored once, by normalize_cyclic, and the branch polynomial of a
+plane cover once, by branch_factorization; the trial root table of a
+cyclic pass and the branch checks read those factors.
 
 specialize() classifies the fiber over an integer n: branch (n is a root
 of the branch polynomial), degenerate (the cyclic fiber value is a p-th
@@ -22,24 +28,31 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import kummer, polyring
+from . import arith, kummer, polyring
 from .errors import BudgetError, DomainError, UnfactoredResidualError
 from .kummer import FieldFingerprint, KummerClass
-from .polyring import IntPoly, PlanePoly
+from .polyring import IntPoly, IrreducibleFactorization, PlanePoly
 
 _IRRED_SAMPLE_POINTS = 12
 
 
 @dataclass(frozen=True)
 class CyclicCover:
-    """y^p = g(x) with p prime and g reduced mod p-th powers."""
+    """y^p = g(x) with p prime and g reduced mod p-th powers.
+
+    factorization is g over Q, as factor_over_Q gives it, each
+    multiplicity in [1, p-1]; g is its reconstruct(), built once here."""
 
     p: int
-    g: IntPoly
+    factorization: IrreducibleFactorization
     removed: tuple[tuple[IntPoly, int], ...] = ()
+    g: IntPoly = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "g", self.factorization.reconstruct())
 
     def describe(self) -> dict:
         return {
@@ -57,19 +70,27 @@ class CyclicCover:
 class PlaneCover:
     """F(x, y) = 0, monic in y, separable in y and involving x;
     irreducibility over Q(x) is certified only when some specialization
-    F(n, y) is irreducible of full degree.
+    F(n, y) is irreducible of full degree.  disc is the y-discriminant of
+    F, computed once here.
 
     An x-free F is rejected: it splits over Q-bar into lines y = const,
-    so the curve is geometrically reducible.  Geometric irreducibility of
-    any other model is not checked."""
+    so the curve is geometrically reducible.  So is y^2 + a(x)*y + b(x)
+    when disc = a^2 - 4b is a constant times a square c*h(x)^2: it is
+    (y + a/2)^2 - c*h^2/4, two lines over Q(sqrt(c))(x).  In
+    characteristic 0 that holds exactly when every multiplicity of disc's
+    squarefree decomposition is even (none, for a constant disc).
+    Geometric irreducibility of a model of y-degree 3 or more is not
+    checked."""
 
     F: PlanePoly
     irreducibility_certified: bool
     irreducibility_witness: int | None
+    disc: IntPoly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "disc", polyring.y_discriminant(self.F))
         # A vanishing y-discriminant makes every fiber a branch fiber.
-        if polyring.y_discriminant(self.F).is_zero:
+        if self.disc.is_zero:
             raise DomainError(
                 "covers", "plane model is not separable in y (degenerate cover)"
             )
@@ -77,6 +98,14 @@ class PlaneCover:
             raise DomainError(
                 "covers",
                 "plane model does not involve x (the curve is geometrically reducible)",
+            )
+        if self.F.y_degree == 2 and all(
+            m % 2 == 0 for _, m in polyring.squarefree_decomposition(self.disc)[1]
+        ):
+            raise DomainError(
+                "covers",
+                "plane model of y-degree 2 has a y-discriminant that is a constant "
+                "times a square (the curve is geometrically reducible)",
             )
 
     @property
@@ -114,10 +143,9 @@ class FiberSpec(NamedTuple):
 
 def normalize_cyclic(p: int, g: IntPoly) -> CyclicCover:
     """Build the cyclic cover y^p = g(x), reducing factor multiplicities
-    mod p.  Rejects non-prime p, constant g, and g that is a p-th power up
-    to constants (geometrically reducible cover)."""
-    from . import arith
-
+    mod p, from the one factor_over_Q of g.  Rejects non-prime p, constant
+    g, and g that is a p-th power up to constants (geometrically reducible
+    cover)."""
     if not arith.is_prime(p):
         raise DomainError("covers", f"cyclic covers need prime degree, got {p}")
     if g.is_zero or g.degree < 1:
@@ -139,37 +167,50 @@ def normalize_cyclic(p: int, g: IntPoly) -> CyclicCover:
             "reducible cover: every factor multiplicity of g is divisible by p "
             "(the curve y^p = g is geometrically reducible)",
         )
-    g_norm = IntPoly((fact.content,))
-    for poly, mult in kept:
-        g_norm = g_norm * poly.pow(mult)
-    return CyclicCover(p, g_norm, tuple(removed))
+    return CyclicCover(p, IrreducibleFactorization(fact.content, tuple(kept)), tuple(removed))
 
 
 def branch_polynomial(cover: CoverSpec) -> IntPoly:
     """Squarefree polynomial whose roots are the finite branch points.
 
-    Cyclic: the radical of the normalized g.  Plane: the radical of the
-    y-discriminant (an over-approximation when the model is singular).
-    A cover unramified over every finite point yields the constant 1.
+    Cyclic: the radical of the normalized g, built from its stored
+    factors.  Plane: the radical of the y-discriminant (an
+    over-approximation when the model is singular).  A cover unramified
+    over every finite point yields the constant 1.
     """
     if isinstance(cover, CyclicCover):
-        return polyring.radical(cover.g)
-    disc = polyring.y_discriminant(cover.F)
-    if disc.degree < 1:
+        return branch_factorization(cover).reconstruct()
+    if cover.disc.degree < 1:
         return IntPoly((1,))
-    return polyring.radical(disc)
+    return polyring.radical(cover.disc)
+
+
+def branch_factorization(cover: CoverSpec) -> IrreducibleFactorization:
+    """branch_polynomial(cover) factored over Q, each factor once, as
+    factor_over_Q gives it: its reconstruct() is branch_polynomial(cover).
+
+    Cyclic: the distinct factors of g are the cover's own, and the
+    content is lc(g) over their leading coefficients, so the product
+    keeps lc(g), as polyring.radical does; nothing is factored.  Plane:
+    one factor_over_Q of the branch polynomial."""
+    if isinstance(cover, PlaneCover):
+        return polyring.factor_over_Q(branch_polynomial(cover))
+    factors = cover.factorization.factors
+    lc = math.prod(poly.lc for poly, _ in factors)
+    return IrreducibleFactorization(cover.g.lc // lc, tuple((poly, 1) for poly, _ in factors))
+
+
+def nonrational_witness(fact: IrreducibleFactorization) -> IntPoly | None:
+    """The first factor of degree >= 2 of a branch_factorization: a branch
+    point of degree >= 2 over Q, or None when every one is rational."""
+    return next((poly for poly, _ in fact.factors if poly.degree >= 2), None)
 
 
 def has_nonrational_branch_point(cover: CoverSpec) -> tuple[bool, IntPoly | None]:
-    """Whether the branch locus contains a point of degree >= 2 over Q;
-    the witness is the first irreducible factor of that degree."""
-    bp = branch_polynomial(cover)
-    if bp.degree < 1:
-        return False, None
-    for poly, _ in polyring.factor_over_Q(bp).factors:
-        if poly.degree >= 2:
-            return True, poly
-    return False, None
+    """Whether the branch locus contains a point of degree >= 2 over Q,
+    and nonrational_witness of the branch factorization."""
+    witness = nonrational_witness(branch_factorization(cover))
+    return witness is not None, witness
 
 
 def points_over_infinity(cover: CoverSpec) -> int:
@@ -250,8 +291,6 @@ def cover_from_text(text: str) -> CoverSpec:
     """Parse cover input: a plane equation F(x, y) = 0 in the polynomial
     grammar.  Shapes y^p - g(x) with p prime take the exact cyclic path;
     everything else stays a plane cover."""
-    from . import arith
-
     poly = polyring.parse_poly(text)
     if isinstance(poly, IntPoly):
         raise DomainError("covers", "a cover needs the variable y (e.g. 'y^2 - (x^3 - x)')")

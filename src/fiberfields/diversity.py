@@ -95,7 +95,7 @@ def _fiber_stream(
     """The fibers over x = 1..N in increasing n, specialized lazily; a
     cyclic value is handed the primes sieve.value_prime_lists gives it."""
     if isinstance(cover, CyclicCover):
-        for n, primes in sieve.value_prime_lists(cover.g, N, budget):
+        for n, primes in sieve.value_prime_lists(cover.factorization, N, budget):
             yield covers.specialize(cover, n, budget, prime_budget, primes)
     else:
         for n in range(1, N + 1):
@@ -229,12 +229,12 @@ def _radical_minpoly(p: int, a: int) -> IntPoly:
 
 
 def ramified_excluded_primes(cover: CyclicCover, budget: int | None = None) -> frozenset[int]:
-    """Primes dividing p, lc(g), or disc(radical(g)): the finite set the
-    ramified-set method ignores (the computable stand-in for bad primes
-    fixed once per cover)."""
+    """Primes dividing p, lc(g), or disc(radical(g)), the discriminant of
+    the branch polynomial: the finite set the ramified-set method ignores
+    (the computable stand-in for bad primes fixed once per cover)."""
     excluded = {cover.p}
     excluded |= arith.factor(cover.g.lc, budget).support()
-    disc = polyring.discriminant(polyring.radical(cover.g))
+    disc = polyring.discriminant(covers.branch_polynomial(cover))
     if disc != 0:
         excluded |= arith.factor(disc, budget).support()
     return frozenset(excluded)

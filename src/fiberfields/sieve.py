@@ -32,25 +32,27 @@ rather than counted against h).  The scan is exact:
 The same progressions give the cyclic fibers their trial primes (line
 sieving; Pomerance, "A tale of two sieves", 1996).  A prime q divides g(n)
 exactly when n mod q is a root of g mod q.  trial_root_table finds those
-roots once per pass: for every q <= arith.TRIAL_DIVISION_LIMIT from the
-batched root table the scan reads too, one pass over all of them on g's
-coefficients mod q (exhaustion is left to the primes dividing lc(g), and
-to the tests as the table's oracle), and for every larger prime
-q <= arith.SIEVE_LIMIT that can divide a value of a linear factor b*x + c
-of g, as -c/b mod q (the linear rows), and the large primes of g's
-content, which divide every value (the content rows).  trial_prime_lists
-walks the progressions over a segment of n, so arith.factor receives each
-g(n)'s trial primes instead of finding them by gcds.  When g is a
-content times linear factors whose values stay below arith.SIEVE_LIMIT,
-the lists hold every prime of g(n) and nothing is left for rho; the
-table then says it is complete.
+roots once per pass, from g's factorization over Q, which its caller
+owns (the cover's, or exact_order_prime_ratio's): for every
+q <= arith.TRIAL_DIVISION_LIMIT from the batched root table the scan
+reads too, one pass over all of them on g's coefficients mod q
+(exhaustion is left to the primes dividing lc(g), and to the tests as the
+table's oracle), and for every larger prime q <= arith.SIEVE_LIMIT that
+can divide a value of a linear factor b*x + c of g, as -c/b mod q (the
+linear rows), and the large primes of g's content, which divide every
+value (the content rows).  trial_prime_lists walks the progressions over
+a segment of n, so arith.factor receives each g(n)'s trial primes
+instead of finding them by gcds.  When g is a content times linear
+factors whose values stay below arith.SIEVE_LIMIT, the lists hold every
+prime of g(n) and nothing is left for rho; the table then says it is
+complete.
 
 value_prime_lists is the one way a pass over g(1..N) gets its values'
 primes, for the cyclic fiber stream (diversity) and for
-exact_order_prime_ratio: one table, and window by window
-(segment_prime_lists) the trial lists and, unless the table is complete,
-the primes of each value's cofactor, split together by the batch split
-of step 3.
+exact_order_prime_ratio, each handing it the factorization of g it
+already has: one table, and window by window (segment_prime_lists) the
+trial lists and, unless the table is complete, the primes of each
+value's cofactor, split together by the batch split of step 3.
 
 euler_density gives the truncated prediction prod (1 - rho(p^2)/p^2) as an
 exact fraction, from one batched root table over its primes and the lifts
@@ -69,7 +71,7 @@ import numpy as np
 
 from . import _kernels, arith, polyring
 from .errors import BudgetError, DomainError, UnfactoredResidualError
-from .polyring import IntPoly
+from .polyring import IntPoly, IrreducibleFactorization
 
 # Residual cofactors have no prime factor up to this cap, which is what lets
 # arith.split_cofactors decide them and arith.factor skip its trial stage.
@@ -137,17 +139,22 @@ def _coefficient_bound(h: IntPoly, N: int) -> int:
     return sum(abs(c) * N**i for i, c in enumerate(h.coeffs))
 
 
-def trial_root_table(g: IntPoly, N: int, budget: int | None = None) -> TrialRootTable:
+def trial_root_table(
+    fact: IrreducibleFactorization, N: int, budget: int | None = None
+) -> TrialRootTable:
     """The residues n mod q at which q divides g(n), valid for 1 <= n <= N,
-    for every prime q <= arith.TRIAL_DIVISION_LIMIT, for the larger
-    primes q <= arith.SIEVE_LIMIT of the linear factors' values, and None
-    for each prime of g's content above arith.TRIAL_DIVISION_LIMIT.
+    for g = fact.reconstruct(), fact its factorization over Q as
+    factor_over_Q gives it (multiplicities need not be g's own: a
+    cyclic cover's are reduced mod p), for every prime
+    q <= arith.TRIAL_DIVISION_LIMIT, for the larger primes
+    q <= arith.SIEVE_LIMIT of the linear factors' values, and None for
+    each prime of g's content above arith.TRIAL_DIVISION_LIMIT.
 
     Below the limit they are the roots of g mod q, from one
     _kernels.poly_roots_table over all those primes, the kernel the
     squarefree scan uses, on g's coefficients mod q, so every g is
-    reduced to int64.  Above it each linear factor b*x + c of g over Q
-    (from one factor_over_Q) gives the root -c/b mod q for every prime q
+    reduced to int64.  Above it each linear factor b*x + c of fact
+    gives the root -c/b mod q for every prime q
     up to max |b*n + c|, n <= N, that does not divide b: a larger prime
     divides no nonzero value of the factor, and a prime dividing b divides
     none, as the factor is primitive.  When N < q, n <= N meets the
@@ -161,7 +168,7 @@ def trial_root_table(g: IntPoly, N: int, budget: int | None = None) -> TrialRoot
     with |b*n + c| <= arith.SIEVE_LIMIT, unless the content's
     factorization overran the budget: the table then lists none of its
     large primes, and each value's cofactor keeps them."""
-    coeffs = np.array(g.coeffs, dtype=object)
+    coeffs = np.array(fact.reconstruct().coeffs, dtype=object)
     qs = np.array(arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT), dtype=np.int64)
     rows = []
     for q, roots in zip(qs.tolist(), _kernels.poly_roots_table(coeffs, qs)):
@@ -169,7 +176,6 @@ def trial_root_table(g: IntPoly, N: int, budget: int | None = None) -> TrialRoot
             roots = [r for r in roots if 0 < r <= N]
         if roots:
             rows.append((q, tuple(roots)))
-    fact = polyring.factor_over_Q(g)
     linear = [f.coeffs for f, _ in fact.factors if f.degree == 1]
     reach = [max(abs(b + c), abs(b * N + c)) for c, b in linear]
     only_linear = len(linear) == len(fact.factors) and max(reach, default=0) <= arith.SIEVE_LIMIT
@@ -270,15 +276,17 @@ def segment_prime_lists(
 
 
 def value_prime_lists(
-    g: IntPoly, N: int, budget: int | None = None
+    fact: IrreducibleFactorization, N: int, budget: int | None = None
 ) -> Iterator[tuple[int, list[int] | UnfactoredResidualError]]:
     """(n, the ascending distinct primes of g(n), or the split's error on
-    its cofactor) for n = 1..N in increasing n, from one trial root table
-    and a segment_prime_lists call per window of window_size(N) values.
-    Its reader decides what an error means: covers.specialize makes the
-    fiber unresolved, exact_order_prime_ratio raises it.  A window's lists
-    are freed before the next window's are built."""
-    table = trial_root_table(g, N, budget)
+    its cofactor) for n = 1..N in increasing n, for g = fact.reconstruct()
+    (fact as trial_root_table takes it), from one trial root table and a
+    segment_prime_lists call per window of window_size(N) values.  Its
+    reader decides what an error means: covers.specialize makes the fiber
+    unresolved, exact_order_prime_ratio raises it.  A window's lists are
+    freed before the next window's are built."""
+    g = fact.reconstruct()
+    table = trial_root_table(fact, N, budget)
     window = window_size(N)
     for n0 in range(1, N + 1, window):
         count = min(window, N + 1 - n0)
@@ -468,13 +476,14 @@ def exact_order_prime_ratio(
     """Count of primes q >= n with v_q(g(m)) = 1 for some m <= n, and the
     ratio count/n.  Requires g irreducible over Q of degree >= 2.
 
-    Each value is factored once with its primes from value_prime_lists
-    (g has no linear factor, so the table lists the primes <= the trial
-    limit and the content's, and the batch split adds the rest).  The
-    first value whose cofactor overran the budget raises the split's
-    error, the UnfactoredResidualError a factor call per value raises at
-    the same first m, when g's content has no prime above the trial
-    limit."""
+    g is factored over Q once, to check that hypothesis, and
+    value_prime_lists reads that factorization.  Each value is factored
+    once with its primes from value_prime_lists (g has no linear factor,
+    so the table lists the primes <= the trial limit and the content's,
+    and the batch split adds the rest).  The first value whose cofactor
+    overran the budget raises the split's error, the
+    UnfactoredResidualError a factor call per value raises at the same
+    first m, when g's content has no prime above the trial limit."""
     if n < 1:
         raise DomainError("sieve", "n >= 1 required")
     if g.degree < 2:
@@ -491,7 +500,7 @@ def exact_order_prime_ratio(
             "(hypothesis violated: g factors over Q)",
         )
     hits: set[int] = set()
-    for m, primes in value_prime_lists(g, n, budget):
+    for m, primes in value_prime_lists(fact, n, budget):
         if isinstance(primes, UnfactoredResidualError):
             raise primes
         # g is irreducible of degree >= 2, so no value is 0

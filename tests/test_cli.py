@@ -12,10 +12,10 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fiberfields import __version__, cli
+from fiberfields import __version__, cli, polyring, sieve
 from fiberfields.cli import REPORT_SCHEMA, main
 from fiberfields.covers import cover_from_text
-from fiberfields.polyring import IntPoly, format_poly
+from fiberfields.polyring import IntPoly, PlanePoly, format_poly, parse_poly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -169,6 +169,18 @@ def test_x_free_plane_model_rejected(args, cover, capsys):
     err = capsys.readouterr().err
     assert err == (
         "error: covers: plane model does not involve x (the curve is geometrically reducible)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args", [["weak-diversity", "--N", "30", "--method", "fingerprint"], ["branch-check"]]
+)
+def test_reducible_quadratic_plane_model_rejected(args, capsys):
+    # (y - 1)^2 = 2x^2: two lines, conjugate over Q(sqrt(2))
+    assert main(args + ["--cover", "y^2 - 2*y + 1 - 2*x^2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: covers: plane model of y-degree 2 has a y-discriminant that is a constant "
+        "times a square (the curve is geometrically reducible)\n"
     )
 
 
@@ -479,6 +491,148 @@ def test_cyclic_reports_match_a_reference_from_factorint(p, content, factors, N)
         assert status == 0
         doc = json.loads(rendered)
         assert (doc["series"][key], doc["skipped"]) == want[name], name
+
+
+def _branch_reference(poly: sympy.Poly) -> dict:
+    """The branch fields of a branch-check report whose branch points are
+    the roots of poly: its radical with poly's leading coefficient, the
+    degrees of its factors over Q from sympy.factor_list, and the first
+    factor of degree >= 2 in (degree, descending coefficients) order."""
+    if poly.degree() < 1:
+        return {"branch_polynomial": "1", "branch_factor_degrees": [],
+                "has_nonrational_branch_point": False, "nonrational_witness": None}
+    factors = [f if f.LC() > 0 else -f for f, _ in sympy.factor_list(poly)[1]]
+    radical = math.prod(factors, start=sympy.Poly(poly.LC(), poly.gen))
+    radical = radical.exquo_ground(math.prod(f.LC() for f in factors))
+    witness = min(
+        (f for f in factors if f.degree() >= 2),
+        key=lambda f: (f.degree(), f.all_coeffs()),
+        default=None,
+    )
+
+    def text(f):
+        return format_poly(IntPoly(tuple(int(c) for c in reversed(f.all_coeffs()))))
+
+    return {
+        "branch_polynomial": text(radical),
+        "branch_factor_degrees": sorted(f.degree() for f in factors),
+        "has_nonrational_branch_point": witness is not None,
+        "nonrational_witness": text(witness) if witness is not None else None,
+    }
+
+
+def _branch_check(text: str) -> dict:
+    cfg = cli.RunConfig(subcommand="branch-check", cover_text=text)
+    with contextlib.redirect_stdout(io.StringIO()):
+        status, rendered = cli.run(cfg)
+    assert status == 0
+    summary = json.loads(rendered)["summary"]
+    return {k: summary[k] for k in ("branch_polynomial", "branch_factor_degrees",
+                                    "has_nonrational_branch_point", "nonrational_witness")}
+
+
+_branch_factor = st.sampled_from(
+    [(-1, 1), (2, 1), (0, 3), (-2, 0, 1), (1, 0, 1), (1, 1, 1), (3, 0, 2), (-2, 0, 0, 1)]
+)
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    content=st.sampled_from([1, -1, 3, -8, 25, 96]),
+    factors=st.lists(st.tuples(_branch_factor, st.integers(1, 6)), min_size=1, max_size=3),
+)
+@example(p=2, content=1, factors=[((-2, 0, 1), 1)])
+@example(p=3, content=-8, factors=[((1, 0, 1), 3), ((-1, 1), 4), ((1, 1, 1), 2)])
+@settings(max_examples=40, deadline=None)
+def test_cyclic_branch_check_matches_a_reference_from_sympy(p, content, factors):
+    """branch-check on y^p = g(x): the branch fields of cli.run's JSON are
+    those of g's factors over Q from sympy.factor_list, without the
+    factors whose multiplicity is 0 mod p."""
+    g = IntPoly((content,))
+    for f, m in factors:
+        g = g * IntPoly(f).pow(m)
+    assume(g.degree <= 12)
+    x = sympy.Symbol("x")
+    lc, pairs = sympy.factor_list(sympy.Poly(list(reversed(g.coeffs)), x))
+    assume(any(m % p for _, m in pairs))
+    kept = math.prod((f**(m % p) for f, m in pairs), start=sympy.Poly(lc, x))
+    assert _branch_check(f"y^{p} - ({format_poly(g)})") == _branch_reference(kept)
+
+
+@given(
+    d=st.sampled_from([2, 3]),
+    coeffs=st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=3), min_size=3, max_size=3),
+)
+@example(d=3, coeffs=[[1, 0, 1], [0, 1], [0]])  # y^3 + xy + x^2 + 1
+@settings(max_examples=40, deadline=None)
+def test_plane_branch_check_matches_a_reference_from_sympy(d, coeffs):
+    """branch-check on a monic plane model F of y-degree 2 or 3: the branch
+    fields of cli.run's JSON are those of sympy.discriminant(F, y)."""
+    x, y = sympy.symbols("x y")
+    terms = [((0, d), 1)] + [((i, j), c) for j, col in enumerate(coeffs[:d])
+                             for i, c in enumerate(col) if c]
+    F = sum((c * x**i * y**j for (i, j), c in terms), sympy.Integer(0))
+    assume(any(j for (_, j), _ in terms if 0 < j < d))  # not y^p - g: plane
+    assume(any(i for (i, _), _ in terms))  # involves x
+    disc = sympy.Poly(sympy.discriminant(F, y), x)
+    assume(not disc.is_zero)
+    # a quadratic whose discriminant is a constant times a square is two lines
+    assume(d == 3 or any(m % 2 for _, m in sympy.sqf_list(disc)[1]))
+    text = format_poly(PlanePoly(tuple(terms)))
+    assert _branch_check(text) == _branch_reference(disc)
+
+
+def _record(monkeypatch, name):
+    """The arguments of every call to polyring.<name> from here on."""
+    calls = []
+    original = getattr(polyring, name)
+
+    def recording(f, *args):
+        calls.append(f)
+        return original(f, *args)
+
+    monkeypatch.setattr(polyring, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["weak-diversity", "--N", "40", "--method", "exact"],
+        ["weak-diversity", "--N", "40", "--method", "ramified"],
+        ["strong-diversity", "--N", "40"],
+        ["branch-check"],
+    ],
+    ids=["weak-exact", "weak-ramified", "strong", "branch-check"],
+)
+def test_cyclic_runs_factor_g_once(args, monkeypatch, tmp_path):
+    """normalize_cyclic factors g, and the trial root table, the
+    ramified-set exclusions and the branch fields read its factors."""
+    calls = _record(monkeypatch, "factor_over_Q")
+    g = parse_poly("(x^2 + 1)^4*(x - 2)")
+    assert main(args + ["--cover", f"y^3 - ({format_poly(g)})", "--out", str(tmp_path / "o")]) == 0
+    assert calls == [g]
+
+
+def test_plane_branch_check_factors_the_branch_polynomial_once(monkeypatch, tmp_path):
+    """One y-discriminant, built with the cover, and one factor_over_Q of
+    its radical; the witness hunt's fibers F(n, y) are factored apart."""
+    F = parse_poly("y^3 + x*y + x^2 + 1")
+    calls = _record(monkeypatch, "factor_over_Q")
+    discriminants = _record(monkeypatch, "y_discriminant")
+    out = tmp_path / "o.json"
+    assert main(["branch-check", "--cover", format_poly(F), "--out", str(out)]) == 0
+    hunt = {F.specialize_x(n) for n in range(1, 13)}
+    bp = parse_poly(json.loads(out.read_text())["summary"]["branch_polynomial"])
+    assert [f for f in calls if f not in hunt] == [bp]
+    assert discriminants == [F]
+
+
+def test_exact_order_prime_ratio_factors_g_once(monkeypatch):
+    calls = _record(monkeypatch, "factor_over_Q")
+    g = parse_poly("x^2 + 1")
+    assert sieve.exact_order_prime_ratio(g, 50)[0] > 0
+    assert calls == [g]
 
 
 def test_golden_weak_diversity(tmp_path):

@@ -13,6 +13,7 @@ from fiberfields.covers import (
     CyclicCover,
     FiberSpec,
     PlaneCover,
+    branch_factorization,
     branch_polynomial,
     cover_from_text,
     has_nonrational_branch_point,
@@ -24,7 +25,13 @@ from fiberfields.covers import (
 from fiberfields.diversity import _WeakFold
 from fiberfields.errors import DomainError, UnfactoredResidualError
 from fiberfields.kummer import KummerClass, radical_class
-from fiberfields.polyring import IntPoly, PlanePoly, parse_poly, poly_gcd
+from fiberfields.polyring import (
+    IntPoly,
+    IrreducibleFactorization,
+    PlanePoly,
+    parse_poly,
+    poly_gcd,
+)
 
 from conftest import poly
 
@@ -184,7 +191,7 @@ def test_specialize_trial_primes():
     with pytest.raises(DomainError, match="covers: trial_primes applies to cyclic covers only"):
         specialize(plane_cover(parse_poly("y^3 + x*y + x^2 + 1")), 2, trial_primes=[])
     with pytest.raises(DomainError, match="kummer: radical_class needs a prime"):
-        specialize(CyclicCover(4, poly("x + 1")), 2, trial_primes=[3])
+        specialize(CyclicCover(4, IrreducibleFactorization(1, ((poly("x + 1"), 1),))), 2, trial_primes=[3])
 
 
 def test_specialize_takes_an_error_verdict_as_unresolved():
@@ -326,6 +333,74 @@ def test_plane_cover_rejects_x_free_model(text):
         PlaneCover(F, False, None)
     with pytest.raises(DomainError, match="does not involve x"):
         cover_from_text(text)
+
+
+_small_poly = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(IntPoly)
+
+
+def _quadratic(a: IntPoly, b: IntPoly) -> PlanePoly:
+    """y^2 + a(x) y + b(x)."""
+    terms = [((0, 2), 1)]
+    terms += [((i, 1), c) for i, c in enumerate(a.coeffs)]
+    terms += [((i, 0), c) for i, c in enumerate(b.coeffs)]
+    return PlanePoly(tuple(terms))
+
+
+@given(b=_small_poly, c=st.integers(-6, 6).filter(bool), h=_small_poly)
+@example(b=IntPoly((-1,)), c=2, h=IntPoly((0, 1)))  # (y - 1)^2 - 2x^2
+@example(b=IntPoly((0, 1)), c=1, h=IntPoly((1,)))  # (y + x)^2 - 1: a constant D
+@settings(max_examples=60, deadline=None)
+def test_quadratic_plane_model_with_square_discriminant_is_rejected(b, c, h):
+    """(y + b)^2 - c h(x)^2 is two lines over Q(sqrt(c))(x): its
+    y-discriminant 4c h^2 is a constant times a square."""
+    assume(not h.is_zero and (h.degree >= 1 or b.degree >= 1))  # separable, involves x
+    F = _quadratic(b.scale(2), b * b - (h * h).scale(c))
+    message = "plane model of y-degree 2 has a y-discriminant that is a constant times a square"
+    with pytest.raises(DomainError, match=message):
+        plane_cover(F)
+    with pytest.raises(DomainError, match=message):
+        PlaneCover(F, False, None)
+
+
+@given(a=_small_poly, b=_small_poly)
+@example(a=IntPoly((0, 2)), b=IntPoly((0, 0, 0, -1)))  # D = 4x^2 (x + 1)
+@settings(max_examples=60, deadline=None)
+def test_quadratic_plane_model_with_nonsquare_discriminant_is_accepted(a, b):
+    """A monic quadratic involving x whose y-discriminant a^2 - 4b has a
+    factor of odd multiplicity (sympy.sqf_list) is a cover, and keeps
+    that discriminant."""
+    assume(a.degree >= 1 or b.degree >= 1)
+    x = sympy.Symbol("x")
+    disc = sympy.Poly(list(reversed((a * a - b.scale(4)).coeffs)) or [0], x)
+    assume(any(m % 2 for _, m in sympy.sqf_list(disc)[1]))
+    cover = plane_cover(_quadratic(a, b))
+    assert cover.disc == IntPoly(tuple(reversed(disc.all_coeffs())))
+
+
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    content=st.sampled_from([1, -1, 4, -12, 125]),
+    factors=st.lists(st.tuples(_small_poly, st.integers(1, 6)), min_size=1, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_cyclic_cover_owns_the_factorization_of_g(p, content, factors):
+    """normalize_cyclic keeps the one factor_over_Q of g, multiplicities
+    reduced mod p, as the factorization of cover.g, and
+    branch_factorization reads it: it is factor_over_Q of the branch
+    polynomial, the radical of cover.g."""
+    g = IntPoly((content,))
+    for f, m in factors:
+        g = g * f.pow(m)
+    assume(1 <= g.degree <= 12)
+    try:
+        cover = normalize_cyclic(p, g)
+    except DomainError:
+        return
+    assert cover.factorization == polyring.factor_over_Q(cover.g)
+    assert cover.factorization.reconstruct() == cover.g
+    fact = branch_factorization(cover)
+    assert fact == polyring.factor_over_Q(polyring.radical(cover.g))
+    assert fact.reconstruct() == branch_polynomial(cover)
 
 
 def test_specialize_unresolved_on_tiny_budget():

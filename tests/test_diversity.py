@@ -237,7 +237,7 @@ def test_batched_stream_is_a_specialize_call_per_fiber(p, g, N, budget):
     prime above the trial limit (a linear row or the content's) shrinks
     the cofactor rho sees."""
     cover = cover_from_text(f"y^{p} - ({g})")
-    lists = sieve.trial_prime_lists(sieve.trial_root_table(cover.g, N, budget), 1, N)
+    lists = sieve.trial_prime_lists(sieve.trial_root_table(cover.factorization, N, budget), 1, N)
     want = [
         _fiber_fields(covers.specialize(cover, n, budget, trial_primes=primes))
         for n, primes in enumerate(lists, 1)

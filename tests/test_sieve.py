@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fiberfields import _kernels, arith, polyring, sieve
 from fiberfields.cli import main
 from fiberfields.errors import BudgetError, DomainError, UnfactoredResidualError
-from fiberfields.polyring import IntPoly, parse_poly
+from fiberfields.polyring import IntPoly, factor_over_Q, parse_poly
 from fiberfields.sieve import (
     TrialRootTable,
     euler_density,
@@ -373,7 +373,7 @@ def oracle_listed_primes(g: IntPoly, n: int) -> list[int]:
 def sieved_lists(g: IntPoly, N: int, cuts) -> list[list[int]]:
     """The trial-prime lists of g(1..N), segmented at the cut points, from
     the table a cyclic pass builds (content rows included)."""
-    table = trial_root_table(g, N, None)
+    table = trial_root_table(factor_over_Q(g), N, None)
     bounds = sorted({1, N + 1, *(c for c in cuts if 1 < c <= N)})
     lists = []
     for n0, n1 in zip(bounds, bounds[1:]):
@@ -470,19 +470,21 @@ def test_linear_rows_list_every_prime_of_linear_values(content, linear, twin, re
 
 
 def test_trial_root_table_examples():
-    assert trial_root_table(poly("6x^3 + 6"), 10).rows[:2] == ((2, (0, 1)), (3, (0, 1, 2)))
-    empty = trial_root_table(poly("8x - 7"), 1)
+    rows = trial_root_table(factor_over_Q(poly("6x^3 + 6")), 10).rows
+    assert rows[:2] == ((2, (0, 1)), (3, (0, 1, 2)))
+    empty = trial_root_table(factor_over_Q(poly("8x - 7")), 1)
     assert empty == TrialRootTable((), complete=True)
     assert trial_prime_lists(empty, 1, 1) == [[]]
     # N < q: only the residues met by n <= N are kept
-    assert 9973 not in dict(trial_root_table(poly("x - 9973"), 5).rows)
-    assert dict(trial_root_table(poly("x - 9976"), 5).rows)[9973] == (3,)
+    assert 9973 not in dict(trial_root_table(factor_over_Q(poly("x - 9973")), 5).rows)
+    assert dict(trial_root_table(factor_over_Q(poly("x - 9976")), 5).rows)[9973] == (3,)
     # linear rows: the roots 1, 0, -1 of x^3 - x, for q up to N + 1
-    rows = dict(trial_root_table(poly("x^3 - x"), 20_000).rows)
+    rows = dict(trial_root_table(factor_over_Q(poly("x^3 - x")), 20_000).rows)
     assert rows[10007] == (0, 1, 10006) and max(rows) == 19_997
-    assert 10007 not in dict(trial_root_table(poly("10007x + 1"), 10).rows)  # q | b
+    # q | b
+    assert 10007 not in dict(trial_root_table(factor_over_Q(poly("10007x + 1")), 10).rows)
     # values beyond SIEVE_LIMIT: rows stop there, and keep residues 1..N
-    rows = trial_root_table(poly("x - 1000000000000"), 100).rows
+    rows = trial_root_table(factor_over_Q(poly("x - 1000000000000")), 100).rows
     assert rows[-1][0] <= arith.SIEVE_LIMIT
     assert all(1 <= r <= 100 for q, roots in rows if q > 100 for r in roots)
 
@@ -491,18 +493,18 @@ def test_content_rows_replace_linear_rows():
     """A large content prime divides every value, so its row holds None in
     place of the linear factor's root; a content whose factorization
     overruns the budget leaves them out, and the table is incomplete."""
-    assert dict(trial_root_table(poly("x - 3"), 20_000).rows)[10007] == (3,)
+    assert dict(trial_root_table(factor_over_Q(poly("x - 3")), 20_000).rows)[10007] == (3,)
     g = poly("10007x - 30021")  # 10007 (x - 3)
-    table = trial_root_table(g, 20_000, None)
+    table = trial_root_table(factor_over_Q(g), 20_000, None)
     assert [q for q, _ in table.rows].count(10007) == 1 and dict(table.rows)[10007] is None
     assert table.complete
     lists = trial_prime_lists(table, 1, 30)
     assert all(10007 in primes for primes in lists)
     big = 1_000_003 * 1_000_033
     g = IntPoly((big, big))  # big (x + 1)
-    full = trial_root_table(g, 10, None)
+    full = trial_root_table(factor_over_Q(g), 10, None)
     assert dict(full.rows)[1_000_033] is None and full.complete
-    assert trial_root_table(g, 10, 1) == TrialRootTable(
+    assert trial_root_table(factor_over_Q(g), 10, 1) == TrialRootTable(
         tuple((q, roots) for q, roots in full.rows if roots is not None), complete=False
     )
 
@@ -512,7 +514,7 @@ def test_trial_prime_lists_beyond_the_value_window():
     progressions carry it to every n."""
     g = poly("x^2 + 1")
     N = 20_000
-    table = trial_root_table(g, N)
+    table = trial_root_table(factor_over_Q(g), N)
     for n0, count in ((1, 50), (9_990, 40), (10_000, 3), (19_960, 41)):
         lists = trial_prime_lists(table, n0, count)
         assert lists == [oracle_trial_primes(g(n)) for n in range(n0, n0 + count)]
