@@ -6,12 +6,12 @@ Brent's rho and the strong probable-prime test of Miller-Rabin.
 
 poly_roots_table finds the roots of one polynomial mod every trial prime
 in one pass over lanes, one prime each (Cantor-Zassenhaus): the trial
-root table (sieve.trial_root_table), the squarefree scan and the Euler
-product (sieve.euler_density) each call it once.  poly_roots_mod finds
-roots by exhaustion: the table uses it only for the primes dividing the
-leading coefficient, sieve.fixed_square_primes tries every residue
-mod p and p**2 for the primes p <= deg h with it, and the tests use it
-as the table's oracle.
+root table (sieve.trial_root_table) calls it once per nonlinear factor,
+and the squarefree scan and the Euler product (sieve.euler_density) once
+each.  poly_roots_mod finds roots by exhaustion: the table uses it only
+for the primes dividing the leading coefficient,
+sieve.fixed_square_primes tries every residue mod p and p**2 for the
+primes p <= deg h with it, and the tests use it as the table's oracle.
 
 The root and prime kernels work on int64 arrays; the root kernels reduce
 the coefficients mod each prime first, so they also take object

@@ -52,14 +52,15 @@ that divide m, in ascending order, one division per prime; each is then
 divided out of m with its full exponent.  A caller that already knows m's
 small primes passes them to factor as trial_primes and the stage is
 skipped: the sieve finds them along the root progressions of a polynomial
-(sieve.trial_root_table), together with every prime of its linear
-factors' values up to SIEVE_LIMIT and the large primes of its content,
-and its squarefree residuals have none.  trial_primes are ascending
-distinct primes dividing m, and they include every prime <= the limit
-that divides m; primes above the limit may be listed too.  That is the
-caller's obligation, as primality of the listed primes is the producer's
-for Factorization: a missing small prime reaches _split and is recorded
-as a prime part, and a listed non-divisor corrupts the cofactor.
+(sieve.trial_root_table) for each of its nonzero values, together with
+every prime of its linear factors' values up to SIEVE_LIMIT and every
+prime of its content, and its squarefree residuals have none.
+trial_primes are ascending distinct primes dividing m, and they include
+every prime <= the limit that divides m; primes above the limit may be
+listed too.  That is the caller's obligation, as primality of the
+listed primes is the producer's for Factorization: a missing small prime
+reaches _split and is recorded as a prime part, and a listed non-divisor
+corrupts the cofactor.
 
 Either way the cofactor left over is m with every prime <= the limit
 removed, and possibly some larger primes too.  Every part of it that is

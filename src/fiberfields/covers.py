@@ -5,10 +5,10 @@ as the factorization of g over Q with every multiplicity reduced to
 [1, p-1] (removing s(x)^p divisors changes no fiber class away from the
 removed roots), and a plane cover F(x, y) = 0 monic in y, stored with its
 y-discriminant.  Covers whose defining g is a p-th power up to constants,
-plane models free of x, and plane models of y-degree 2 whose
-y-discriminant is a constant times a square are rejected: the curve is
-geometrically reducible and the diversity counting statements do not
-apply to it.
+plane models free of x, plane models of y-degree 2 whose y-discriminant
+is a constant times a square, and plane models with a constant
+y-discriminant are rejected: the curve is geometrically reducible and
+the diversity counting statements do not apply to it.
 
 g is factored once, by normalize_cyclic, and the branch polynomial of a
 plane cover once, by branch_factorization; the trial root table of a
@@ -78,9 +78,12 @@ class PlaneCover:
     when disc = a^2 - 4b is a constant times a square c*h(x)^2: it is
     (y + a/2)^2 - c*h^2/4, two lines over Q(sqrt(c))(x).  In
     characteristic 0 that holds exactly when every multiplicity of disc's
-    squarefree decomposition is even (none, for a constant disc).
-    Geometric irreducibility of a model of y-degree 3 or more is not
-    checked."""
+    squarefree decomposition is even (none, for a constant disc).  At
+    every y-degree, a nonzero constant disc is rejected: F monic in y is
+    then a finite etale cover of the affine line over C, which is
+    trivial, so F splits into deg_y F sections y = s(x).  Geometric
+    irreducibility of a model of y-degree 3 or more with a nonconstant
+    disc is not checked."""
 
     F: PlanePoly
     irreducibility_certified: bool
@@ -106,6 +109,12 @@ class PlaneCover:
                 "covers",
                 "plane model of y-degree 2 has a y-discriminant that is a constant "
                 "times a square (the curve is geometrically reducible)",
+            )
+        if self.disc.degree < 1:
+            raise DomainError(
+                "covers",
+                "plane model has a constant y-discriminant, so it is unramified over "
+                "the affine line (the curve is geometrically reducible)",
             )
 
     @property
@@ -175,13 +184,11 @@ def branch_polynomial(cover: CoverSpec) -> IntPoly:
 
     Cyclic: the radical of the normalized g, built from its stored
     factors.  Plane: the radical of the y-discriminant (an
-    over-approximation when the model is singular).  A cover unramified
-    over every finite point yields the constant 1.
+    over-approximation when the model is singular), which PlaneCover
+    keeps nonconstant.
     """
     if isinstance(cover, CyclicCover):
         return branch_factorization(cover).reconstruct()
-    if cover.disc.degree < 1:
-        return IntPoly((1,))
     return polyring.radical(cover.disc)
 
 
@@ -231,11 +238,12 @@ def specialize(
     """Classify the fiber over x = n; never silently skips a fiber.
 
     trial_primes, for a cyclic cover only, are ascending distinct primes
-    dividing g(n), every one <= arith.TRIAL_DIVISION_LIMIT among them,
-    handed to arith.factor, or the UnfactoredResidualError the batch split
-    gave g(n)'s cofactor, which makes a fiber off the branch locus
-    unresolved with its note (the verdicts of
-    sieve.value_prime_lists).
+    dividing g(n), every one <= arith.TRIAL_DIVISION_LIMIT among them
+    when g(n) is nonzero, handed to arith.factor, or the
+    UnfactoredResidualError the batch split gave g(n)'s cofactor, which
+    makes a fiber off the branch locus unresolved with its note (the
+    verdicts of sieve.value_prime_lists).  A zero g(n) is a branch fiber,
+    returned before they are read.
 
     A plane fiber is F(n, y), monic of degree deg_y F, split by
     kummer.factor_certified: the fingerprint of F(n, y) comes first, and

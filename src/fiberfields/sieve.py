@@ -33,19 +33,19 @@ The same progressions give the cyclic fibers their trial primes (line
 sieving; Pomerance, "A tale of two sieves", 1996).  A prime q divides g(n)
 exactly when n mod q is a root of g mod q.  trial_root_table finds those
 roots once per pass, from g's factorization over Q, which its caller
-owns (the cover's, or exact_order_prime_ratio's): for every
-q <= arith.TRIAL_DIVISION_LIMIT from the batched root table the scan
-reads too, one pass over all of them on g's coefficients mod q
-(exhaustion is left to the primes dividing lc(g), and to the tests as the
-table's oracle), and for every larger prime q <= arith.SIEVE_LIMIT that
-can divide a value of a linear factor b*x + c of g, as -c/b mod q (the
-linear rows), and the large primes of g's content, which divide every
-value (the content rows).  trial_prime_lists walks the progressions over
-a segment of n, so arith.factor receives each g(n)'s trial primes
-instead of finding them by gcds.  When g is a content times linear
-factors whose values stay below arith.SIEVE_LIMIT, the lists hold every
-prime of g(n) and nothing is left for rho; the table then says it is
-complete.
+owns (the cover's, or exact_order_prime_ratio's), by one rule per
+irreducible factor f: f lists the primes up to a bound on |f(n)|, n <= N
+(a larger prime divides no nonzero value of f), capped at
+arith.TRIAL_DIVISION_LIMIT for a nonlinear f, whose roots come from one
+batched root table, the kernel the scan reads too, and at
+arith.SIEVE_LIMIT for a linear b*x + c, whose root is -c/b mod q.  Each
+prime of g's content divides every value and gets a row of its own.
+trial_prime_lists walks the progressions over a segment of n, so
+arith.factor receives each nonzero g(n)'s trial primes instead of
+finding them by gcds; a zero value is a branch fiber, and nothing reads
+its list.  When g is a content times linear factors whose values stay
+below arith.SIEVE_LIMIT, the lists hold every prime of g(n) and nothing
+is left for rho; the table then says it is complete.
 
 value_prime_lists is the one way a pass over g(1..N) gets its values'
 primes, for the cyclic fiber stream (diversity) and for
@@ -129,7 +129,7 @@ class TrialRootTable:
 
     # (q, the roots r in [0, q) of g mod q that some n <= N meets) for
     # every prime q listed for some value g(n), ascending in q; the roots
-    # are None when q divides every value (a large prime of g's content).
+    # are None when q divides every value (a prime of g's content).
     rows: tuple[tuple[int, tuple[int, ...] | None], ...]
     # The rows list every prime of every nonzero g(n), n <= N.
     complete: bool
@@ -145,71 +145,45 @@ def trial_root_table(
     """The residues n mod q at which q divides g(n), valid for 1 <= n <= N,
     for g = fact.reconstruct(), fact its factorization over Q as
     factor_over_Q gives it (multiplicities need not be g's own: a
-    cyclic cover's are reduced mod p), for every prime
-    q <= arith.TRIAL_DIVISION_LIMIT, for the larger primes
-    q <= arith.SIEVE_LIMIT of the linear factors' values, and None for
-    each prime of g's content above arith.TRIAL_DIVISION_LIMIT.
+    cyclic cover's are reduced mod p), and None for each prime of g's
+    content.
 
-    Below the limit they are the roots of g mod q, from one
-    _kernels.poly_roots_table over all those primes, the kernel the
-    squarefree scan uses, on g's coefficients mod q, so every g is
-    reduced to int64.  Above it each linear factor b*x + c of fact
-    gives the root -c/b mod q for every prime q
-    up to max |b*n + c|, n <= N, that does not divide b: a larger prime
-    divides no nonzero value of the factor, and a prime dividing b divides
-    none, as the factor is primitive.  When N < q, n <= N meets the
-    residues 1..N only.  A prime dividing no value g(n), n <= N, is left
-    out.
+    Each irreducible factor f lists every prime q <= min(B, cap), where B
+    bounds |f(n)| over n <= N (max |b*n + c| for a linear f = b*x + c,
+    the coefficient bound otherwise) and cap is arith.SIEVE_LIMIT for a
+    linear f, arith.TRIAL_DIVISION_LIMIT otherwise.  A linear f's root is
+    -c/b mod q (none where q divides b, as f is primitive), a nonlinear
+    f's roots come from one _kernels.poly_roots_table over its primes,
+    and a root r is kept when q <= N or 1 <= r <= N.  A prime
+    q <= arith.TRIAL_DIVISION_LIMIT dividing a nonzero g(n) divides the
+    content or some f(n) != 0, and then q <= |f(n)| <= B: it is listed.
+    A zero g(n) is a branch fiber, and its list is not complete.
 
-    The content is factored under budget, and its large primes replace
-    their linear rows, if any: they divide every value.  The content's
-    smaller primes have rows already, as every residue is a root of g mod
-    them.  The table is complete when every factor of g is linear, each
-    with |b*n + c| <= arith.SIEVE_LIMIT, unless the content's
-    factorization overran the budget: the table then lists none of its
-    large primes, and each value's cofactor keeps them."""
-    coeffs = np.array(fact.reconstruct().coeffs, dtype=object)
-    qs = np.array(arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT), dtype=np.int64)
-    rows = []
-    for q, roots in zip(qs.tolist(), _kernels.poly_roots_table(coeffs, qs)):
-        if q > N:
-            roots = [r for r in roots if 0 < r <= N]
-        if roots:
-            rows.append((q, tuple(roots)))
-    linear = [f.coeffs for f, _ in fact.factors if f.degree == 1]
-    reach = [max(abs(b + c), abs(b * N + c)) for c, b in linear]
-    only_linear = len(linear) == len(fact.factors) and max(reach, default=0) <= arith.SIEVE_LIMIT
-    rows = tuple(rows) + _linear_rows(linear, reach, N)
-    if abs(fact.content) <= arith.TRIAL_DIVISION_LIMIT:
-        return TrialRootTable(rows, only_linear)  # no prime of the content is large
-    try:
-        content = arith.factor(fact.content, budget)
-    except UnfactoredResidualError:
-        return TrialRootTable(rows, False)
-    large = [q for q, _ in content.factors if q > arith.TRIAL_DIVISION_LIMIT]
-    if large:
-        merged = dict(rows)
-        merged.update((q, None) for q in large)
-        rows = tuple(sorted(merged.items()))
-    return TrialRootTable(rows, only_linear)
-
-
-def _linear_rows(
-    linear: list[tuple[int, ...]], reach: list[int], N: int
-) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The rows of trial_root_table above arith.TRIAL_DIVISION_LIMIT, from
-    the coefficients (c, b) of each linear factor b*x + c of g and the
-    largest |b*n + c| over n <= N."""
-    reach = [min(top, arith.SIEVE_LIMIT) for top in reach]
-    if max(reach, default=0) <= arith.TRIAL_DIVISION_LIMIT:
-        return ()
-    start = arith.TRIAL_DIVISION_LIMIT + 1 | 1  # the odd numbers above the limit
-    primes = start + 2 * np.flatnonzero(_kernels.prime_flags(max(reach))[start::2])
+    The content's primes up to arith.TRIAL_DIVISION_LIMIT come from
+    division; when they leave a cofactor > 1, arith.factor under budget
+    finds the larger ones.  The table is complete when every factor of g
+    is linear, each with |b*n + c| <= arith.SIEVE_LIMIT, unless the
+    content's factorization overran the budget: the table then lists
+    none of its large primes, and each value's cofactor keeps them."""
+    bounds = [  # (f, the largest |f(n)| over n <= N or a bound on it, f's cap)
+        (f, max(abs(f(1)), abs(f(N))), arith.SIEVE_LIMIT)
+        if f.degree == 1
+        else (f, _coefficient_bound(f, N), arith.TRIAL_DIVISION_LIMIT)
+        for f, _ in fact.factors
+    ]
+    complete = all(f.degree == 1 and top <= arith.SIEVE_LIMIT for f, top, _ in bounds)
+    tops = [min(top, cap) for _, top, cap in bounds]
+    primes = np.flatnonzero(_kernels.prime_flags(max(tops)))
     shift = arith.SIEVE_LIMIT.bit_length()  # every root r < q < 2**shift
     keys = []
-    for (c, b), top in zip(linear, reach):
-        qs = primes[primes <= top]
-        roots = _kernels.linear_roots_mod(b, c, qs)
+    for (f, _, _), top in zip(bounds, tops):
+        qs = primes[: np.searchsorted(primes, top, side="right")]
+        if f.degree == 1:
+            roots = _kernels.linear_roots_mod(f.coeffs[1], f.coeffs[0], qs)
+        else:
+            found = _kernels.poly_roots_table(np.array(f.coeffs, dtype=object), qs)
+            qs = np.repeat(qs, [len(rs) for rs in found])
+            roots = np.array([r for rs in found for r in rs], dtype=np.int64)
         # n <= N meets every residue mod q <= N, and only 1..N mod a larger q
         keep = (roots >= 0) & ((qs <= N) | ((roots >= 1) & (roots <= N)))
         keys.append((qs[keep] << shift) | roots[keep])
@@ -219,15 +193,23 @@ def _linear_rows(
     starts = np.flatnonzero(np.diff(key_qs, prepend=-1)).tolist()
     key_roots = (keys & ((1 << shift) - 1)).tolist()
     ends = starts[1:] + [len(key_roots)]
-    return tuple(
-        (q, tuple(key_roots[i:j])) for q, i, j in zip(key_qs[starts].tolist(), starts, ends)
-    )
+    rows = {q: tuple(key_roots[i:j]) for q, i, j in zip(key_qs[starts].tolist(), starts, ends)}
+    content = abs(fact.content)
+    small = [q for q in arith.primes_up_to(arith.TRIAL_DIVISION_LIMIT) if content % q == 0]
+    rows.update((q, None) for q in small)
+    if _cofactor(content, small) > 1:
+        try:
+            rows.update((q, None) for q, _ in arith.factor(content, budget, small).factors)
+        except UnfactoredResidualError:
+            complete = False
+    return TrialRootTable(tuple(sorted(rows.items())), complete)
 
 
 def trial_prime_lists(table: TrialRootTable, n0: int, count: int) -> list[list[int]]:
     """lists[i]: the ascending primes of the table dividing g(n0 + i), for
     the table of g and 1 <= n0 + i <= its N.  Every prime
-    <= arith.TRIAL_DIVISION_LIMIT dividing g(n0 + i) is among them."""
+    <= arith.TRIAL_DIVISION_LIMIT dividing a nonzero g(n0 + i) is among
+    them."""
     lists: list[list[int]] = [[] for _ in range(count)]
     for q, residues in table.rows:
         if residues is None:

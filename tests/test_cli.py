@@ -184,6 +184,38 @@ def test_reducible_quadratic_plane_model_rejected(args, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "args", [["weak-diversity", "--N", "20", "--method", "fingerprint"], ["branch-check"]]
+)
+def test_plane_model_with_constant_discriminant_rejected(args, capsys):
+    # three lines y = x + a, conjugate over Q(a), a^3 - a - 1 = 0: disc -23
+    assert main(args + ["--cover", "(y - x)^3 - (y - x) - 1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: covers: plane model has a constant y-discriminant, so it is unramified over "
+        "the affine line (the curve is geometrically reducible)\n"
+    )
+
+
+def test_uncertified_plane_model_names_its_assumption(tmp_path):
+    # F(n, y) = y (y + 2n) for n = 1..12, the sampled fibers, and the
+    # y-discriminant 4 (x^2 + (x - 1)...(x - 12)) is not a constant times a square
+    roots = "*".join(f"(x - {r})" for r in range(1, 13))
+    status, out = run_cli(
+        ["weak-diversity", "--cover", f"(y + x)^2 - x^2 - {roots}", "--N", "14",
+         "--method", "fingerprint"],
+        tmp_path,
+    )
+    assert status == 0
+    doc = load(out)
+    validate_schema(doc)
+    assert doc["summary"]["cover"]["irreducibility_certified"] is False
+    assert doc["summary"]["cover"]["irreducibility_witness"] is None
+    assert doc["assumptions"][0] == (
+        "plane model assumed geometrically irreducible (no irreducible "
+        "specialization found among the sampled fibers)"
+    )
+
+
 def test_classify_radical_psi12_is_not_prime(tmp_path):
     # 318665857834031151167461 is a strong pseudoprime to the first 12 prime bases
     status, out = run_cli(["classify-radical", "318665857834031151167461", "2"], tmp_path)
@@ -382,6 +414,58 @@ def test_budgeted_runs_across_2_50_are_pinned(args, status, digest, tmp_path, ca
     assert main(args + ["--out", str(out)]) == status
     blob = out.read_bytes() if out.exists() else capsys.readouterr().err.encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# reference reports of squarefree-density, from sympy.factorint alone
+# ---------------------------------------------------------------------------
+
+
+def _squarefree_reference(h: IntPoly, N: int) -> tuple[list[int], list[int]]:
+    """(the fixed square primes, the flags of h(1..N)): a prime p <= deg h
+    is fixed when p^2 divides h at every residue mod p^2, a larger one
+    when p^2 divides the content; h(n) passes when it is nonzero and no
+    prime outside the fixed set divides it twice (sympy.factorint)."""
+    fixed = [
+        p for p in sympy.primerange(2, h.degree + 1)
+        if all(h(r) % (p * p) == 0 for r in range(p * p))
+    ]
+    content = math.gcd(*h.coeffs)
+    fixed += sorted(p for p, e in sympy.factorint(content).items() if p > h.degree and e >= 2)
+    flags = [
+        int(h(n) != 0 and all(e == 1 for q, e in sympy.factorint(abs(h(n))).items()
+                              if q not in fixed))
+        for n in range(1, N + 1)
+    ]
+    return fixed, flags
+
+
+@given(
+    coeffs=st.lists(st.integers(-20, 20), min_size=2, max_size=4).filter(lambda c: c[-1] != 0),
+    content=st.sampled_from([1, -1, 2, 4, 12, -18, 75, 10007**2]),
+    shift=st.sampled_from([0, 0, 0, 0, 2**62, -(10**19)]),  # past the int64 envelope
+    N=st.integers(1, 300),
+)
+@example(coeffs=[0, 1, 1], content=2, shift=0, N=300)  # 2 (x^2 + x): 2 is fixed
+@example(coeffs=[2, 0, 0, 1], content=10007**2, shift=0, N=60)  # a fixed prime above T
+@example(coeffs=[1, 0, 1], content=1, shift=2**62, N=100)  # object values
+@settings(max_examples=12, deadline=None)
+def test_squarefree_report_matches_a_reference_from_factorint(coeffs, content, shift, N):
+    """squarefree-density: the count, the fixed square primes and the CSV
+    flags of cli.run are those computed from sympy.factorint of each
+    value h(n)."""
+    h = IntPoly(tuple(content * c for c in [coeffs[0] + shift] + coeffs[1:]))
+    fixed, flags = _squarefree_reference(h, N)
+    reports = {}
+    for output in ("json", "csv"):
+        cfg = cli.RunConfig(subcommand="squarefree-density", poly_text=format_poly(h), N=N,
+                            output=output)
+        with contextlib.redirect_stdout(io.StringIO()):
+            status, reports[output] = cli.run(cfg)
+        assert status == 0
+    summary = json.loads(reports["json"])["summary"]
+    assert (summary["count"], summary["fixed_square_primes"]) == (sum(flags), fixed)
+    assert reports["csv"].splitlines()[1:] == [f"{n},{f}" for n, f in enumerate(flags, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,25 @@ def test_quadratic_plane_model_with_nonsquare_discriminant_is_accepted(a, b):
 
 
 @given(
+    low=st.lists(st.integers(-5, 5), min_size=3, max_size=4),
+    h=st.lists(st.integers(-4, 4), min_size=2, max_size=3).map(IntPoly),
+)
+@example(low=[-1, -1, 0], h=IntPoly((0, 1)))  # (y - x)^3 - (y - x) - 1
+@settings(max_examples=25, deadline=None)
+def test_plane_model_with_constant_discriminant_is_rejected(low, h):
+    """F = G(y - h(x)), G monic and squarefree of degree 3 or 4 and h
+    nonconstant: its y-discriminant is disc(G), a nonzero constant, and F
+    is deg G lines y = h(x) + a over Q-bar."""
+    G = IntPoly(tuple(low) + (1,))
+    assume(h.degree >= 1 and poly_gcd(G, G.derivative()).degree == 0)
+    assume(G.degree * h.degree <= 6)  # y_discriminant takes 0.4 s at x-degree 8
+    text = " + ".join(f"({c})*(y - ({polyring.format_poly(h)}))^{k}"
+                      for k, c in enumerate(G.coeffs))
+    with pytest.raises(DomainError, match="plane model has a constant y-discriminant"):
+        PlaneCover(parse_poly(text), False, None)
+
+
+@given(
     p=st.sampled_from([2, 3, 5]),
     content=st.sampled_from([1, -1, 4, -12, 125]),
     factors=st.lists(st.tuples(_small_poly, st.integers(1, 6)), min_size=1, max_size=3),

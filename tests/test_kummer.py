@@ -251,6 +251,19 @@ def test_fingerprint_examples():
     assert all(degrees == (1,) for _, degrees in lin.splitting)
 
 
+def test_fingerprint_past_the_first_thousand_primes():
+    """300 primes not dividing disc(x^3 - x - 1) = -23 run past 1,000, so
+    the search grows its sieve and skips the primes it has listed: each
+    is listed once, in order, the last 1,993, with sympy's splitting type."""
+    fp = field_fingerprint(poly("x^3 - x - 1"), 300)
+    primes = [q for q in sympy.primerange(2, 2000) if q != 23][:300]
+    assert [q for q, _ in fp.splitting] == primes and primes[-1] == 1993
+    x = sympy.Symbol("x")
+    for q, degrees in fp.splitting:
+        _, factors = sympy.Poly(x**3 - x - 1, x, modulus=q).factor_list()
+        assert degrees == tuple(sorted(f.degree() for f, m in factors for _ in range(m)))
+
+
 def test_fingerprint_of_a_repeated_factor_raises(monkeypatch):
     """Every prime divides a zero discriminant, so no prime can be listed:
     the search raises at once instead of growing its sieve without bound

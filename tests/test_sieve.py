@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fiberfields import _kernels, arith, polyring, sieve
 from fiberfields.cli import main
+from fiberfields.covers import cover_from_text
 from fiberfields.errors import BudgetError, DomainError, UnfactoredResidualError
 from fiberfields.polyring import IntPoly, factor_over_Q, parse_poly
 from fiberfields.sieve import (
@@ -382,16 +383,15 @@ def sieved_lists(g: IntPoly, N: int, cuts) -> list[list[int]]:
 
 
 def check_lists(g: IntPoly, N: int, cuts, factored: int = 8) -> list[list[int]]:
-    """The lists of g(1..N) against the oracles, and the hinted
-    factorizations of the first `factored` values against the unhinted
-    ones and sympy's."""
+    """The lists of the nonzero values of g(1..N) against the oracles, and
+    the hinted factorizations of the first `factored` values against the
+    unhinted ones and sympy's."""
     lists = sieved_lists(g, N, cuts)
     assert len(lists) == N
     for n, primes in enumerate(lists, 1):
         value = g(n)
         assert primes == sorted(set(primes)), (n, primes)  # ascending, distinct
-        if value == 0:  # a branch fiber: every trial prime divides 0
-            assert set(TRIAL_PRIMES) <= set(primes)
+        if value == 0:  # a branch fiber: nothing reads its list
             continue
         assert all(value % q == 0 for q in primes), (n, value)
         assert set(oracle_trial_primes(value)) <= set(primes), (n, value)
@@ -418,10 +418,10 @@ def check_lists(g: IntPoly, N: int, cuts, factored: int = 8) -> list[list[int]]:
 @example(coeffs=[3, 7], shift=10**20, N=40, cuts=[9])  # a linear g beyond SIEVE_LIMIT
 @settings(max_examples=40, deadline=None)
 def test_trial_prime_lists_match_oracles(coeffs, shift, N, cuts):
-    """Every listed prime divides g(n), every prime <= LIMIT dividing g(n)
-    is listed, and so is every prime <= SIEVE_LIMIT of a linear factor's
-    value and of the content, and nothing else; hinted factorizations
-    equal the unhinted ones and sympy's."""
+    """For every nonzero g(n): every listed prime divides it, every prime
+    <= LIMIT dividing it is listed, and so is every prime <= SIEVE_LIMIT
+    of a linear factor's value and of the content, and nothing else;
+    hinted factorizations equal the unhinted ones and sympy's."""
     check_lists(IntPoly([coeffs[0] + shift] + coeffs[1:]), N, cuts)
 
 
@@ -469,9 +469,77 @@ def test_linear_rows_list_every_prime_of_linear_values(content, linear, twin, re
                 ]
 
 
+TRIAL_PRIMORIAL = math.prod(TRIAL_PRIMES)
+table_factor = st.sampled_from(
+    [
+        "x", "x - 1", "2x + 3", "10007x - 5", "x - 9976", "3x - 2000000",
+        "x^2 + 1", "x^2 - 2", "5x^2 + 7x - 3", "x^3 + 2x + 5", "x^4 + 3x + 7",
+    ]
+)
+
+
+@given(
+    content=st.sampled_from([1, -6, 9991, -10007, 2 * 10009**2]),
+    factors=st.lists(table_factor, min_size=1, max_size=3),
+    N=st.integers(1, 2 * 10**4),
+)
+@example(content=1, factors=["x^4 + 3x + 7"], N=5)  # values up to 647 only
+@example(content=1, factors=["x^2 + 1", "x^3 + 2x + 5"], N=60)
+@example(content=1, factors=["x", "x - 1", "x^2 - 2"], N=2 * 10**4)
+@example(content=-10007, factors=["10007x - 5", "3x - 2000000"], N=9_000)
+@settings(max_examples=12, deadline=None)
+def test_trial_lists_of_nonzero_values_for_every_N(content, factors, N):
+    """For N up to 2e4, where each factor lists only the primes its own
+    values can have, a nonzero g(n) still lists exactly its primes
+    <= LIMIT (their product is gcd(g(n), the product of all of them)),
+    the primes <= SIEVE_LIMIT of each linear factor's value and the
+    content's (sympy), ascending."""
+    g = IntPoly((content,))
+    for text in factors:
+        g = g * poly(text)
+    linear = [f for f in map(poly, factors) if f.degree == 1]
+    content_large = {q for q in sympy.factorint(abs(content)) if q > LIMIT}
+    lists = trial_prime_lists(trial_root_table(factor_over_Q(g), N, None), 1, N)
+    for n, primes in enumerate(lists, 1):
+        value = g(n)
+        if value == 0:  # a branch fiber: nothing reads its list
+            continue
+        small = [q for q in primes if q <= LIMIT]
+        assert math.prod(small) == math.gcd(value, TRIAL_PRIMORIAL), (n, value)
+        large = content_large | {
+            q for f in linear for q in sympy.factorint(abs(f(n))) if LIMIT < q <= arith.SIEVE_LIMIT
+        }
+        assert primes == small + sorted(large), (n, value)
+
+
+def test_trial_root_table_asks_each_factor_for_its_own_primes(monkeypatch):
+    """Work done: the roots of a nonlinear factor are sought mod the
+    primes up to the bound of its values only, and a linear factor's
+    need no root table at all."""
+    calls = []
+    real = _kernels.poly_roots_table
+
+    def spy(coeffs, qs):
+        calls.append(qs.tolist())
+        return real(coeffs, qs)
+
+    monkeypatch.setattr(_kernels, "poly_roots_table", spy)
+    smooth = cover_from_text("y^2 - (x^3 - x)").factorization
+    for N in (1, 5, 60, 5 * 10**4):
+        trial_root_table(smooth, N)
+    assert calls == []
+    quartic = cover_from_text("y^3 - (x^4 + 3x + 7)").factorization
+    trial_root_table(quartic, 5)  # values up to 5^4 + 3*5 + 7 = 647
+    assert calls == [[q for q in TRIAL_PRIMES if q <= 647]]
+    calls.clear()
+    trial_root_table(quartic, 5 * 10**4)
+    assert calls == [TRIAL_PRIMES]
+
+
 def test_trial_root_table_examples():
+    # the content's primes divide every value, whatever their size
     rows = trial_root_table(factor_over_Q(poly("6x^3 + 6")), 10).rows
-    assert rows[:2] == ((2, (0, 1)), (3, (0, 1, 2)))
+    assert rows[:2] == ((2, None), (3, None))
     empty = trial_root_table(factor_over_Q(poly("8x - 7")), 1)
     assert empty == TrialRootTable((), complete=True)
     assert trial_prime_lists(empty, 1, 1) == [[]]
