@@ -7,7 +7,10 @@ Every subcommand emits one report with the same JSON envelope:
 "assumptions" lists the hypotheses a run leans on but does not verify
 (e.g. geometric irreducibility of a plane model).  Reports go to stdout or
 --out; diagnostics go to stderr.  Exit codes: 0 success, 2 domain error
-(violated precondition, named with its module), 3 budget error.
+(violated precondition, named with its module) or usage error, 3 budget
+error.  Flags are checked in the parser alone: a missing or unknown flag,
+a count below 1 or a malformed rational exits 2 through argparse, with its
+usage line; the runners read the parsed namespace as it is.
 
 Execution knobs (--jobs, --out, --output) are not echoed into the config
 section.  --jobs is accepted for compatibility and must be positive, but
@@ -23,7 +26,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, covers, diversity, kummer, polyring, sieve
@@ -73,40 +75,6 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    cover_text: str | None = None
-    poly_text: str | None = None
-    a: Fraction | None = None
-    b: Fraction | None = None
-    p: int | None = None
-    N: int | None = None
-    method: str = "exact"
-    prime_budget: int = kummer.DEFAULT_PRIME_BUDGET
-    euler_bound: int = sieve.DEFAULT_EULER_BOUND
-    output: str = "json"
-    out_path: str | None = None
-    jobs: int = 1
-    factor_budget: int | None = None
-
-    def validate(self) -> None:
-        if self.N is not None and self.N < 1:
-            raise DomainError("cli", "N >= 1 required")
-        if self.prime_budget < 1 or self.euler_bound < 1:
-            raise DomainError("cli", "budgets must be positive")
-        if self.factor_budget is not None and self.factor_budget < 1:
-            raise DomainError("cli", "budgets must be positive")
-        if self.jobs < 1:
-            raise DomainError("cli", "--jobs must be positive")
-        if (self.cover_text is None) == (self.poly_text is None) and self.subcommand in (
-            "weak-diversity",
-            "strong-diversity",
-            "branch-check",
-        ):
-            raise DomainError("cli", "exactly one input source (--cover) required")
-
-
 def _envelope(config: dict, series: dict, summary: dict, skipped, assumptions) -> dict:
     return {
         "tool_version": __version__,
@@ -118,29 +86,19 @@ def _envelope(config: dict, series: dict, summary: dict, skipped, assumptions) -
     }
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise DomainError("cli", f"{flag} is required for this subcommand")
-    return value
-
-
-def _run_weak(cfg: RunConfig):
-    cover = covers.cover_from_text(_require(cfg.cover_text, "--cover"))
-    method = _METHOD_ALIASES.get(cfg.method, cfg.method)
+def _run_weak(args: argparse.Namespace):
+    cover = covers.cover_from_text(args.cover)
+    method = _METHOD_ALIASES.get(args.method, args.method)
     report = diversity.weak_diversity_count(
-        cover,
-        _require(cfg.N, "--N"),
-        method,
-        budget=cfg.factor_budget,
-        prime_budget=cfg.prime_budget,
+        cover, args.N, method, budget=args.factor_budget, prime_budget=args.primes
     )
     config = {
         "subcommand": "weak-diversity",
-        "cover": cfg.cover_text,
-        "N": cfg.N,
+        "cover": args.cover,
+        "N": args.N,
         "method": method,
-        "prime_budget": cfg.prime_budget,
-        "factor_budget": cfg.factor_budget,
+        "prime_budget": args.primes,
+        "factor_budget": args.factor_budget,
     }
     summary = {
         "cover": report.cover,
@@ -151,16 +109,14 @@ def _run_weak(cfg: RunConfig):
     return doc, lambda: _series_csv(report.series, report.skipped, "D")
 
 
-def _run_strong(cfg: RunConfig):
-    cover = covers.cover_from_text(_require(cfg.cover_text, "--cover"))
-    report = diversity.strong_diversity_rank(
-        cover, _require(cfg.N, "--N"), budget=cfg.factor_budget
-    )
+def _run_strong(args: argparse.Namespace):
+    cover = covers.cover_from_text(args.cover)
+    report = diversity.strong_diversity_rank(cover, args.N, budget=args.factor_budget)
     config = {
         "subcommand": "strong-diversity",
-        "cover": cfg.cover_text,
-        "N": cfg.N,
-        "factor_budget": cfg.factor_budget,
+        "cover": args.cover,
+        "N": args.N,
+        "factor_budget": args.factor_budget,
     }
     summary = {
         "cover": report.cover,
@@ -174,19 +130,19 @@ def _run_strong(cfg: RunConfig):
     return doc, lambda: _series_csv(report.ranks, report.skipped, "r")
 
 
-def _run_sieve(cfg: RunConfig):
-    poly = polyring.parse_poly(_require(cfg.poly_text, "--poly"))
+def _run_sieve(args: argparse.Namespace):
+    poly = polyring.parse_poly(args.poly)
     if not isinstance(poly, polyring.IntPoly):
         raise DomainError("cli", "--poly must be univariate in x")
     report = sieve.squarefree_value_count(
-        poly, _require(cfg.N, "--N"), budget=cfg.factor_budget, euler_bound=cfg.euler_bound
+        poly, args.N, budget=args.factor_budget, euler_bound=args.euler_bound
     )
     config = {
         "subcommand": "squarefree-density",
-        "poly": cfg.poly_text,
-        "N": cfg.N,
-        "euler_bound": cfg.euler_bound,
-        "factor_budget": cfg.factor_budget,
+        "poly": args.poly,
+        "N": args.N,
+        "euler_bound": args.euler_bound,
+        "factor_budget": args.factor_budget,
     }
     summary = {
         "count": report.count,
@@ -203,10 +159,9 @@ def _run_sieve(cfg: RunConfig):
     return doc, lambda: _flags_csv(report.flags)
 
 
-def _run_classify(cfg: RunConfig):
-    a = _require(cfg.a, "a")
-    p = _require(cfg.p, "p")
-    cls = kummer.radical_class(a, p, cfg.factor_budget)
+def _run_classify(args: argparse.Namespace):
+    a, p = args.a, args.p
+    cls = kummer.radical_class(a, p, args.factor_budget)
     summary = {
         "a": str(a),
         "p": p,
@@ -215,15 +170,15 @@ def _run_classify(cfg: RunConfig):
         "canonical": _fact_dict(cls.canonical),
         "canonical_value": cls.canonical.reconstruct(),
     }
-    if cfg.b is not None:
-        iso = kummer.radical_fields_isomorphic(a, cfg.b, p, cfg.factor_budget)
-        summary["isomorphic_to"] = {"b": str(cfg.b), "isomorphic": iso}
+    if args.b is not None:
+        iso = kummer.radical_fields_isomorphic(a, args.b, p, args.factor_budget)
+        summary["isomorphic_to"] = {"b": str(args.b), "isomorphic": iso}
     config = {
         "subcommand": "classify-radical",
         "a": str(a),
         "p": p,
-        "b": str(cfg.b) if cfg.b is not None else None,
-        "factor_budget": cfg.factor_budget,
+        "b": str(args.b) if args.b is not None else None,
+        "factor_budget": args.factor_budget,
     }
     return _envelope(config, {}, summary, (), ()), None
 
@@ -232,8 +187,8 @@ def _fact_dict(f) -> dict:
     return {"sign": f.sign, "factors": [[q, e] for q, e in f.factors]}
 
 
-def _run_branch_check(cfg: RunConfig):
-    cover = covers.cover_from_text(_require(cfg.cover_text, "--cover"))
+def _run_branch_check(args: argparse.Namespace):
+    cover = covers.cover_from_text(args.cover)
     fact = covers.branch_factorization(cover)
     bp = fact.reconstruct()
     witness = covers.nonrational_witness(fact)
@@ -264,19 +219,19 @@ def _run_branch_check(cfg: RunConfig):
             "(roots of the y-discriminant)"
         )
         assumptions.append("points over infinity are not computed for plane covers")
-    config = {"subcommand": "branch-check", "cover": cfg.cover_text}
+    config = {"subcommand": "branch-check", "cover": args.cover}
     return _envelope(config, {}, summary, (), assumptions), None
 
 
-def _run_norm_collisions(cfg: RunConfig):
-    poly = polyring.parse_poly(_require(cfg.poly_text, "--poly"))
+def _run_norm_collisions(args: argparse.Namespace):
+    poly = polyring.parse_poly(args.poly)
     if not isinstance(poly, polyring.IntPoly):
         raise DomainError("cli", "--poly must be univariate in x")
-    max_mult, witness = diversity.norm_collision_check(poly, _require(cfg.N, "--N"))
+    max_mult, witness = diversity.norm_collision_check(poly, args.N)
     config = {
         "subcommand": "norm-collisions",
-        "poly": cfg.poly_text,
-        "N": cfg.N,
+        "poly": args.poly,
+        "N": args.N,
     }
     summary = {
         "max_multiplicity": max_mult,
@@ -344,33 +299,49 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig) -> tuple[int, str | None]:
-    """Execute a validated config; returns (exit status, rendered report)."""
+def run(args: argparse.Namespace) -> tuple[int, str | None]:
+    """Execute parsed arguments; returns (exit status, rendered report)."""
     try:
-        cfg.validate()
-        doc, render_csv = _RUNNERS[cfg.subcommand](cfg)
+        doc, render_csv = _RUNNERS[args.subcommand](args)
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2, None
     except BudgetError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3, None
-    if cfg.output == "csv":
+    if args.output == "csv":
         if render_csv is None:
             print(
-                f"error: cli: csv output is not available for {cfg.subcommand}",
+                f"error: cli: csv output is not available for {args.subcommand}",
                 file=sys.stderr,
             )
             return 2, None
         rendered = render_csv()
     else:
         rendered = _render_json(doc) + "\n"
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8", newline="") as fh:
+    if args.out_path:
+        with open(args.out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(rendered)
     else:
         sys.stdout.write(rendered)
     return 0, rendered
+
+
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as err:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r} ({err})") from None
 
 
 _JOBS_HELP = "accepted for compatibility; fibers are always processed serially"
@@ -378,15 +349,15 @@ _JOBS_HELP = "accepted for compatibility; fibers are always processed serially"
 
 def _add_common(sub, n_flag=True, poly_source=False, cover_source=False):
     if cover_source:
-        sub.add_argument("--cover", help="cover equation, e.g. 'y^2 - (x^3 - x)'")
+        sub.add_argument("--cover", required=True, help="cover equation, e.g. 'y^2 - (x^3 - x)'")
     if poly_source:
-        sub.add_argument("--poly", help="integer polynomial in x")
+        sub.add_argument("--poly", required=True, help="integer polynomial in x")
     if n_flag:
-        sub.add_argument("--N", type=int, required=True, help="range bound (fibers 1..N)")
+        sub.add_argument("--N", type=_positive, required=True, help="range bound (fibers 1..N)")
     sub.add_argument("--output", choices=("json", "csv"), default="json")
     sub.add_argument("--out", dest="out_path", help="write the report to this path")
-    sub.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    sub.add_argument("--factor-budget", type=int, default=None, help="rho iteration budget")
+    sub.add_argument("--jobs", type=_positive, default=1, help=_JOBS_HELP)
+    sub.add_argument("--factor-budget", type=_positive, default=None, help="rho iteration budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     weak = subs.add_parser("weak-diversity", help="distinct residue fields over fibers 1..N")
     _add_common(weak, cover_source=True)
     weak.add_argument("--method", choices=("exact", "ramified", "fingerprint"), default="exact")
-    weak.add_argument("--primes", type=int, default=kummer.DEFAULT_PRIME_BUDGET,
+    weak.add_argument("--primes", type=_positive, default=kummer.DEFAULT_PRIME_BUDGET,
                       help="fingerprint prime budget")
 
     strong = subs.add_parser("strong-diversity", help="compositum rank growth over F_p")
@@ -408,18 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sv = subs.add_parser("squarefree-density", help="squarefree values of h(n) for n <= N")
     _add_common(sv, poly_source=True)
-    sv.add_argument("--euler-bound", type=int, default=sieve.DEFAULT_EULER_BOUND,
+    sv.add_argument("--euler-bound", type=_positive, default=sieve.DEFAULT_EULER_BOUND,
                     help="prime bound of the truncated Euler product")
 
     cr = subs.add_parser("classify-radical", help="Kummer class of a in Q*/(Q*)^p")
-    cr.add_argument("a", help="nonzero rational, e.g. 16 or 3/4")
+    cr.add_argument("a", type=_parse_rational, help="nonzero rational, e.g. 16 or 3/4")
     cr.add_argument("p", type=int, help="prime")
-    cr.add_argument("--isomorphic-to", dest="b", default=None,
+    cr.add_argument("--isomorphic-to", dest="b", type=_parse_rational, default=None,
                     help="also decide whether Q(a^(1/p)) and Q(b^(1/p)) agree")
-    cr.add_argument("--output", choices=("json", "csv"), default="json")
-    cr.add_argument("--out", dest="out_path")
-    cr.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    cr.add_argument("--factor-budget", type=int, default=None)
+    _add_common(cr, n_flag=False)
 
     bc = subs.add_parser("branch-check", help="branch locus and hypothesis flags")
     _add_common(bc, n_flag=False, cover_source=True)
@@ -430,46 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    for field in ("N", "jobs", "out_path", "output"):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
-    if getattr(args, "factor_budget", None) is not None:
-        cfg.factor_budget = args.factor_budget
-    if getattr(args, "cover", None) is not None:
-        cfg.cover_text = args.cover
-    if getattr(args, "poly", None) is not None:
-        cfg.poly_text = args.poly
-    if hasattr(args, "method"):
-        cfg.method = args.method
-    if hasattr(args, "primes"):
-        cfg.prime_budget = args.primes
-    if hasattr(args, "euler_bound"):
-        cfg.euler_bound = args.euler_bound
-    if hasattr(args, "a"):
-        cfg.a = _parse_rational(args.a)
-        cfg.p = args.p
-        if args.b is not None:
-            cfg.b = _parse_rational(args.b)
-    return cfg
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as err:
-        raise DomainError("cli", f"not a rational number: {text!r} ({err})")
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        cfg = config_from_args(args)
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    status, _ = run(cfg)
+    status, _ = run(build_parser().parse_args(argv))
     return status
 
 

@@ -22,7 +22,6 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import _modpoly, arith
@@ -546,53 +545,27 @@ def discriminant(f: IntPoly) -> int:
 def y_discriminant(F: PlanePoly) -> IntPoly:
     """Discriminant of F in y, as an integer polynomial in x.
 
-    Computed by specializing x at enough integer points and interpolating;
-    monic-in-y means no degree drop at any specialization.
+    Monic-in-y means no degree drop at any specialization, so the
+    discriminant has degree at most D = (2 deg_y F - 1) deg_x F.  Its
+    values at x = 0..D give its forward differences d_k at 0 (Newton), and
+    D! disc(x) = sum_k d_k (D!/k!) x(x - 1)...(x - k + 1), in integers.
     """
-    p = F.y_degree
-    m = max(F.x_degree, 0)
-    bound = (2 * p - 1) * m
-    xs = []
-    vals = []
-    x0 = 0
-    while len(xs) < bound + 1:
-        xs.append(x0)
-        vals.append(discriminant(F.specialize_x(x0)))
-        x0 = -x0 + (0 if x0 > 0 else 1)  # 0, 1, -1, 2, -2, ...
-    coeffs = _interpolate_integer(xs, vals)
-    return IntPoly(coeffs)
-
-
-def _interpolate_integer(xs: list[int], ys: list[int]) -> list[int]:
-    """Lagrange interpolation through (xs, ys); asserts integer coefficients."""
-    n = len(xs)
-    acc = [Fraction(0)] * n
-    for i in range(n):
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if i == j:
-                continue
-            num = _frac_poly_mul_linear(num, -xs[j])
-            denom *= xs[i] - xs[j]
-        w = Fraction(ys[i]) / denom
-        for k in range(len(num)):
-            acc[k] += w * num[k]
-    out = []
-    for c in acc:
-        if c.denominator != 1:
-            raise DomainError("polyring", "internal: interpolation gave a non-integer")
-        out.append(int(c))
-    return out
-
-
-def _frac_poly_mul_linear(poly: list[Fraction], c0: int) -> list[Fraction]:
-    # multiply by (x + c0)
-    out = [Fraction(0)] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i] += c * c0
-        out[i + 1] += c
-    return out
+    bound = (2 * F.y_degree - 1) * max(F.x_degree, 0)
+    diffs = [discriminant(F.specialize_x(x0)) for x0 in range(bound + 1)]
+    for k in range(1, bound + 1):
+        for i in range(bound, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    total = [0] * (bound + 1)
+    falling = [1]  # x(x - 1)...(x - k + 1), constant term first
+    scale = denom = math.factorial(bound)  # scale = D!/k!
+    for k, d in enumerate(diffs):
+        for i, c in enumerate(falling):
+            total[i] += d * scale * c
+        falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+        scale //= k + 1
+    if any(c % denom for c in total):
+        raise DomainError("polyring", "internal: interpolation gave a non-integer")
+    return IntPoly([c // denom for c in total])
 
 
 # ---------------------------------------------------------------------------
@@ -796,18 +769,16 @@ def _factor_squarefree_primitive(f: IntPoly) -> list[IntPoly]:
     return found
 
 
-def factor_over_Q(
-    f: IntPoly, max_degree: int = FACTOR_DEGREE_BOUND
-) -> IrreducibleFactorization:
+def factor_over_Q(f: IntPoly) -> IrreducibleFactorization:
     """Complete factorization of f into irreducibles over Q.
 
-    Raises DomainError when f is zero or deg f exceeds max_degree.
+    Raises DomainError when f is zero or deg f exceeds FACTOR_DEGREE_BOUND.
     """
     if f.is_zero:
         raise DomainError("polyring", "cannot factor the zero polynomial")
-    if f.degree > max_degree:
+    if f.degree > FACTOR_DEGREE_BOUND:
         raise DomainError(
-            "polyring", f"degree {f.degree} exceeds factorization bound {max_degree}"
+            "polyring", f"degree {f.degree} exceeds factorization bound {FACTOR_DEGREE_BOUND}"
         )
     content, parts = squarefree_decomposition(f)
     out: list[tuple[IntPoly, int]] = []

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
@@ -31,7 +32,6 @@ def load(out: Path) -> dict:
 
 
 def validate_schema(doc: dict):
-    jsonschema = pytest.importorskip("jsonschema")
     jsonschema.validate(doc, REPORT_SCHEMA)
 
 
@@ -135,10 +135,10 @@ def test_norm_collisions_json(tmp_path):
 
 
 def test_exit_code_domain_error(tmp_path, capsys):
-    status = main(["weak-diversity", "--cover", "y^2 - x", "--N", "0"])
+    status = main(["classify-radical", "16", "4"])
     assert status == 2
     err = capsys.readouterr().err
-    assert "N >= 1 required" in err
+    assert err == "error: kummer: radical_class needs a prime, got 4\n"
 
 
 @pytest.mark.parametrize(
@@ -269,6 +269,15 @@ def test_exit_code_budget_error(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+# The count flags of each subcommand besides --jobs and --factor-budget.
+_COUNT_FLAGS = {
+    "weak-diversity": ["--N", "--primes"],
+    "strong-diversity": ["--N"],
+    "squarefree-density": ["--N", "--euler-bound"],
+    "norm-collisions": ["--N"],
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -281,15 +290,24 @@ def test_exit_code_budget_error(capsys):
     ],
     ids=lambda args: args[0],
 )
-def test_jobs_is_accepted_but_must_be_positive(args, capsys):
-    """Every subcommand takes --jobs and processes fibers serially
-    whatever its value, but a value below 1 is refused."""
+def test_jobs_is_accepted_but_must_be_positive(args, tmp_path, capsys):
+    """Every subcommand takes the common flags --output, --out, --jobs and
+    --factor-budget, and processes fibers serially whatever --jobs is; the
+    parser refuses 0 for --jobs and for each of its other count flags with
+    exit status 2, naming the flag."""
     with pytest.raises(SystemExit):
         main([args[0], "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert "accepted for compatibility; fibers are always processed serially" in help_text
-    assert main(args + ["--jobs", "0"]) == 2
-    assert capsys.readouterr().err == "error: cli: --jobs must be positive\n"
+    out = tmp_path / "r.json"
+    common = ["--output", "json", "--out", str(out), "--jobs", "3", "--factor-budget", "100000"]
+    assert main(args + common) == 0
+    validate_schema(load(out))
+    for flag in _COUNT_FLAGS.get(args[0], []) + ["--jobs", "--factor-budget"]:
+        with pytest.raises(SystemExit) as exc:
+            main(args + [flag, "0"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_csv_unavailable_for_classify(capsys):
@@ -458,10 +476,11 @@ def test_squarefree_report_matches_a_reference_from_factorint(coeffs, content, s
     fixed, flags = _squarefree_reference(h, N)
     reports = {}
     for output in ("json", "csv"):
-        cfg = cli.RunConfig(subcommand="squarefree-density", poly_text=format_poly(h), N=N,
-                            output=output)
+        args = cli.build_parser().parse_args(
+            ["squarefree-density", f"--poly={format_poly(h)}", "--N", str(N), "--output", output]
+        )
         with contextlib.redirect_stdout(io.StringIO()):
-            status, reports[output] = cli.run(cfg)
+            status, reports[output] = cli.run(args)
         assert status == 0
     summary = json.loads(reports["json"])["summary"]
     assert (summary["count"], summary["fixed_square_primes"]) == (sum(flags), fixed)
@@ -564,14 +583,14 @@ def test_cyclic_reports_match_a_reference_from_factorint(p, content, factors, N)
     text = f"y^{p} - ({format_poly(g)})"
     assert cover_from_text(text).g == g  # no factor was reduced mod p
     want = _reference_reports(p, g, N)
-    for name, subcommand, method, key in (
-        ("exact", "weak-diversity", "exact", "D"),
-        ("ramified", "weak-diversity", "ramified", "D"),
-        ("strong", "strong-diversity", "exact", "r"),
+    for name, command, key in (
+        ("exact", ["weak-diversity", "--method", "exact"], "D"),
+        ("ramified", ["weak-diversity", "--method", "ramified"], "D"),
+        ("strong", ["strong-diversity"], "r"),
     ):
-        cfg = cli.RunConfig(subcommand=subcommand, cover_text=text, N=N, method=method)
+        args = cli.build_parser().parse_args(command + [f"--cover={text}", "--N", str(N)])
         with contextlib.redirect_stdout(io.StringIO()):
-            status, rendered = cli.run(cfg)
+            status, rendered = cli.run(args)
         assert status == 0
         doc = json.loads(rendered)
         assert (doc["series"][key], doc["skipped"]) == want[name], name
@@ -606,9 +625,9 @@ def _branch_reference(poly: sympy.Poly) -> dict:
 
 
 def _branch_check(text: str) -> dict:
-    cfg = cli.RunConfig(subcommand="branch-check", cover_text=text)
+    args = cli.build_parser().parse_args(["branch-check", f"--cover={text}"])
     with contextlib.redirect_stdout(io.StringIO()):
-        status, rendered = cli.run(cfg)
+        status, rendered = cli.run(args)
     assert status == 0
     summary = json.loads(rendered)["summary"]
     return {k: summary[k] for k in ("branch_polynomial", "branch_factor_degrees",
@@ -752,8 +771,8 @@ def test_golden_branch_check(tmp_path):
     ids=lambda args: args[0],
 )
 def test_report_text_is_json_dumps(args, tmp_path):
-    cfg = cli.config_from_args(cli.build_parser().parse_args(args))
-    doc, _ = cli._RUNNERS[cfg.subcommand](cfg)
+    parsed = cli.build_parser().parse_args(args)
+    doc, _ = cli._RUNNERS[parsed.subcommand](parsed)
     text = json.dumps(doc, indent=2)
     assert cli._render_json(doc) == text
     status, out = run_cli(args, tmp_path)

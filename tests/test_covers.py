@@ -389,7 +389,7 @@ def test_plane_model_with_constant_discriminant_is_rejected(low, h):
     is deg G lines y = h(x) + a over Q-bar."""
     G = IntPoly(tuple(low) + (1,))
     assume(h.degree >= 1 and poly_gcd(G, G.derivative()).degree == 0)
-    assume(G.degree * h.degree <= 6)  # y_discriminant takes 0.4 s at x-degree 8
+    assume(G.degree * h.degree <= 8)
     text = " + ".join(f"({c})*(y - ({polyring.format_poly(h)}))^{k}"
                       for k, c in enumerate(G.coeffs))
     with pytest.raises(DomainError, match="plane model has a constant y-discriminant"):

@@ -2,10 +2,10 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fiberfields import _kernels, sieve
+from fiberfields import _kernels, polyring, sieve
 from fiberfields.errors import DomainError, PolyParseError
 from fiberfields.polyring import (
     IntPoly,
@@ -177,6 +177,29 @@ def test_y_discriminant_cubic():
     assert y_discriminant(F) == expected.scale(-27)
 
 
+@given(
+    d=st.integers(2, 4),
+    columns=st.lists(st.lists(st.integers(-5, 5), max_size=9), min_size=4, max_size=4),
+    h=st.lists(st.integers(-4, 4), max_size=3),
+)
+@example(d=4, columns=[[-7, 0, 0, 1], [0] * 8 + [1], [], []], h=[])  # y^4 + x^8 y + x^3 - 7
+@example(d=4, columns=[[3], [-2], [5], [4]], h=[1, -4, 1])  # a constant discriminant
+@settings(max_examples=30, deadline=None)
+def test_y_discriminant_matches_sympy(d, columns, h):
+    """y_discriminant(F) is sympy.discriminant(F, y) for F = G(y - h(x)),
+    G = y^d + (columns as polynomials in x) y^j monic of y-degree d, kept to
+    x-degree <= 8: with h of degree 2 and d = 4, G has constant
+    coefficients and F is deg G lines over Q-bar."""
+    x, y = sympy.symbols("x y")
+    room = 9 - d * max((i for i, c in enumerate(h) if c), default=0)
+    G = y**d + sum(c * x**i * y**j for j, col in enumerate(columns[:d])
+                   for i, c in enumerate(col[:room]))
+    F = sympy.Poly(G.subs(y, y - sum(c * x**i for i, c in enumerate(h))), x, y)
+    want = sympy.Poly(sympy.discriminant(F.as_expr(), y), x)
+    mine = y_discriminant(PlanePoly(tuple((ij, int(c)) for ij, c in F.terms())))
+    assert mine == IntPoly(tuple(int(c) for c in reversed(want.all_coeffs())))
+
+
 def test_disc_zero_iff_repeated_factor():
     assert discriminant(parse_poly("(x+1)^2")) == 0
     assert discriminant(parse_poly("(x^2+1)*(x-3)")) != 0
@@ -220,7 +243,6 @@ def test_factor_multiplicities_and_content():
 
 
 def test_factor_agrees_with_sympy():
-    sympy = pytest.importorskip("sympy")
     xsym = sympy.Symbol("x")
     rng = random.Random(29)
     for _ in range(25):
@@ -244,10 +266,11 @@ def test_factor_deterministic():
     assert degs == sorted(degs)
 
 
-def test_factor_degree_bound():
-    with pytest.raises(DomainError):
+def test_factor_degree_bound(monkeypatch):
+    with pytest.raises(DomainError, match="degree 13 exceeds factorization bound 12"):
         factor_over_Q(poly("x^13 + x + 1"))
-    fact = factor_over_Q(poly("x^13 + x + 1"), max_degree=13)
+    monkeypatch.setattr(polyring, "FACTOR_DEGREE_BOUND", 13)
+    fact = factor_over_Q(poly("x^13 + x + 1"))
     assert [(p.coeffs, m) for p, m in fact.factors] == [((1, 1) + (0,) * 11 + (1,), 1)]
 
 
