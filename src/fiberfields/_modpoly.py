@@ -179,10 +179,6 @@ def pow_mod(f, e: int, g, m):
     return trim(acc)
 
 
-def deriv(f, m):
-    return trim([i * c % m for i, c in enumerate(f)][1:])
-
-
 def splitting_degrees(f, p) -> list[int]:
     """Sorted degrees of the irreducible factors of squarefree f mod p
     (distinct_degree_split lists its blocks in increasing degree)."""

@@ -11,38 +11,25 @@ UnfactoredResidualError; residuals are never reported as prime.
 is_prime is a proof below psi_13 ~ 3.3e24 and a probable-prime test
 above it:
 
-  n < psi_6 = 3,474,749,660,383      Miller-Rabin to the first k prime
-                                     bases, k from _MR_THRESHOLDS (the
-                                     psi_k of Jaeschke, "On strong
-                                     pseudoprimes to several bases", 1993)
-  psi_6 <= n < 2**64                 Baillie-PSW: Miller-Rabin to base 2
+  n < psi_13                         Miller-Rabin to the first k prime
+                                     bases, k from the first row of
+                                     _MR_THRESHOLDS above n (the psi_k of
+                                     Jaeschke, "On strong pseudoprimes to
+                                     several bases", 1993, and of Sorenson
+                                     and Webster, "Strong pseudoprimes to
+                                     twelve prime bases", 2017)
+  psi_13 <= n                        Baillie-PSW: Miller-Rabin to base 2
                                      and a strong Lucas test with
                                      Selfridge's parameters (Baillie and
                                      Wagstaff, "Lucas pseudoprimes",
-                                     1980).  Feitsma's list of the base-2
-                                     strong pseudoprimes below 2**64 has
-                                     no strong Lucas pseudoprime in it,
-                                     so the test is exact there.
-  2**64 <= n < psi_13                Miller-Rabin to the first 12 or 13
-                                     prime bases (psi_12 and psi_13 by
-                                     Sorenson and Webster, "Strong
-                                     pseudoprimes to twelve prime bases",
-                                     2017)
-  psi_13 <= n                        Baillie-PSW; no counterexample is
-                                     known
-
-On primes, Baillie-PSW costs about as much as Miller-Rabin to 5 bases
-near 1e11 and wins from 6 bases on (1.3x at 3e12, 1.5x at 1e13, 2x at
-1e16), so is_prime takes it on the whole range from psi_6 to 2**64 and
-reads the table's rows below psi_6 and above 2**64.
+                                     1980); no counterexample is known
 
 A batch of numbers below 2**56 is proven at once instead (_are_prime, for
 split_cofactors), each number a lane of int64 arrays in numpy
 (_kernels.strong_probable_primes), with Miller-Rabin to the bases of its
-first row above it: the rows below psi_6 as is_prime reads them, the
-first 7 prime bases on [psi_6, psi_7 = 341,550,071,728,321) and the
-first 9 on [psi_7, 2**56), psi_9 ~ 3.8e18 being above 2**56.  Each row
-is a proof, so every answer is is_prime's.  Base 2 runs on every lane,
+first row above it, the rows is_prime reads, up to the first 9 prime
+bases on [psi_7, 2**56), psi_9 ~ 3.8e18 being above 2**56.  Each row is
+a proof, so every answer is is_prime's.  Base 2 runs on every lane,
 then the other bases of the lanes that pass it run as one lane per
 (number, base) pair.  A batch of fewer than _PRIME_HAND_OFF numbers, and
 is_prime on a single number or one at or above 2**56, stay scalar.
@@ -105,7 +92,8 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, UnfactoredResidualError
 
-# Primes below this bound are sieved once and shared, read-only afterwards.
+# The cap on the primes of a linear factor's row in the trial root table
+# (sieve.trial_root_table).
 SIEVE_LIMIT = 1_000_000
 # Trial division hands off to rho beyond this point; rho splits mid-size
 # composites far faster than walking the rest of the sieve.
@@ -114,10 +102,9 @@ DEFAULT_FACTOR_BUDGET = 2_000_000
 
 # (psi, bases): Miller-Rabin to the first k prime bases proves n < psi
 # prime, where psi = psi_k is the least strong pseudoprime to all of those
-# bases (Jaeschke 1993; Sorenson and Webster 2017).  is_prime reads the
-# rows below psi_6 and above 2**64, Baillie-PSW proving [psi_6, 2**64)
-# (see the module docstring); the lanes of _are_prime read the rows up to
-# psi_9, which lies above _kernels.LANES_BELOW.
+# bases (Jaeschke 1993; Sorenson and Webster 2017).  is_prime reads every
+# row, and the lanes of _are_prime the rows up to psi_9, which lies above
+# _kernels.LANES_BELOW.
 _MR_THRESHOLDS = (
     (2_047, (2,)),
     (1_373_653, (2, 3)),
@@ -130,9 +117,6 @@ _MR_THRESHOLDS = (
     (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
     (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
-# Baillie-PSW is a proof on [_BPSW_PROVEN_FROM, _BPSW_PROVEN_BELOW).
-_BPSW_PROVEN_FROM = 3_474_749_660_383
-_BPSW_PROVEN_BELOW = 2**64
 
 # Rho's steps between two gcds (Brent's m).
 _RHO_BLOCK = 128
@@ -160,20 +144,24 @@ _LANE_BASES = np.array(_MR_THRESHOLDS[_LANE_PSI.size - 1][1], dtype=np.int64)
 _PRIME_HAND_OFF = 64
 
 _sieve_lock = threading.Lock()
-_prime_cache: dict[int, list[int]] = {}
+# (every prime <= bound as an ascending array, bound), grown by primes_up_to.
+_prime_table = (np.zeros(0, dtype=np.int64), 0)
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """Ascending primes <= limit, cached per limit (shared, read-only)."""
-    if limit < 2:
-        return []
-    with _sieve_lock:
-        cached = _prime_cache.get(limit)
-        if cached is None:
-            flags = _kernels.prime_flags(limit)
-            cached = np.nonzero(flags)[0].tolist()
-            _prime_cache[limit] = cached
-        return cached
+    """Ascending primes <= limit, a new list cut from one table of primes.
+    A limit past the table's bound sieves again, to at least twice that
+    bound, so any sequence of limits up to L sieves O(log L) times."""
+    global _prime_table
+    primes, bound = _prime_table
+    if limit > bound:
+        with _sieve_lock:
+            primes, bound = _prime_table
+            if limit > bound:
+                bound = max(limit, 2 * bound)
+                primes = np.flatnonzero(_kernels.prime_flags(bound))
+                _prime_table = primes, bound
+    return primes[: np.searchsorted(primes, limit, side="right")].tolist()
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,12 +295,10 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic below psi_13 ~ 3.3e24 (the ranges and their sources
-    are in the module docstring): Miller-Rabin to the first k prime bases
-    from _MR_THRESHOLDS below psi_6 ~ 3.47e12 (6 bases at most),
-    Baillie-PSW from psi_6 to 2**64, Miller-Rabin to 12 or 13 bases from
-    2**64 to psi_13.  Baillie-PSW above psi_13 (no counterexample is
-    known)."""
+    """Deterministic below psi_13 ~ 3.3e24: Miller-Rabin to the first k
+    prime bases, k from the first _MR_THRESHOLDS row above n.  Baillie-PSW
+    above psi_13 (no counterexample is known; the sources are in the
+    module docstring)."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -322,13 +308,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if not _BPSW_PROVEN_FROM <= n < _BPSW_PROVEN_BELOW:
-        for psi, bases in _MR_THRESHOLDS:
-            if n < psi:
-                return all(_miller_rabin_round(n, a, d, s) for a in bases)
-    if not _miller_rabin_round(n, 2, d, s):
-        return False
-    return _strong_lucas_prp(n)
+    for psi, bases in _MR_THRESHOLDS:
+        if n < psi:
+            return all(_miller_rabin_round(n, a, d, s) for a in bases)
+    return _miller_rabin_round(n, 2, d, s) and _strong_lucas_prp(n)
 
 
 def _are_prime(ns: Sequence[int]) -> list[bool]:
@@ -337,8 +320,8 @@ def _are_prime(ns: Sequence[int]) -> list[bool]:
     From _PRIME_HAND_OFF numbers on, Miller-Rabin runs in lockstep
     (_kernels.strong_probable_primes): base 2 on every lane, then the rest
     of each survivor's bases, from the first _MR_THRESHOLDS row above it,
-    as one lane per (number, base) pair.  The rows are proofs, so each
-    answer is is_prime's, Baillie-PSW's range [psi_6, 2**64) included."""
+    as one lane per (number, base) pair.  These are is_prime's rows, so
+    each answer is is_prime's."""
     if len(ns) < _PRIME_HAND_OFF:
         return [is_prime(n) for n in ns]
     n = np.array(ns, dtype=np.int64)

@@ -9,8 +9,9 @@ Every subcommand emits one report with the same JSON envelope:
 --out; diagnostics go to stderr.  Exit codes: 0 success, 2 domain error
 (violated precondition, named with its module) or usage error, 3 budget
 error.  Flags are checked in the parser alone: a missing or unknown flag,
-a count below 1 or a malformed rational exits 2 through argparse, with its
-usage line; the runners read the parsed namespace as it is.
+a count below 1, a malformed rational or --output csv where the
+subcommand has no CSV form exits 2 through argparse, with its usage line;
+the runners read the parsed namespace as it is.
 
 Execution knobs (--jobs, --out, --output) are not echoed into the config
 section.  --jobs is accepted for compatibility and must be positive, but
@@ -288,7 +289,8 @@ def _render_json(value, pad: str = "\n") -> str:
 
 
 # Each runner returns (JSON document, CSV renderer or None); the CSV text
-# is built only under --output csv.
+# is built only under --output csv, which the parser offers only where a
+# runner has a renderer.
 _RUNNERS = {
     "weak-diversity": _run_weak,
     "strong-diversity": _run_strong,
@@ -309,16 +311,7 @@ def run(args: argparse.Namespace) -> tuple[int, str | None]:
     except BudgetError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3, None
-    if args.output == "csv":
-        if render_csv is None:
-            print(
-                f"error: cli: csv output is not available for {args.subcommand}",
-                file=sys.stderr,
-            )
-            return 2, None
-        rendered = render_csv()
-    else:
-        rendered = _render_json(doc) + "\n"
+    rendered = render_csv() if args.output == "csv" else _render_json(doc) + "\n"
     if args.out_path:
         with open(args.out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(rendered)
@@ -347,14 +340,14 @@ def _parse_rational(text: str) -> Fraction:
 _JOBS_HELP = "accepted for compatibility; fibers are always processed serially"
 
 
-def _add_common(sub, n_flag=True, poly_source=False, cover_source=False):
+def _add_common(sub, n_flag=True, poly_source=False, cover_source=False, outputs=("json",)):
     if cover_source:
         sub.add_argument("--cover", required=True, help="cover equation, e.g. 'y^2 - (x^3 - x)'")
     if poly_source:
         sub.add_argument("--poly", required=True, help="integer polynomial in x")
     if n_flag:
         sub.add_argument("--N", type=_positive, required=True, help="range bound (fibers 1..N)")
-    sub.add_argument("--output", choices=("json", "csv"), default="json")
+    sub.add_argument("--output", choices=outputs, default="json")
     sub.add_argument("--out", dest="out_path", help="write the report to this path")
     sub.add_argument("--jobs", type=_positive, default=1, help=_JOBS_HELP)
     sub.add_argument("--factor-budget", type=_positive, default=None, help="rho iteration budget")
@@ -369,16 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     weak = subs.add_parser("weak-diversity", help="distinct residue fields over fibers 1..N")
-    _add_common(weak, cover_source=True)
+    _add_common(weak, cover_source=True, outputs=("json", "csv"))
     weak.add_argument("--method", choices=("exact", "ramified", "fingerprint"), default="exact")
     weak.add_argument("--primes", type=_positive, default=kummer.DEFAULT_PRIME_BUDGET,
                       help="fingerprint prime budget")
 
     strong = subs.add_parser("strong-diversity", help="compositum rank growth over F_p")
-    _add_common(strong, cover_source=True)
+    _add_common(strong, cover_source=True, outputs=("json", "csv"))
 
     sv = subs.add_parser("squarefree-density", help="squarefree values of h(n) for n <= N")
-    _add_common(sv, poly_source=True)
+    _add_common(sv, poly_source=True, outputs=("json", "csv"))
     sv.add_argument("--euler-bound", type=_positive, default=sieve.DEFAULT_EULER_BOUND,
                     help="prime bound of the truncated Euler product")
 

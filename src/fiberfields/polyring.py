@@ -575,25 +575,18 @@ def y_discriminant(F: PlanePoly) -> IntPoly:
 
 def radical(g: IntPoly) -> IntPoly:
     """The separable polynomial with the same roots and leading coefficient
-    as g: lc(g) times the product of the distinct monic irreducible factors.
+    as g: lc(g) times the product of the distinct monic irreducible factors,
+    that is the product of squarefree_decomposition(g)'s parts, scaled to
+    lc(g).
 
     Always lands in Z[x]; divides g in Q[x], and g divides radical**e for e
     the largest multiplicity.
     """
     if g.is_zero or g.degree < 1:
         raise DomainError("polyring", "radical needs degree >= 1")
-    fp = g.primitive()
-    der = fp.derivative()
-    gcd_fd = poly_gcd(fp, der)
-    sqf = exact_div(fp, gcd_fd)
-    if sqf is None:
-        raise DomainError("polyring", "internal: squarefree part division failed")
-    if sqf.lc < 0:
-        sqf = -sqf
-    scale, rem = divmod(g.lc, sqf.lc)
-    if rem:
-        raise DomainError("polyring", "internal: radical leading coefficient mismatch")
-    return sqf.scale(scale)
+    _, parts = squarefree_decomposition(g)
+    sqf = math.prod((part for part, _ in parts), start=IntPoly((1,)))
+    return sqf.scale(g.lc // sqf.lc)
 
 
 def squarefree_decomposition(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
@@ -715,15 +708,11 @@ def _hensel_lift_tree(f_coeffs: list[int], facs: list[list[int]], p: int, target
 
 
 def _good_prime(f: IntPoly) -> int:
-    """Smallest odd prime not dividing lc(f) with f squarefree mod p."""
+    """Smallest odd prime dividing neither lc(f) nor disc(f), for f of
+    degree >= 2: f mod p is then squarefree of degree deg f."""
+    bad = f.lc * discriminant(f)
     for p in arith.primes_up_to(10_000):
-        if p == 2 or f.lc % p == 0:
-            continue
-        fm = _modpoly.from_int_coeffs(f.coeffs, p)
-        dm = _modpoly.deriv(fm, p)
-        if not dm:
-            continue
-        if _modpoly.deg(_modpoly.gcd(fm, dm, p)) == 0:
+        if p > 2 and bad % p:
             return p
     raise DomainError("polyring", "no squarefree reduction prime below bound")
 

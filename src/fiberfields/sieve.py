@@ -38,7 +38,8 @@ irreducible factor f: f lists the primes up to a bound on |f(n)|, n <= N
 (a larger prime divides no nonzero value of f), capped at
 arith.TRIAL_DIVISION_LIMIT for a nonlinear f, whose roots come from one
 batched root table, the kernel the scan reads too, and at
-arith.SIEVE_LIMIT for a linear b*x + c, whose root is -c/b mod q.  Each
+arith.SIEVE_LIMIT for a linear b*x + c, whose root is -c/b mod q.  The
+primes come from arith.primes_up_to, the one table of primes.  Each
 prime of g's content divides every value and gets a row of its own.
 trial_prime_lists walks the progressions over a segment of n, so
 arith.factor receives each nonzero g(n)'s trial primes instead of
@@ -54,10 +55,13 @@ already has: one table, and window by window (segment_prime_lists) the
 trial lists and, unless the table is complete, the primes of each
 value's cofactor, split together by the batch split of step 3.
 
-euler_density gives the truncated prediction prod (1 - rho(p^2)/p^2) as an
-exact fraction, from one batched root table over its primes and the lifts
-of those roots mod p^2, and exact_order_prime_ratio counts the large
-primes dividing some early value exactly once.
+The root count of h mod p^2 has one routine, _square_root_counts: one
+batched root table over the primes, and the Hensel lifts of those roots
+mod p^2.  euler_density reads it for the truncated prediction
+prod (1 - rho(p^2)/p^2), an exact fraction, and fixed_square_primes for
+the primes p <= deg h, fixed when rho(p^2) = p^2.  exact_order_prime_ratio
+counts the large primes dividing some early value exactly once, from the
+lists value_prime_lists gives.
 """
 
 from __future__ import annotations
@@ -173,7 +177,7 @@ def trial_root_table(
     ]
     complete = all(f.degree == 1 and top <= arith.SIEVE_LIMIT for f, top, _ in bounds)
     tops = [min(top, cap) for _, top, cap in bounds]
-    primes = np.flatnonzero(_kernels.prime_flags(max(tops)))
+    primes = np.array(arith.primes_up_to(max(tops)), dtype=np.int64)
     shift = arith.SIEVE_LIMIT.bit_length()  # every root r < q < 2**shift
     keys = []
     for (f, _, _), top in zip(bounds, tops):
@@ -279,9 +283,8 @@ def fixed_square_primes(h: IntPoly, budget: int | None = None) -> tuple[int, ...
     """Primes p with p**2 dividing h(n) for every integer n, ascending.
 
     A prime p <= deg h is fixed exactly when every residue mod p**2 is a
-    root of h, which _kernels.poly_roots_mod decides by exhaustion (it
-    needs p**4 < 2**63, which p <= deg h meets below degree 55,000); all
-    p residues mod p are tried first, as a root mod p**2 is one mod p.
+    root of h, that is when h has p**2 roots mod p**2
+    (_square_root_counts).
 
     A prime p > deg h is fixed exactly when p**2 divides the content c of
     h.  Let p**e be the exact power of p in c, so h = p**e h1 with h1 mod p
@@ -289,18 +292,40 @@ def fixed_square_primes(h: IntPoly, budget: int | None = None) -> tuple[int, ...
     residue, and some h(n) has exactly e factors p: e >= 2 is needed, and
     it is enough.  budget bounds the factorization of c.
     """
-    coeffs = np.array(h.coeffs, dtype=object)
-    fixed = [
-        p
-        for p in arith.primes_up_to(h.degree)
-        if all(_kernels.poly_roots_mod(coeffs, m).size == m for m in (p, p * p))
-    ]
+    small = arith.primes_up_to(h.degree)
+    fixed = [p for p, rho in zip(small, _square_root_counts(h, small)) if rho == p * p]
     content = h.content()
     if abs(content) > 1:
         fixed += [
             p for p, e in arith.factor(content, budget).factors if p > h.degree and e >= 2
         ]
     return tuple(fixed)
+
+
+def _square_root_counts(h: IntPoly, primes: list[int]) -> list[int]:
+    """The number of roots of h mod p**2 for each p in primes (int64,
+    deg h * p**2 <= 2**62), exact for any nonconstant h.
+
+    The roots mod every p come from one _kernels.poly_roots_table, and
+    their lifts mod p**2 are counted by Hensel: h(r + t p) = h(r) + t p h'(r)
+    mod p**2, so a root r with p not dividing h'(r) lifts once, and one
+    with p | h'(r) lifts p times when p**2 | h(r) and not at all
+    otherwise.  That holds when p divides h's content too: then h' = 0
+    mod p, and every root mod p lifts p times or not at all."""
+    der = h.derivative()
+    table = _kernels.poly_roots_table(
+        np.array(h.coeffs, dtype=object), np.array(primes, dtype=np.int64)
+    )
+    counts = []
+    for p, roots in zip(primes, table):
+        rho = 0
+        for r in roots:
+            if der(r) % p:
+                rho += 1
+            elif h(r) % (p * p) == 0:
+                rho += p
+        counts.append(rho)
+    return counts
 
 
 def _divide_out(values, p):
@@ -417,15 +442,10 @@ def squarefree_value_count(
 
 def euler_density(h: IntPoly, prime_bound: int) -> Fraction:
     """Truncated prediction prod_{p <= B, p not fixed} (1 - rho_h(p^2)/p^2),
-    with rho the exact root count mod p^2, taken for the radical of h (h
-    itself when h is separable).  A prime is fixed for the radical exactly
-    when rho = p^2, so the fixed primes are skipped by that test.
-
-    The roots mod every p come from one _kernels.poly_roots_table, and rho
-    counts their lifts mod p^2 (Hensel): h(r + t p) = h(r) + t p h'(r)
-    mod p^2, so a root r with p not dividing h'(r) lifts once, and one
-    with p | h'(r) lifts p times when p^2 | h(r) and not at all
-    otherwise."""
+    with rho the exact root count mod p^2 (_square_root_counts), taken for
+    the radical of h (h itself when h is separable).  A prime is fixed for
+    the radical exactly when rho = p^2, so the fixed primes are skipped by
+    that test."""
     if h.degree < 1:
         raise DomainError("sieve", "euler_density needs a non-constant polynomial")
     h = polyring.radical(h)
@@ -434,19 +454,9 @@ def euler_density(h: IntPoly, prime_bound: int) -> Fraction:
             "sieve", f"euler bound {prime_bound} is too large for degree {h.degree}"
         )
     primes = arith.primes_up_to(prime_bound)
-    der = h.derivative()
-    table = _kernels.poly_roots_table(
-        np.array(h.coeffs, dtype=object), np.array(primes, dtype=np.int64)
-    )
     out = Fraction(1)
-    for p, roots in zip(primes, table):
+    for p, rho in zip(primes, _square_root_counts(h, primes)):
         p2 = p * p
-        rho = 0
-        for r in roots:
-            if der(r) % p:
-                rho += 1
-            elif h(r) % p2 == 0:
-                rho += p
         if 0 < rho < p2:
             out *= Fraction(p2 - rho, p2)
     return out
@@ -459,13 +469,14 @@ def exact_order_prime_ratio(
     ratio count/n.  Requires g irreducible over Q of degree >= 2.
 
     g is factored over Q once, to check that hypothesis, and
-    value_prime_lists reads that factorization.  Each value is factored
-    once with its primes from value_prime_lists (g has no linear factor,
-    so the table lists the primes <= the trial limit and the content's,
-    and the batch split adds the rest).  The first value whose cofactor
-    overran the budget raises the split's error, the
-    UnfactoredResidualError a factor call per value raises at the same
-    first m, when g's content has no prime above the trial limit."""
+    value_prime_lists reads that factorization.  Its list for g(m) holds
+    every prime of g(m) (g has no linear factor, so the table lists the
+    primes <= the trial limit and the content's, and the batch split adds
+    the rest), and a listed q counts when q**2 does not divide g(m).  The
+    first value whose cofactor overran the budget raises the split's
+    error, the UnfactoredResidualError a factor call per value raises at
+    the same first m, when g's content has no prime above the trial
+    limit."""
     if n < 1:
         raise DomainError("sieve", "n >= 1 required")
     if g.degree < 2:
@@ -485,9 +496,8 @@ def exact_order_prime_ratio(
     for m, primes in value_prime_lists(fact, n, budget):
         if isinstance(primes, UnfactoredResidualError):
             raise primes
-        # g is irreducible of degree >= 2, so no value is 0
-        f = arith.factor(g(m), budget, trial_primes=primes)
-        hits.update(q for q, e in f.factors if e == 1 and q >= n)
+        value = g(m)  # g is irreducible of degree >= 2, so no value is 0
+        hits.update(q for q in primes if q >= n and value % (q * q))
     return len(hits), Fraction(len(hits), n)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from fiberfields.polyring import IntPoly, parse_poly
 
@@ -103,3 +104,24 @@ def poly(text: str) -> IntPoly:
 @pytest.fixture
 def x():
     return poly("x")
+
+
+@st.composite
+def shaped_polynomials(draw, repeated=True):
+    """Integer polynomials of degree >= 1 in the shapes where reduction mod
+    a small prime p degenerates: inseparable mod 3 or 5 (a(x^p) + p b(x)),
+    p dividing the leading coefficient or the content, and (when repeated)
+    a repeated linear factor."""
+    base = IntPoly(draw(st.lists(st.integers(-20, 20), min_size=2, max_size=4)))
+    f = base if base.degree >= 1 else base + IntPoly((0, 1))
+    q = draw(st.sampled_from([3, 5]))
+    if draw(st.booleans()):
+        spread = [0] * (q * f.degree + 1)
+        for i, c in enumerate(f.coeffs):
+            spread[q * i] = c
+        f = IntPoly(spread) + IntPoly(draw(st.lists(st.integers(-5, 5), max_size=3))).scale(q)
+    if repeated and draw(st.booleans()):
+        f = f * IntPoly((draw(st.integers(-3, 3)), 1)).pow(draw(st.integers(2, 3)))
+    lead = draw(st.sampled_from([1, 2, 3, 5, 7]))
+    f = f + IntPoly((0,) * f.degree + ((lead - 1) * f.lc,))  # lc(f) times lead
+    return f.scale(draw(st.sampled_from([1, -1, 2, 3, 4, 9, 25, -6])))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -223,6 +224,33 @@ def test_factor_matches_sympy_factorint(n):
 
 
 # ---------------------------------------------------------------------------
+# primes_up_to: one table
+# ---------------------------------------------------------------------------
+
+
+def test_primes_up_to_sieves_one_table_a_few_times(monkeypatch):
+    """2,000 increasing limits up to 5,000 sieve the table at most 14 times,
+    as each sieve at least doubles its bound, and every call gets a list of
+    its own: one mutated by its caller changes no later answer."""
+    sieved = []
+    prime_flags = _kernels.prime_flags
+    monkeypatch.setattr(
+        _kernels, "prime_flags", lambda limit: sieved.append(limit) or prime_flags(limit)
+    )
+    monkeypatch.setattr(arith, "_prime_table", (np.zeros(0, dtype=np.int64), 0))
+    want = list(sympy.primerange(2, 5001))
+    for k in range(1, 2001):
+        limit = 5000 * k // 2000
+        got = arith.primes_up_to(limit)
+        assert got == [q for q in want if q <= limit], limit
+        got.reverse()
+        got.append(4)
+    assert len(sieved) <= 14
+    assert arith.primes_up_to(5000) == want
+    assert arith.primes_up_to(1) == arith.primes_up_to(-3) == []
+
+
+# ---------------------------------------------------------------------------
 # Miller-Rabin threshold table
 # ---------------------------------------------------------------------------
 
@@ -245,11 +273,10 @@ def _strong_probable_prime(n, a):
     return arith._miller_rabin_round(n, a, d, s)
 
 
-def test_mr_threshold_table_rows_are_strong_pseudoprimes():
-    # The table holds every psi_k.  is_prime reads the rows below psi_6 and
-    # above 2**64, Baillie-PSW covering [psi_6, 2**64); the lanes below
-    # LANES_BELOW = 2**56 read the rows up to psi_9, the first above it.
-    assert (arith._BPSW_PROVEN_FROM, arith._BPSW_PROVEN_BELOW) == (_PSI6, 2**64)
+def test_mr_threshold_table_rows_are_strong_pseudoprimes(monkeypatch):
+    # The table holds every psi_k, and is_prime and the lanes read the same
+    # rows: is_prime every row below psi_13, the lanes below
+    # LANES_BELOW = 2**56 the rows up to psi_9, the first above it.
     assert _PSI[6] < _kernels.LANES_BELOW < _PSI9
     assert [psi for psi, _ in arith._MR_THRESHOLDS] == _PSI
     assert [len(bases) for _, bases in arith._MR_THRESHOLDS] == _PSI_K
@@ -257,6 +284,24 @@ def test_mr_threshold_table_rows_are_strong_pseudoprimes():
         assert list(bases) == list(sympy.primerange(2, bases[-1] + 1))
         assert not sympy.isprime(psi)
         assert all(_strong_probable_prime(psi, a) for a in bases), psi
+    assert arith._LANE_PSI.tolist() == _PSI[:8]
+    rounds = []
+    mr_round = arith._miller_rabin_round
+    monkeypatch.setattr(
+        arith, "_miller_rabin_round", lambda n, a, d, s: rounds.append(a) or mr_round(n, a, d, s)
+    )
+    for psi, bases in arith._MR_THRESHOLDS:
+        q = sympy.prevprime(psi)  # above the row before
+        rounds.clear()
+        assert is_prime(q)
+        assert tuple(rounds) == bases, psi
+        if q < _kernels.LANES_BELOW:
+            row = np.searchsorted(arith._LANE_PSI, q, side="right")
+            assert arith._LANE_BASE_COUNT[row] == len(bases)
+            assert arith._LANE_BASES[: len(bases)].tolist() == list(bases)
+    rounds.clear()
+    assert is_prime(sympy.nextprime(_PSI[-1]))
+    assert rounds == [2]  # then the strong Lucas test
 
 
 @pytest.mark.parametrize("psi", _PSI)
@@ -267,13 +312,13 @@ def test_is_prime_matches_sympy_around_thresholds(psi):
 
 
 # ---------------------------------------------------------------------------
-# Baillie-PSW on [psi_6, 2**64) and trial-implied primes, against sympy
+# The table's rows on the window [psi_6, 2**64), against sympy
 # ---------------------------------------------------------------------------
 
 
-def test_is_prime_rejects_psi9_inside_the_bpsw_window():
+def test_is_prime_rejects_psi9_by_its_row():
     # A strong pseudoprime to every base up to 23, so Miller-Rabin to the
-    # first nine prime bases calls it prime; the Lucas half must not.
+    # first nine prime bases calls it prime; its row, psi_12's, runs twelve.
     assert _PSI6 <= _PSI9 < 2**64
     assert all(_strong_probable_prime(_PSI9, a) for a in sympy.primerange(2, 24))
     assert sympy.isprime(_PSI9) is False
@@ -317,7 +362,7 @@ def test_is_prime_matches_sympy_around_2_to_64():
 
 @given(st.integers(_PSI6, 2**64 - 1))
 @settings(max_examples=400, deadline=None)
-def test_is_prime_matches_sympy_in_bpsw_window(n):
+def test_is_prime_matches_sympy_in_the_window(n):
     assert is_prime(n) == sympy.isprime(n)
     q = sympy.nextprime(n)
     if q < 2**64:

@@ -293,8 +293,8 @@ _COUNT_FLAGS = {
 def test_jobs_is_accepted_but_must_be_positive(args, tmp_path, capsys):
     """Every subcommand takes the common flags --output, --out, --jobs and
     --factor-budget, and processes fibers serially whatever --jobs is; the
-    parser refuses 0 for --jobs and for each of its other count flags with
-    exit status 2, naming the flag."""
+    parser refuses 0 and a non-integer for --jobs and for each of its other
+    count flags with exit status 2, naming the flag."""
     with pytest.raises(SystemExit):
         main([args[0], "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
@@ -308,11 +308,44 @@ def test_jobs_is_accepted_but_must_be_positive(args, tmp_path, capsys):
             main(args + [flag, "0"])
         assert exc.value.code == 2
         assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(args + [flag, "abc"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid int value: 'abc'" in capsys.readouterr().err
 
 
-def test_csv_unavailable_for_classify(capsys):
-    status = main(["classify-radical", "16", "3", "--output", "csv"])
-    assert status == 2
+def test_csv_unavailable_for_classify(monkeypatch, capsys):
+    """The parser refuses --output csv where no CSV form exists, before any
+    runner starts: each runner's first step raises here."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("runner started")
+
+    monkeypatch.setattr(cli.kummer, "radical_class", refuse)
+    monkeypatch.setattr(cli.covers, "cover_from_text", refuse)
+    monkeypatch.setattr(cli.polyring, "parse_poly", refuse)
+    for args in (
+        ["classify-radical", "16", "3"],
+        ["branch-check", "--cover", "y^2 - (x^3 - x)"],
+        ["norm-collisions", "--poly", "x^2 + 1", "--N", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--output", "csv"])
+        assert exc.value.code == 2
+        assert "argument --output: invalid choice: 'csv'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["squarefree-density", "norm-collisions"])
+def test_poly_must_be_univariate(subcommand, capsys):
+    assert main([subcommand, "--poly", "y^2 + x", "--N", "5"]) == 2
+    assert capsys.readouterr().err == "error: cli: --poly must be univariate in x\n"
+
+
+def test_rational_argument_must_parse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify-radical", "1/0", "2"])
+    assert exc.value.code == 2
+    assert "argument a: not a rational number: '1/0'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@ import random
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fiberfields import _kernels, polyring, sieve
+from fiberfields import _kernels, _modpoly, polyring, sieve
 from fiberfields.errors import DomainError, PolyParseError
 from fiberfields.polyring import (
     IntPoly,
@@ -22,7 +22,7 @@ from fiberfields.polyring import (
     y_discriminant,
 )
 
-from conftest import oracle_resultant, poly
+from conftest import oracle_resultant, poly, shaped_polynomials
 
 coeff_lists = st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=8)
 
@@ -112,6 +112,46 @@ def test_radical_examples():
     assert radical(parse_poly("x^2*(x+1)")) == poly("x^2 + x")
     assert radical(poly("x^3 - x")) == poly("x^3 - x")
     assert radical(poly("4x^2")) == poly("4x")
+
+
+@given(shaped_polynomials())
+@example(poly("-6x^3 + 6x"))
+@example(parse_poly("-4*(x - 1)^3*(x^3 + 3)"))
+@settings(max_examples=300, deadline=None)
+def test_radical_matches_division_by_gcd_with_derivative(g):
+    """fp / gcd(fp, fp') with fp the primitive part of g, made positive and
+    scaled to lc(g)."""
+    fp = g.primitive()
+    sqf = exact_div(fp, poly_gcd(fp, fp.derivative()))
+    if sqf.lc < 0:
+        sqf = -sqf
+    assert radical(g) == sqf.scale(g.lc // sqf.lc)
+
+
+def _gcd_rule_prime(f):
+    """The smallest odd prime p not dividing lc(f) with gcd(f, f') = 1 mod p
+    and f' nonzero mod p."""
+    for p in sympy.primerange(3, 10_000):
+        if f.lc % p == 0:
+            continue
+        fm = _modpoly.from_int_coeffs(f.coeffs, p)
+        dm = _modpoly.trim([i * c % p for i, c in enumerate(fm)][1:])
+        if dm and _modpoly.deg(_modpoly.gcd(fm, dm, p)) == 0:
+            return p
+    raise AssertionError("no prime below 10,000")
+
+
+@given(shaped_polynomials(repeated=False))
+@example(poly("3x^2 + 3x + 5"))  # 3 | lc
+@example(poly("x^3 + 3x + 3"))  # x^3 mod 3, and f' = 0 mod 3
+@example(parse_poly("35*x^15 + x^5 + 3*x + 1"))  # inseparable mod 5, 5 and 7 | lc
+@settings(max_examples=300, deadline=None)
+def test_good_prime_matches_the_gcd_rule(f):
+    """_good_prime on a primitive squarefree f of degree >= 2 (the shape
+    _factor_squarefree_primitive hands it) against the gcd rule."""
+    f = f.primitive()
+    assume(f.degree >= 2 and discriminant(f) != 0)
+    assert polyring._good_prime(f) == _gcd_rule_prime(f)
 
 
 def test_radical_rejects_constants():

@@ -23,7 +23,7 @@ from fiberfields.sieve import (
     trial_root_table,
 )
 
-from conftest import oracle_factor, poly
+from conftest import oracle_factor, poly, shaped_polynomials
 
 
 def oracle_squarefree_outside(value: int, fixed: set[int]) -> bool:
@@ -669,6 +669,20 @@ def test_euler_density_agrees_with_root_counts_per_prime(coeffs, lead, content, 
     if double:
         h = h * IntPoly((double, 1)) * IntPoly((double, 1))
     assert euler_density(h, bound) == _euler_oracle(h, bound)
+
+
+@given(shaped_polynomials())
+@example(poly("4x + 4"))  # h = 0 mod 2
+@example(poly("x^3 + 3x + 9"))  # h' = 0 mod 3, h(r) = 0 mod 9 at no root
+@example(poly("5x^5 + x + 25"))  # 5 | lc(h)
+@settings(max_examples=300, deadline=None)
+def test_square_root_counts_match_exhaustion(h):
+    """The Hensel count of the roots of h mod p**2, for every p <= 31 in one
+    call, against all p**2 residues (_kernels.poly_roots_mod)."""
+    primes = arith.primes_up_to(31)
+    coeffs = np.array(h.coeffs, dtype=object)
+    want = [_kernels.poly_roots_mod(coeffs, p * p).size for p in primes]
+    assert sieve._square_root_counts(h, primes) == want
 
 
 def test_euler_density_rejects_bounds_past_the_root_table():

@@ -123,6 +123,21 @@ def test_value_primes_have_one_owner():
     assert found == []
 
 
+def test_primes_have_one_owner():
+    # The primes up to a limit come from arith's one table
+    # (arith.primes_up_to); no other module sieves its own.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "arith.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "prime_flags")
+        or (isinstance(node, ast.Attribute) and node.attr == "prime_flags")
+        or (isinstance(node, ast.alias) and node.name == "prime_flags")
+    ]
+    assert found == []
+
+
 def test_irreducibility_is_decided_in_one_place():
     # Whether F(n, y) or a minimal polynomial is irreducible is decided by
     # one rule: an inert prime among its fingerprint's first,
