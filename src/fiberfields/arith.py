@@ -623,7 +623,11 @@ def factor(
             raise DomainError("arith", "trial primes must be strictly increasing")
         last = p
         m //= p
-        e = 1
+        if m % p:  # most listed primes divide once
+            factors.append((p, 1))
+            continue
+        m //= p
+        e = 2
         while m % p == 0:
             m //= p
             e += 1
@@ -642,16 +646,22 @@ def _p_free(f: Factorization, p: int) -> Factorization:
     for p already proven prime: exponents reduced into [1, p-1], the sign
     kept for p = 2 and absorbed for odd p (-1 is then a p-th power).  f
     itself when it is reduced already: every exponent below p, and the
-    sign kept (p = 2, or f positive)."""
+    sign kept (p = 2, or f positive).  Otherwise the new factorization
+    keeps f's own (q, e) pair for every exponent e below p and builds a
+    pair only for a reduced one."""
     factors = f.factors
     if p == 2:
         for _, e in factors:
             if e > 1:
                 return Factorization.ordered(
-                    f.sign, tuple([(q, 1) for q, e in factors if e & 1])
+                    f.sign,
+                    tuple([pq if pq[1] == 1 else (pq[0], 1) for pq in factors if pq[1] & 1]),
                 )
         return f
     for _, e in factors:
         if e >= p:
-            return Factorization.ordered(1, tuple([(q, e % p) for q, e in factors if e % p]))
+            return Factorization.ordered(
+                1,
+                tuple([pq if pq[1] < p else (pq[0], pq[1] % p) for pq in factors if pq[1] % p]),
+            )
     return f if f.sign == 1 else Factorization.ordered(1, factors)

@@ -11,7 +11,9 @@ Every subcommand emits one report with the same JSON envelope:
 error.  Flags are checked in the parser alone: a missing or unknown flag,
 a count below 1, a malformed rational or --output csv where the
 subcommand has no CSV form exits 2 through argparse, with its usage line;
-the runners read the parsed namespace as it is.
+the runners read the parsed namespace as it is.  A value may begin with
+"-" (--poly -x^2-1, classify-radical -1/8 3 --isomorphic-to -3/4): only
+-h is an option of one "-".
 
 Execution knobs (--jobs, --out, --output) are not echoed into the config
 section.  --jobs is accepted for compatibility and must be positive, but
@@ -26,6 +28,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -353,8 +356,20 @@ def _add_common(sub, n_flag=True, poly_source=False, cover_source=False, outputs
     sub.add_argument("--factor-budget", type=_positive, default=None, help="rho iteration budget")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads an argument beginning with one "-"
+    as a value, the way argparse reads a negative number, unless it is an
+    option (-h): so --poly -x^2-1, --isomorphic-to -3/4 and a positional
+    -1/8 are values.  Every other option of this CLI begins with "--".
+    Subparsers are built by the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[^-]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fiberfields",
         description="Residue-field diversity of branched covers of the affine line over Q",
     )

@@ -21,7 +21,9 @@ Q), unresolved (factorization budget ran out), or regular with either a
 Kummer class (cyclic) or the irreducible factors of F(n, y) and their
 fingerprints (plane).  A fiber is a FiberSpec, a NamedTuple: immutable,
 compared and hashed as the tuple of its fields, and cheap to build, since
-a cyclic stream builds one per n.
+a cyclic stream builds one per n.  A cyclic fiber's value g(n) is handed
+in by its caller when the caller has it (sieve.value_prime_lists
+evaluates g once per window), so it is evaluated once.
 """
 
 from __future__ import annotations
@@ -150,6 +152,12 @@ class FiberSpec(NamedTuple):
     note: str | None = None
 
 
+# FiberSpec(n, status, value, cls) field for field, without the Python-level
+# __new__ of a NamedTuple: _new_tuple(FiberSpec, (all six fields)), which
+# specialize builds once per regular or degenerate cyclic fiber.
+_new_tuple = tuple.__new__
+
+
 def normalize_cyclic(p: int, g: IntPoly) -> CyclicCover:
     """Build the cyclic cover y^p = g(x), reducing factor multiplicities
     mod p, from the one factor_over_Q of g.  Rejects non-prime p, constant
@@ -234,6 +242,7 @@ def specialize(
     budget: int | None = None,
     prime_budget: int = kummer.DEFAULT_PRIME_BUDGET,
     trial_primes: Sequence[int] | UnfactoredResidualError | None = None,
+    value: int | None = None,
 ) -> FiberSpec:
     """Classify the fiber over x = n; never silently skips a fiber.
 
@@ -242,8 +251,11 @@ def specialize(
     when g(n) is nonzero, handed to arith.factor, or the
     UnfactoredResidualError the batch split gave g(n)'s cofactor, which
     makes a fiber off the branch locus unresolved with its note (the
-    verdicts of sieve.value_prime_lists).  A zero g(n) is a branch fiber,
-    returned before they are read.
+    verdicts of sieve.value_prime_lists).  value, for a cyclic cover
+    only, is g(n) as a Python int, the caller's obligation as
+    trial_primes are (sieve.value_prime_lists hands down the values it
+    evaluated once per window); when None, g(n) is evaluated here.  A
+    zero g(n) is a branch fiber, returned before the primes are read.
 
     A plane fiber is F(n, y), monic of degree deg_y F, split by
     kummer.factor_certified: the fingerprint of F(n, y) comes first, and
@@ -253,7 +265,8 @@ def specialize(
     branch fiber, an irreducible F(n, y) keeps the fingerprint it has, and
     each factor of a reducible one gets its own."""
     if isinstance(cover, CyclicCover):
-        value = cover.g(n)
+        if value is None:
+            value = cover.g(n)
         if value == 0:
             return FiberSpec(n, "branch", 0)
         if isinstance(trial_primes, UnfactoredResidualError):
@@ -264,11 +277,13 @@ def specialize(
             return FiberSpec(n, "unresolved", value, note=str(err))
         kernel = cls.kernel
         if not kernel.factors and kernel.sign == 1:  # cls.is_trivial
-            return FiberSpec(n, "degenerate", value, cls)
-        return FiberSpec(n, "regular", value, cls)
+            return _new_tuple(FiberSpec, (n, "degenerate", value, cls, None, None))
+        return _new_tuple(FiberSpec, (n, "regular", value, cls, None, None))
 
     if trial_primes is not None:
         raise DomainError("covers", "trial_primes applies to cyclic covers only")
+    if value is not None:
+        raise DomainError("covers", "value applies to cyclic covers only")
     fy = cover.F.specialize_x(n)
     fact, fp = kummer.factor_certified(fy, prime_budget)
     if fp is None:  # disc F(n, y) = 0: a repeated factor

@@ -14,8 +14,10 @@ hold for every prefix):
                  again a certified lower bound.
 
 Fibers are specialized in one lazy pass over n = 1..N.  On a cyclic cover
-the value g(n) reaches arith.factor with its primes already known, or
-with the budget overrun met on it, from sieve.value_prime_lists.  Each fiber
+sieve.value_prime_lists evaluates g once per window, and the value g(n)
+is handed down through covers.specialize to arith.factor, evaluated
+nowhere else, with its primes already known, or with the budget overrun
+met on it.  Each fiber
 is folded as it arrives, so no fold holds the fibers: a weak fold keeps
 one int per distinct class (exact-kummer: the canonical value of the
 Kummer class; ramified-set: the product of the ramified primes), and
@@ -93,10 +95,11 @@ def _fiber_stream(
     prime_budget: int = kummer.DEFAULT_PRIME_BUDGET,
 ) -> Iterator[FiberSpec]:
     """The fibers over x = 1..N in increasing n, specialized lazily; a
-    cyclic value is handed the primes sieve.value_prime_lists gives it."""
+    cyclic fiber is handed its value and its primes as
+    sieve.value_prime_lists gives them."""
     if isinstance(cover, CyclicCover):
-        for n, primes in sieve.value_prime_lists(cover.factorization, N, budget):
-            yield covers.specialize(cover, n, budget, prime_budget, primes)
+        for n, value, primes in sieve.value_prime_lists(cover.factorization, N, budget):
+            yield covers.specialize(cover, n, budget, prime_budget, primes, value)
     else:
         for n in range(1, N + 1):
             yield covers.specialize(cover, n, budget, prime_budget)

@@ -48,12 +48,15 @@ its list.  When g is a content times linear factors whose values stay
 below arith.SIEVE_LIMIT, the lists hold every prime of g(n) and nothing
 is left for rho; the table then says it is complete.
 
-value_prime_lists is the one way a pass over g(1..N) gets its values'
-primes, for the cyclic fiber stream (diversity) and for
+value_prime_lists is the one way a pass over g(1..N) gets its values
+and their primes, for the cyclic fiber stream (diversity) and for
 exact_order_prime_ratio, each handing it the factorization of g it
-already has: one table, and window by window (segment_prime_lists) the
-trial lists and, unless the table is complete, the primes of each
-value's cofactor, split together by the batch split of step 3.
+already has: one table, and window by window one evaluation of g over
+the window, in the scan's dtype (_kernels.eval_poly_range), whose values
+are handed down to segment_prime_lists and to the reader, so no reader
+evaluates g again; then the trial lists and, unless the table is
+complete, the primes of each value's cofactor, split together by the
+batch split of step 3.
 
 The root count of h mod p^2 has one routine, _square_root_counts: one
 batched root table over the primes, and the Hensel lifts of those roots
@@ -61,7 +64,7 @@ mod p^2.  euler_density reads it for the truncated prediction
 prod (1 - rho(p^2)/p^2), an exact fraction, and fixed_square_primes for
 the primes p <= deg h, fixed when rho(p^2) = p^2.  exact_order_prime_ratio
 counts the large primes dividing some early value exactly once, from the
-lists value_prime_lists gives.
+values and lists value_prime_lists gives.
 """
 
 from __future__ import annotations
@@ -141,6 +144,14 @@ class TrialRootTable:
 
 def _coefficient_bound(h: IntPoly, N: int) -> int:
     return sum(abs(c) * N**i for i, c in enumerate(h.coeffs))
+
+
+def _value_dtype(bound: int):
+    """The dtype in which _kernels.eval_poly_range evaluates h over 1..N,
+    for bound = _coefficient_bound(h, N): int64 when bound < 2**62, as
+    the bound also caps every coefficient and every Horner partial sum,
+    object arrays of Python ints otherwise."""
+    return np.int64 if bound < 1 << 62 else object
 
 
 def trial_root_table(
@@ -232,11 +243,12 @@ def trial_prime_lists(table: TrialRootTable, n0: int, count: int) -> list[list[i
 
 
 def segment_prime_lists(
-    table: TrialRootTable, g: IntPoly, n0: int, count: int, budget: int | None = None
+    table: TrialRootTable, values: list[int], n0: int, budget: int | None = None
 ) -> list[list[int] | UnfactoredResidualError]:
-    """lists[i]: ascending distinct primes dividing g(n0 + i), to hand
-    arith.factor as its trial primes, for the table of g and
-    1 <= n0 + i <= its N.
+    """lists[i]: ascending distinct primes dividing values[i] = g(n0 + i),
+    to hand arith.factor as its trial primes, for the table of g and
+    1 <= n0 + i <= its N.  The values are the caller's, evaluated once
+    for the window (value_prime_lists); they are not evaluated again.
 
     Each list starts as the table's (trial_prime_lists).  Unless the
     table is complete, every nonzero value is divided by its listed primes,
@@ -245,12 +257,11 @@ def segment_prime_lists(
     of the value.  Where the split overran the budget, the slot holds its
     UnfactoredResidualError instead, the one arith.factor on the value
     would raise."""
-    lists = trial_prime_lists(table, n0, count)
+    lists = trial_prime_lists(table, n0, len(values))
     if table.complete:
         return lists
     cofactors = [
-        _cofactor(value, primes) if value else 1
-        for value, primes in zip(map(g, range(n0, n0 + count)), lists)
+        _cofactor(value, primes) if value else 1 for value, primes in zip(values, lists)
     ]
     rest = [i for i, c in enumerate(cofactors) if c > 1]
     for i, large in zip(rest, arith.split_cofactors([cofactors[i] for i in rest], budget)):
@@ -263,20 +274,27 @@ def segment_prime_lists(
 
 def value_prime_lists(
     fact: IrreducibleFactorization, N: int, budget: int | None = None
-) -> Iterator[tuple[int, list[int] | UnfactoredResidualError]]:
-    """(n, the ascending distinct primes of g(n), or the split's error on
-    its cofactor) for n = 1..N in increasing n, for g = fact.reconstruct()
-    (fact as trial_root_table takes it), from one trial root table and a
-    segment_prime_lists call per window of window_size(N) values.  Its
-    reader decides what an error means: covers.specialize makes the fiber
-    unresolved, exact_order_prime_ratio raises it.  A window's lists are
+) -> Iterator[tuple[int, int, list[int] | UnfactoredResidualError]]:
+    """(n, g(n), the ascending distinct primes of g(n) or the split's
+    error on its cofactor) for n = 1..N in increasing n, for
+    g = fact.reconstruct() (fact as trial_root_table takes it), from one
+    trial root table and, per window of window_size(N) values, one
+    evaluation of g over the window (_kernels.eval_poly_range, in the
+    dtype squarefree_value_count's scan takes, _value_dtype) and one
+    segment_prime_lists call on those values.  Its readers take g(n)
+    from here, and each decides what an error means: covers.specialize
+    makes the fiber unresolved, exact_order_prime_ratio raises it.  A
+    window's values and lists are
     freed before the next window's are built."""
     g = fact.reconstruct()
     table = trial_root_table(fact, N, budget)
+    coeffs = np.array(g.coeffs, dtype=_value_dtype(_coefficient_bound(g, N)))
     window = window_size(N)
     for n0 in range(1, N + 1, window):
-        count = min(window, N + 1 - n0)
-        yield from zip(range(n0, n0 + count), segment_prime_lists(table, g, n0, count, budget))
+        values = _kernels.eval_poly_range(coeffs, n0, min(window, N + 1 - n0)).tolist()
+        yield from zip(
+            range(n0, n0 + len(values)), values, segment_prime_lists(table, values, n0, budget)
+        )
 
 
 def fixed_square_primes(h: IntPoly, budget: int | None = None) -> tuple[int, ...]:
@@ -398,8 +416,7 @@ def squarefree_value_count(
     primes = arith.primes_up_to(T)
     small_fixed = [p for p in fixed if p <= T]
     big_fixed = [p for p in fixed if p > T]
-    # bound also caps every coefficient and every Horner partial sum
-    dtype = np.int64 if bound < (1 << 62) else object
+    dtype = _value_dtype(bound)
 
     flags_all = bytearray()
     residuals = 0
@@ -469,10 +486,11 @@ def exact_order_prime_ratio(
     ratio count/n.  Requires g irreducible over Q of degree >= 2.
 
     g is factored over Q once, to check that hypothesis, and
-    value_prime_lists reads that factorization.  Its list for g(m) holds
-    every prime of g(m) (g has no linear factor, so the table lists the
-    primes <= the trial limit and the content's, and the batch split adds
-    the rest), and a listed q counts when q**2 does not divide g(m).  The
+    value_prime_lists reads that factorization and hands each value g(m)
+    with its list, so g is not evaluated here.  The list holds every
+    prime of g(m) (g has no linear factor, so the table lists the primes
+    <= the trial limit and the content's, and the batch split adds the
+    rest), and a listed q counts when q**2 does not divide g(m).  The
     first value whose cofactor overran the budget raises the split's
     error, the UnfactoredResidualError a factor call per value raises at
     the same first m, when g's content has no prime above the trial
@@ -493,10 +511,10 @@ def exact_order_prime_ratio(
             "(hypothesis violated: g factors over Q)",
         )
     hits: set[int] = set()
-    for m, primes in value_prime_lists(fact, n, budget):
+    # g is irreducible of degree >= 2, so no value is 0
+    for _, value, primes in value_prime_lists(fact, n, budget):
         if isinstance(primes, UnfactoredResidualError):
             raise primes
-        value = g(m)  # g is irreducible of degree >= 2, so no value is 0
         hits.update(q for q in primes if q >= n and value % (q * q))
     return len(hits), Fraction(len(hits), n)
 

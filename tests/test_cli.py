@@ -348,6 +348,46 @@ def test_rational_argument_must_parse(capsys):
     assert "argument a: not a rational number: '1/0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, spelled_out",
+    [
+        (["squarefree-density", "--poly", "-x^2-1", "--N", "5"],
+         ["squarefree-density", "--poly=-x^2-1", "--N", "5"]),
+        (["norm-collisions", "--poly", "-x^2+3", "--N", "5"],
+         ["norm-collisions", "--poly=-x^2+3", "--N", "5"]),
+        (["weak-diversity", "--cover", "-(x^3-x)+y^2", "--N", "20"],
+         ["weak-diversity", "--cover=-(x^3-x)+y^2", "--N", "20"]),
+        (["branch-check", "--cover", "-(x^2-2)+y^2"],
+         ["branch-check", "--cover=-(x^2-2)+y^2"]),
+        (["classify-radical", "2", "3", "--isomorphic-to", "-3/4"],
+         ["classify-radical", "2", "3", "--isomorphic-to=-3/4"]),
+        (["classify-radical", "-1/8", "3"], ["classify-radical", "--", "-1/8", "3"]),
+    ],
+)
+def test_values_may_begin_with_a_minus(args, spelled_out, tmp_path):
+    """A value that begins with "-" is read as the value of its flag or
+    position, as it is when written --flag=value or after "--"."""
+    blobs = []
+    for i, argv in enumerate((args, spelled_out)):
+        out = tmp_path / f"{i}.json"
+        assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+    if args[1] == "-1/8":  # (-1/2)^3
+        assert json.loads(blobs[0])["summary"]["trivial"] is True
+
+
+def test_an_unknown_single_dash_argument_is_still_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify-radical", "-N", "3"])
+    assert exc.value.code == 2
+    assert "argument a: not a rational number: '-N'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["weak-diversity", "--cover", "y^2 - x", "--N", "5", "-x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -x" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------

@@ -190,6 +190,9 @@ def test_specialize_trial_primes():
     assert specialize(c, 6, trial_primes=[2, 3, 5, 7]) == specialize(c, 6)
     with pytest.raises(DomainError, match="covers: trial_primes applies to cyclic covers only"):
         specialize(plane_cover(parse_poly("y^3 + x*y + x^2 + 1")), 2, trial_primes=[])
+    with pytest.raises(DomainError, match="covers: value applies to cyclic covers only"):
+        specialize(plane_cover(parse_poly("y^3 + x*y + x^2 + 1")), 2, value=7)
+    assert specialize(c, 6, value=210) == specialize(c, 6)
     with pytest.raises(DomainError, match="kummer: radical_class needs a prime"):
         specialize(CyclicCover(4, IrreducibleFactorization(1, ((poly("x + 1"), 1),))), 2, trial_primes=[3])
 

@@ -204,6 +204,12 @@ STREAM_POLYS = (
     "x^4 + 3*x + 2^52 + 1",  # cofactors above 2^50, in the lanes
     "x^4 + 3*x + 2^58 + 1",  # cofactors at or above 2^56, left to arith.factor
     "x^3 - 64000",  # (x - 40)(x^2 + 40x + 1600): negative values, a branch fiber
+    # On both sides of the int64 envelope of the window's evaluation
+    # (sieve._coefficient_bound(g, N) < 2**62): past it for every N ...
+    "x^3 + 2^62 + 3",
+    # ... and inside it up to N = 23, past it from N = 24 on: negative
+    # values up to n = 19 and a branch fiber at n = 20 on both sides.
+    "(x - 20)*(2^52*x + 1)",
 )
 
 
@@ -226,6 +232,10 @@ def _fiber_fields(fiber):
 @example(p=2, g="x^4 + 3*x + 2^52 + 1", N=12, budget=400)
 @example(p=3, g="x^4 + 3*x + 2^58 + 1", N=12, budget=400)
 @example(p=5, g="x^3 - 64000", N=45, budget=None)
+@example(p=2, g="x^3 + 2^62 + 3", N=12, budget=None)
+@example(p=3, g="(x - 20)*(2^52*x + 1)", N=23, budget=None)  # int64 values
+@example(p=3, g="(x - 20)*(2^52*x + 1)", N=24, budget=None)  # Python-int values
+@example(p=2, g="(x - 20)*(2^52*x + 1)", N=40, budget=400)
 @settings(max_examples=25, deadline=None)
 def test_batched_stream_is_a_specialize_call_per_fiber(p, g, N, budget):
     """Every fiber of the stream is the one covers.specialize gives with
@@ -235,7 +245,11 @@ def test_batched_stream_is_a_specialize_call_per_fiber(p, g, N, budget):
     also the one specialize gives with no trial primes, where arith.factor
     runs its own trial stage.  Under a budget that can differ: a listed
     prime above the trial limit (a linear row or the content's) shrinks
-    the cofactor rho sees."""
+    the cofactor rho sees.  The stream evaluates g once per window, in
+    int64 or in Python ints, and hands each value to specialize, so the
+    values are those of per-fiber evaluation on both sides of the
+    envelope, negative and zero ones included, and a handed value gives
+    the fiber specialize gives on its own."""
     cover = cover_from_text(f"y^{p} - ({g})")
     lists = sieve.trial_prime_lists(sieve.trial_root_table(cover.factorization, N, budget), 1, N)
     want = [
@@ -243,9 +257,39 @@ def test_batched_stream_is_a_specialize_call_per_fiber(p, g, N, budget):
         for n, primes in enumerate(lists, 1)
     ]
     if budget is None:
-        assert want == [_fiber_fields(covers.specialize(cover, n)) for n in range(1, N + 1)]
+        alone = [covers.specialize(cover, n) for n in range(1, N + 1)]
+        assert want == [_fiber_fields(f) for f in alone]
+        assert alone == [covers.specialize(cover, n, value=cover.g(n)) for n in range(1, N + 1)]
     got = diversity._fiber_stream(cover, N, budget)
     assert [_fiber_fields(f) for f in got] == want
+
+
+def test_the_stream_evaluates_g_once_per_window(monkeypatch):
+    """No fiber of a cyclic stream, nor any value of
+    exact_order_prime_ratio, is an IntPoly call on g: sieve.value_prime_lists
+    evaluates g over each window as an array and hands the values down to
+    segment_prime_lists, covers.specialize and exact_order_prime_ratio, on
+    a complete table (x^3 - x) and an incomplete one."""
+    calls = []
+    call = IntPoly.__call__
+
+    def recording(self, n):
+        calls.append((self.coeffs, n))
+        return call(self, n)
+
+    cases = [
+        (cover_from_text("y^2 - (x^3 - x)"), lambda c: weak_diversity_count(c, 2000)),
+        (cover_from_text("y^5 - (x^4 + 3*x + 7)"), lambda c: strong_diversity_rank(c, 500)),
+    ]
+    monkeypatch.setattr(IntPoly, "__call__", recording)
+    for cover, run in cases:
+        calls.clear()
+        run(cover)
+        assert [n for coeffs, n in calls if coeffs == cover.g.coeffs] == []
+    g = poly("x^2 + 1")
+    calls.clear()
+    assert sieve.exact_order_prime_ratio(g, 500)[0] > 0
+    assert [n for coeffs, n in calls if coeffs == g.coeffs] == []
 
 
 def test_stream_splits_cofactors_in_lanes_unless_the_table_is_complete(monkeypatch, tmp_path):
@@ -350,9 +394,9 @@ def test_serial_stream_windows_are_the_fewest_of_one_size(monkeypatch):
     calls = []
     segment_prime_lists = sieve.segment_prime_lists
 
-    def recording(table, g, n0, count, budget=None):
-        calls.append((n0, count))
-        return segment_prime_lists(table, g, n0, count, budget)
+    def recording(table, values, n0, budget=None):
+        calls.append((n0, len(values)))
+        return segment_prime_lists(table, values, n0, budget)
 
     monkeypatch.setattr(sieve, "segment_prime_lists", recording)
     monkeypatch.setattr(sieve, "LIST_SEGMENT", 8)
