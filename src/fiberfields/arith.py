@@ -46,8 +46,8 @@ trial_primes are ascending distinct primes dividing m, and they include
 every prime <= the limit that divides m; primes above the limit may be
 listed too.  That is the caller's obligation, as primality of the
 listed primes is the producer's for Factorization: a missing small prime
-reaches _split and is recorded as a prime part, and a listed non-divisor
-corrupts the cofactor.
+reaches _split and is recorded as a prime part.  A listed prime that does
+not divide m raises DomainError, one more remainder per listed prime.
 
 Either way the cofactor left over is m with every prime <= the limit
 removed, and possibly some larger primes too.  Every part of it that is
@@ -170,13 +170,13 @@ class Factorization:
 
     Primes are strictly increasing and exponents >= 1; the factorization
     of +-1 is the empty product.  Factorization(sign, factors) checks the
-    sign, the order and the exponents.  factor, _p_free and
-    kummer._canonicalize produce their factors in that order by
-    construction and go through ordered(), which skips the check: factor
-    lists its trial primes in the order found (ascending from the trial
-    stage; a caller's list that is not raises) or sorts the parts rho
-    adds, and the other two reduce the exponents of an ordered
-    factorization in place.  Primality of the listed primes is the
+    sign, the order and the exponents.  factor and kummer._canonicalize
+    produce their factors in that order by construction and go through
+    ordered(), which skips the check: factor lists its trial primes in the
+    order found (ascending from the trial stage; a caller's list that is
+    not raises) or sorts the parts rho adds, dropping any whose exponent
+    it reduces mod p to 0, and _canonicalize reduces the exponents of an
+    ordered kernel in place.  Primality of the listed primes is the
     producer's obligation (factor guarantees it); validate() re-checks.
     """
 
@@ -187,7 +187,8 @@ class Factorization:
     def ordered(cls, sign: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
         """Factorization(sign, factors) without the check, for a producer
         whose sign is +-1 and whose primes are strictly increasing with
-        exponents >= 1 by construction."""
+        exponents >= 1 by construction (factor given p drops each prime
+        whose exponent it reduces to 0)."""
         f = _new_object(cls)
         _set_sign(f, sign)
         _set_factors(f, factors)
@@ -597,8 +598,11 @@ def factor(
     n: int,
     budget: int | None = None,
     trial_primes: Sequence[int] | None = None,
+    p: int | None = None,
 ) -> Factorization:
-    """Complete signed prime factorization of a nonzero integer.
+    """Complete signed prime factorization of a nonzero integer, or with p
+    (an integer >= 2) its p-free kernel: the canonical representative of n
+    in Q*/(Q*)^p.
 
     budget (None for DEFAULT_FACTOR_BUDGET, else >= 1) bounds the number
     of rho iterations spent on hard cofactors; running out raises
@@ -606,62 +610,53 @@ def factor(
     given, are ascending distinct primes dividing n that include every
     prime <= TRIAL_DIVISION_LIMIT dividing n (the caller's obligation, see
     the module docstring), and the trial stage is skipped.  A list that is
-    not strictly ascending raises DomainError.  What is left after
-    dividing them out has no prime factor up to the limit, so _split's
-    T**2 rule still holds for it.
+    not strictly ascending, or a listed prime that does not divide what is
+    left of n, raises DomainError.  What is left after dividing them out
+    has no prime factor up to the limit, so _split's T**2 rule still holds
+    for it.
+
+    With p, each exponent of 2 or more is reduced mod p as it is counted
+    and a prime whose exponent becomes 0 is dropped, the parts rho adds
+    likewise after their sort; the sign is kept for even p and absorbed
+    for odd p, where -1 is a p-th power.  So the kernel is the one
+    Factorization built.
     """
     if n == 0:
         raise DomainError("arith", "factor(0) is undefined")
-    sign = 1 if n > 0 else -1
+    if p is not None and p < 2:
+        raise DomainError("arith", f"p must be at least 2, got {p}")
+    sign = 1 if n > 0 or (p is not None and p & 1) else -1
     m = abs(n)
     if trial_primes is None:
-        trial_primes = [p for p in primes_up_to(TRIAL_DIVISION_LIMIT) if m % p == 0]
+        trial_primes = [q for q in primes_up_to(TRIAL_DIVISION_LIMIT) if m % q == 0]
     factors = []
     last = 1
-    for p in trial_primes:
-        if p <= last:
+    for q in trial_primes:
+        if q <= last:
             raise DomainError("arith", "trial primes must be strictly increasing")
-        last = p
-        m //= p
-        if m % p:  # most listed primes divide once
-            factors.append((p, 1))
+        last = q
+        if m % q:
+            raise DomainError("arith", f"trial prime {q} does not divide {n}")
+        m //= q
+        if m % q:  # most listed primes divide once
+            factors.append((q, 1))
             continue
-        m //= p
+        m //= q
         e = 2
-        while m % p == 0:
-            m //= p
+        while m % q == 0:
+            m //= q
             e += 1
-        factors.append((p, e))
+        if p is not None:
+            e %= p
+            if not e:
+                continue
+        factors.append((q, e))
     if m > 1:
         counts = dict(factors)
         _split(m, counts, 1, _Budget(_budget_total(budget)))
         factors = sorted(counts.items())
+        if p is not None:
+            factors = [qe if qe[1] < p else (qe[0], qe[1] % p) for qe in factors if qe[1] % p]
     elif budget is not None:
         _budget_total(budget)  # no rho runs, but a bad budget still raises
     return Factorization.ordered(sign, tuple(factors))
-
-
-def _p_free(f: Factorization, p: int) -> Factorization:
-    """The canonical representative in Q*/(Q*)^p of the number f factors,
-    for p already proven prime: exponents reduced into [1, p-1], the sign
-    kept for p = 2 and absorbed for odd p (-1 is then a p-th power).  f
-    itself when it is reduced already: every exponent below p, and the
-    sign kept (p = 2, or f positive).  Otherwise the new factorization
-    keeps f's own (q, e) pair for every exponent e below p and builds a
-    pair only for a reduced one."""
-    factors = f.factors
-    if p == 2:
-        for _, e in factors:
-            if e > 1:
-                return Factorization.ordered(
-                    f.sign,
-                    tuple([pq if pq[1] == 1 else (pq[0], 1) for pq in factors if pq[1] & 1]),
-                )
-        return f
-    for _, e in factors:
-        if e >= p:
-            return Factorization.ordered(
-                1,
-                tuple([pq if pq[1] < p else (pq[0], pq[1] % p) for pq in factors if pq[1] % p]),
-            )
-    return f if f.sign == 1 else Factorization.ordered(1, factors)

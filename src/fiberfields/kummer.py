@@ -46,10 +46,10 @@ class KummerClass:
     """Class of a nonzero rational in Q*/(Q*)^p up to exponent twist.
 
     The fields are p and the kernel, the factorization with its exponents
-    reduced mod p (arith._p_free).  The canonical form is a function of
-    them, built on first read and cached in the instance's __dict__: the
-    weak isomorphism count reads it, the rank fold and the ramified sets
-    do not.  For p = 2 the canonical form is the
+    reduced mod p, which arith.factor builds when given p.  The canonical
+    form is a function of them, built on first read and cached in the
+    instance's __dict__: the weak isomorphism count reads it, the rank
+    fold and the ramified sets do not.  For p = 2 the canonical form is the
     kernel itself (its only twist is j = 1), so it is returned without a
     cache entry.  Equality and hashing see only p and the kernel, so two
     classes with the same p and kernel compare equal whether or not either
@@ -114,8 +114,10 @@ def radical_class(
     trial_primes: Sequence[int] | None = None,
 ) -> KummerClass:
     """Kummer class of the nonzero rational a for the prime p; its
-    canonical form is built when first read.  trial_primes, for an int a
-    only, is passed to arith.factor; p is proven prime here, once."""
+    canonical form is built when first read.  p is proven prime here,
+    once, and arith.factor(a, budget, trial_primes, p) builds the kernel
+    itself, reducing the exponents mod p as it counts them; trial_primes
+    is for an int a only."""
     if type(a) is not int:  # a plain int skips both conversions
         if trial_primes is not None:
             raise DomainError("kummer", "trial_primes needs an integer a")
@@ -127,7 +129,7 @@ def radical_class(
     if type(a) is not int:
         # a and a * den^p have the same class; num * den^(p-1) is integral
         a = a.numerator * a.denominator ** (p - 1)
-    kernel = arith._p_free(arith.factor(a, budget, trial_primes), p)
+    kernel = arith.factor(a, budget, trial_primes, p)
     # KummerClass(p, kernel), field for field, without the dataclass __init__
     cls = _new_object(KummerClass)
     fields = cls.__dict__

@@ -18,7 +18,6 @@ operations this module provides:
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -641,10 +640,8 @@ class IrreducibleFactorization:
 
 
 def _det_rng(tag: str, *ints: int) -> random.Random:
-    h = hashlib.sha256(
-        (tag + ":" + ",".join(map(str, ints))).encode()
-    ).digest()
-    return random.Random(int.from_bytes(h[:8], "big"))
+    # random seeds from a str by its own sha512, the same in every process
+    return random.Random(tag + ":" + ",".join(map(str, ints)))
 
 
 def _mignotte_bound(f: IntPoly) -> int:

@@ -57,6 +57,12 @@ def test_factor_rejects_nonpositive_budget(budget):
         factor(1_000_003 * 1_000_033, budget=budget)
 
 
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_factor_rejects_p_below_2(p):
+    with pytest.raises(DomainError, match=f"p must be at least 2, got {p}"):
+        factor(12, p=p)
+
+
 def test_is_prime_small_and_carmichael():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(561)  # Carmichael
@@ -104,6 +110,18 @@ def test_factor_rejects_trial_primes_not_strictly_ascending(primes):
         factor(2 * 3 * 5 * 7 * 10007, trial_primes=primes)
 
 
+@pytest.mark.parametrize(
+    "n, primes, q", [(30, [2, 3, 7], 7), (15, [2], 2), (-10007, [10009], 10009)]
+)
+def test_factor_rejects_trial_primes_that_do_not_divide(n, primes, q):
+    # Unchecked, 30 with [2, 3, 7] leaves m = 0, on which the exponent loop
+    # never ends, and 15 with [2] gives 2 * 7.
+    with pytest.raises(DomainError, match=f"trial prime {q} does not divide {n}"):
+        factor(n, trial_primes=primes)
+    with pytest.raises(DomainError, match=f"trial prime {q} does not divide {n}"):
+        factor(n, trial_primes=primes, p=2)
+
+
 @pytest.mark.parametrize("factors", [((3, 1), (2, 1)), ((2, 1), (2, 1)), ((1, 1),), ((2, 0),)])
 def test_factorization_constructor_validates(factors):
     with pytest.raises(DomainError):
@@ -145,16 +163,19 @@ def test_squarefree_kernel_is_2_free_kernel(n):
 @pytest.mark.parametrize(
     "n, p, same",
     [(30, 2, True), (-30, 2, True), (12, 2, False), (-12, 3, False), (12, 3, True),
-     (2**4 * 3**2 * 7, 5, True), (2**5 * 3, 5, False), (1, 2, True), (-1, 3, False)],
+     (2**4 * 3**2 * 7, 5, True), (2**5 * 3, 5, False), (1, 2, True), (-1, 3, False),
+     # the cofactor 10007^2 * 10009 * 10037 is split by rho
+     (-4 * 10007**2 * 10009 * 10037, 2, False)],
 )
 def test_p_free_returns_a_reduced_factorization_itself(n, p, same):
-    """A factorization with every exponent below p and the sign kept is its
-    own p-free kernel, the same object; otherwise a new one is built."""
-    f = factor(n)
-    kernel = arith._p_free(f, p)
-    assert (kernel is f) == same
+    """factor(n, p=p) is the p-free kernel radical_class keeps: every
+    exponent reduced into [1, p-1], the sign kept for p = 2 and absorbed
+    for odd p.  It equals factor(n) exactly when n is reduced already."""
+    kernel = factor(n, p=p)
+    assert (kernel == factor(n)) == same
     assert kernel == radical_class(n, p).kernel
     assert kernel.reconstruct() == oracle_p_free_value(n, p)
+    assert all(1 <= e < p for _, e in kernel.factors)
 
 
 def test_p_free_kernel_exponent_range():
@@ -179,6 +200,8 @@ def test_factorization_invariants_enforced():
         Factorization(1, ((2, 0),))  # exponent < 1
     with pytest.raises(DomainError):
         Factorization(2, ())  # bad sign
+    with pytest.raises(DomainError, match="listed factor 4 is not prime"):
+        Factorization(1, ((4, 1),)).validate()  # only validate() tests primality
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +417,15 @@ def _chernick(k_from, count):
     return out
 
 
+# (6k+1)(12k+1)(18k+1), k = 14001970: a strong pseudoprime to base 2
+# above psi_13, which only Baillie-PSW's strong Lucas step rejects
+_LUCAS_ONLY = 3_557_725_523_452_902_604_315_321
+
 _CARMICHAEL = (
     [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
      5394826801, 232250619601, 9746347772161]
     + _chernick(10**4, 2) + _chernick(10**7, 2) + _chernick(10**9, 2)
+    + [_LUCAS_ONLY]
 )
 
 
@@ -405,6 +433,17 @@ _CARMICHAEL = (
 def test_is_prime_rejects_carmichael_numbers(n):
     assert sympy.isprime(n) is False
     assert not is_prime(n)
+
+
+def test_strong_lucas_step_rejects_composites():
+    assert _LUCAS_ONLY == _chernick(14_001_970, 1)[0] > _PSI[-1]
+    assert _strong_probable_prime(_LUCAS_ONLY, 2)
+    assert not arith._strong_lucas_prp(_LUCAS_ONLY)
+    # a square has no D with (D|n) = -1, so the search ends at its
+    # perfect-square exit
+    r = 10**12 + 39
+    assert is_prime(r)
+    assert not arith._strong_lucas_prp(r * r)
 
 
 def test_psi12_factors_into_its_two_primes():

@@ -124,9 +124,9 @@ def test_cyclic_stream_hands_every_factor_its_trial_primes(monkeypatch):
     calls = []
     real = arith.factor
 
-    def recording(n, budget=None, trial_primes=None):
+    def recording(n, budget=None, trial_primes=None, p=None):
         calls.append((n, trial_primes is not None))
-        return real(n, budget, trial_primes)
+        return real(n, budget, trial_primes, p)
 
     monkeypatch.setattr(arith, "factor", recording)
     cover = cover_from_text("y^2 - (x^3 - x)")
@@ -135,6 +135,32 @@ def test_cyclic_stream_hands_every_factor_its_trial_primes(monkeypatch):
         f.value for f in fibers if f.status != "branch"
     )
     assert {hinted for _, hinted in calls} == {True}
+
+
+def test_cyclic_stream_builds_one_factorization_per_fiber(monkeypatch):
+    """The kernel arith.factor builds with p is the fiber's only
+    Factorization: none is built first at full exponents and reduced
+    after.  At N = 2000 most values of x^3 - x have an even exponent."""
+    built = []
+    ordered = Factorization.ordered.__func__
+    checked = Factorization.__post_init__
+
+    def counting_ordered(cls, sign, factors):
+        f = ordered(cls, sign, factors)
+        built.append(f)
+        return f
+
+    def counting_checked(self):
+        checked(self)
+        built.append(self)
+
+    monkeypatch.setattr(Factorization, "ordered", classmethod(counting_ordered))
+    monkeypatch.setattr(Factorization, "__post_init__", counting_checked)
+    cover = cover_from_text("y^2 - (x^3 - x)")
+    fibers = [f for f in diversity._fiber_stream(cover, 2000) if f.status != "branch"]
+    assert len(fibers) == 1999
+    assert [id(f) for f in built] == [id(f.kummer_class.kernel) for f in fibers]
+    assert sum(any(e > 1 for _, e in arith.factor(f.value).factors) for f in fibers) > 1000
 
 
 @pytest.fixture
@@ -679,6 +705,8 @@ def test_strong_aborts_on_unresolved():
 def test_strong_rejects_plane():
     with pytest.raises(DomainError):
         strong_diversity_rank(plane_cover(parse_poly("y^2 - (x^3 - x)")), 5)
+    with pytest.raises(DomainError, match="N >= 1 required"):
+        strong_diversity_rank(cover_from_text("y^2 - (x^3 - x)"), 0)
 
 
 def test_fp_reducer_odd_p():
@@ -831,6 +859,8 @@ def test_norm_collision_bound_violation_raises():
 def test_norm_collision_rejects_constant():
     with pytest.raises(DomainError):
         norm_collision_check(poly("7"), 10)
+    with pytest.raises(DomainError, match="N >= 1 required"):
+        norm_collision_check(poly("x^2 + 1"), 0)
 
 
 # ---------------------------------------------------------------------------

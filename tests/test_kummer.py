@@ -173,8 +173,9 @@ _LISTED = [2, 3, 5, 7, 13, 10007, 999983, 2**31 - 1, 2**61 - 1]
 @example((2**31 - 1) ** 14 * (2**61 - 1), 2)
 @settings(max_examples=200, deadline=None)
 def test_unchecked_factorizations_equal_validated_ones(a, p):
-    # factor, _p_free and _canonicalize build their Factorizations without
-    # the constructor's check; rebuilt through it, each must be the same.
+    # factor (its kernel reduced mod p as it counts) and _canonicalize
+    # build their Factorizations without the constructor's check; rebuilt
+    # through it, each must be the same.
     oracle = sympy.factorint(abs(a))
     cls = radical_class(a, p, trial_primes=sorted(oracle))
     for f in (cls.kernel, cls.canonical):

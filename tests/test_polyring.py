@@ -41,9 +41,15 @@ def test_parse_examples():
 
 
 def test_parse_syntax_error_offset():
-    with pytest.raises(PolyParseError) as exc:
-        parse_poly("x^^2")
-    assert exc.value.position == 2
+    for text, message, position in [
+        ("x^^2", "expected nonnegative integer exponent", 2),
+        ("x^1025", "exponent 1025 exceeds limit 1024", 2),
+        ("x $ 1", "unexpected character '\\$'", 2),
+    ]:
+        with pytest.raises(PolyParseError, match=message) as exc:
+            parse_poly(text)
+        assert exc.value.position == position
+    assert parse_poly("x^1024").degree == 1024
 
 
 @pytest.mark.parametrize(

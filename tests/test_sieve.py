@@ -688,6 +688,8 @@ def test_square_root_counts_match_exhaustion(h):
 def test_euler_density_rejects_bounds_past_the_root_table():
     with pytest.raises(DomainError):
         euler_density(poly("x^3 + 2"), 2**31)
+    with pytest.raises(DomainError, match="euler_density needs a non-constant polynomial"):
+        euler_density(poly("5"), 100)
 
 
 # ---------------------------------------------------------------------------
@@ -781,3 +783,5 @@ def test_exact_order_rejects_hypothesis_violations():
     with pytest.raises(DomainError) as exc2:
         exact_order_prime_ratio(poly("x^2 - 1"), 5)
     assert "irreducible" in str(exc2.value)
+    with pytest.raises(DomainError, match="n >= 1 required"):
+        exact_order_prime_ratio(poly("x^2 + 1"), 0)
