@@ -84,7 +84,7 @@ from __future__ import annotations
 import math
 import random
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +162,20 @@ def primes_up_to(limit: int) -> list[int]:
                 primes = np.flatnonzero(_kernels.prime_flags(bound))
                 _prime_table = primes, bound
     return primes[: np.searchsorted(primes, limit, side="right")].tolist()
+
+
+def primes_not_dividing(m: int) -> Iterator[int]:
+    """The primes not dividing the nonzero integer m, ascending and without
+    end: a walk over the one table of primes, grown by primes_up_to."""
+    if m == 0:
+        raise DomainError("arith", "every prime divides 0")
+    start, limit = 0, 1024
+    while True:
+        primes = primes_up_to(limit)
+        for q in primes[start:]:
+            if m % q:
+                yield q
+        start, limit = len(primes), 2 * limit
 
 
 @dataclass(frozen=True, slots=True)

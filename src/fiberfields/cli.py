@@ -343,7 +343,8 @@ def _parse_rational(text: str) -> Fraction:
 _JOBS_HELP = "accepted for compatibility; fibers are always processed serially"
 
 
-def _add_common(sub, n_flag=True, poly_source=False, cover_source=False, outputs=("json",)):
+def _add_common(sub, n_flag=True, budget_flag=True, poly_source=False, cover_source=False,
+                outputs=("json",)):
     if cover_source:
         sub.add_argument("--cover", required=True, help="cover equation, e.g. 'y^2 - (x^3 - x)'")
     if poly_source:
@@ -353,7 +354,8 @@ def _add_common(sub, n_flag=True, poly_source=False, cover_source=False, outputs
     sub.add_argument("--output", choices=outputs, default="json")
     sub.add_argument("--out", dest="out_path", help="write the report to this path")
     sub.add_argument("--jobs", type=_positive, default=1, help=_JOBS_HELP)
-    sub.add_argument("--factor-budget", type=_positive, default=None, help="rho iteration budget")
+    if budget_flag:
+        sub.add_argument("--factor-budget", type=_positive, default=None, help="rho iteration budget")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -398,10 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cr, n_flag=False)
 
     bc = subs.add_parser("branch-check", help="branch locus and hypothesis flags")
-    _add_common(bc, n_flag=False, cover_source=True)
+    _add_common(bc, n_flag=False, budget_flag=False, cover_source=True)
 
     nc = subs.add_parser("norm-collisions", help="max multiplicity of |h(n)| on 1..N")
-    _add_common(nc, poly_source=True)
+    _add_common(nc, budget_flag=False, poly_source=True)
 
     return parser
 

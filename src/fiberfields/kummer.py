@@ -16,11 +16,12 @@ Fingerprint equality is agreement at all shared listed primes; the listed
 primes themselves depend on the defining polynomial, so equality is
 deliberately not structural.
 
-A fingerprint also certifies irreducibility.  Its primes divide neither
-the leading coefficient nor the discriminant of a primitive f, so a
-factorization of f in Z[x] reduces mod each of them to one with the same
-degrees; when f is irreducible mod one listed prime (it is inert), f is
-irreducible over Q.  factor_certified reads that certificate first and
+A fingerprint also certifies irreducibility.  Its primes are the first
+primes dividing neither the leading coefficient nor the discriminant of
+a primitive f (arith.primes_not_dividing), so a factorization of f in
+Z[x] reduces mod each of them to one with the same degrees; when f is
+irreducible mod one listed prime (it is inert), f is irreducible over Q.
+factor_certified reads that certificate first, for f of any degree, and
 calls factor_over_Q only when no listed prime is inert; it is the one
 place covers and kummer decide whether a fiber or a minimal polynomial is
 irreducible.
@@ -32,6 +33,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import _modpoly, arith, polyring
 from .arith import Factorization
@@ -195,24 +197,21 @@ def factor_certified(
     f: IntPoly, prime_budget: int = DEFAULT_PRIME_BUDGET
 ) -> tuple[IrreducibleFactorization, FieldFingerprint | None]:
     """factor_over_Q(f), and the fingerprint of f's primitive part when
-    that part is squarefree of degree 1..polyring.FACTOR_DEGREE_BOUND
-    (else None: f is constant, has a repeated factor, or is refused by
-    factor_over_Q's degree bound).
+    that part is squarefree of degree >= 1 (else None: f is constant or
+    has a repeated factor).
 
     The fingerprint comes first.  When one of its primes is inert, the
     primitive part is irreducible (see the module docstring), and the
     factorization factor_over_Q would return, content times that part, is
     built without calling it.  The discriminant is computed once, here."""
     prim = f.primitive()
-    if 1 <= prim.degree <= polyring.FACTOR_DEGREE_BOUND:
-        disc = polyring.discriminant(prim)
-        if disc:
-            fp = _fingerprint_irreducible(prim, prime_budget, disc)
-            whole = (prim.degree,)
-            if any(degrees == whole for _, degrees in fp.splitting):
-                return IrreducibleFactorization(f.content(), ((prim, 1),)), fp
-            return polyring.factor_over_Q(f), fp
-    return polyring.factor_over_Q(f), None
+    disc = polyring.discriminant(prim) if prim.degree >= 1 else 0
+    if not disc:
+        return polyring.factor_over_Q(f), None
+    fp = _fingerprint_irreducible(prim, prime_budget, disc)
+    if any(degrees == (prim.degree,) for _, degrees in fp.splitting):
+        return IrreducibleFactorization(f.content(), ((prim, 1),)), fp
+    return polyring.factor_over_Q(f), fp
 
 
 def field_fingerprint(
@@ -244,24 +243,12 @@ def _fingerprint_irreducible(
     prime divides it, so none could be listed."""
     if prime_budget < 1:
         raise DomainError("kummer", "prime_budget must be positive")
-    degree = prim.degree
     if disc is None:  # raises for degree < 1
         disc = polyring.discriminant(prim)
     if disc == 0:
         raise DomainError("kummer", "fingerprint needs a squarefree polynomial (zero discriminant)")
-    skip = abs(disc) * abs(prim.lc)
-    splitting = []
-    limit = 1000
-    while True:
-        for q in arith.primes_up_to(limit):
-            if skip % q == 0:
-                continue
-            if splitting and q <= splitting[-1][0]:
-                continue
-            degrees = tuple(
-                _modpoly.splitting_degrees(_modpoly.from_int_coeffs(prim.coeffs, q), q)
-            )
-            splitting.append((q, degrees))
-            if len(splitting) == prime_budget:
-                return FieldFingerprint(degree, tuple(splitting))
-        limit *= 4
+    splitting = tuple(
+        (q, tuple(_modpoly.splitting_degrees(_modpoly.from_int_coeffs(prim.coeffs, q), q)))
+        for q in islice(arith.primes_not_dividing(disc * prim.lc), prime_budget)
+    )
+    return FieldFingerprint(prim.degree, splitting)

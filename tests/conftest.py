@@ -106,6 +106,16 @@ def x():
     return poly("x")
 
 
+@pytest.fixture(scope="session")
+def swinnerton_dyer_32() -> IntPoly:
+    """The degree-32 Swinnerton-Dyer polynomial, the product of the
+    x + (+-sqrt 2 +- sqrt 3 +- sqrt 5 +- sqrt 7 +- sqrt 11): irreducible over
+    Q, and a product of linear and quadratic factors mod every prime."""
+    from sympy.polys.specialpolys import swinnerton_dyer_poly
+
+    return IntPoly([int(c) for c in reversed(swinnerton_dyer_poly(5, polys=True).all_coeffs())])
+
+
 @st.composite
 def shaped_polynomials(draw, repeated=True):
     """Integer polynomials of degree >= 1 in the shapes where reduction mod

@@ -273,6 +273,17 @@ def test_primes_up_to_sieves_one_table_a_few_times(monkeypatch):
     assert arith.primes_up_to(1) == arith.primes_up_to(-3) == []
 
 
+def test_primes_not_dividing_walks_past_the_table(monkeypatch):
+    """The walk lists the primes not dividing m in ascending order, across
+    each growth of a table that starts empty; every prime divides 0."""
+    monkeypatch.setattr(arith, "_prime_table", (np.zeros(0, dtype=np.int64), 0))
+    m = -(3**4) * math.prod(sympy.primerange(2, 3000))
+    walk = arith.primes_not_dividing(m)
+    assert [next(walk) for _ in range(500)] == list(sympy.primerange(3000, 8000))[:500]
+    with pytest.raises(DomainError, match="every prime divides 0"):
+        next(arith.primes_not_dividing(0))
+
+
 # ---------------------------------------------------------------------------
 # Miller-Rabin threshold table
 # ---------------------------------------------------------------------------

@@ -269,6 +269,23 @@ def test_exit_code_budget_error(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_factoring_past_degree_12(tmp_path, capsys, swinnerton_dyer_32):
+    """factor_over_Q has no degree bound: the branch polynomial -4x^15 - 27
+    of y^3 + x^5 y + 1 and g = x^13 + x + 1 factor.  Its recombination
+    limit does: g of degree 32 with 16 or more modular factors and no
+    proper factor exits 3, naming polyring."""
+    out = tmp_path / "r.json"
+    assert main(["branch-check", "--cover", "y^3 + x^5*y + 1", "--out", str(out)]) == 0
+    assert load(out)["summary"]["branch_factor_degrees"] == [15]
+    cover = "y^13 - (x^13 + x + 1)"
+    assert main(["weak-diversity", "--cover", cover, "--N", "10", "--out", str(out)]) == 0
+    assert load(out)["summary"]["distinct_fields"] == 10
+    capsys.readouterr()
+    cover = f"y^2 - ({polyring.format_poly(swinnerton_dyer_32)})"
+    assert main(["branch-check", "--cover", cover]) == 3
+    assert capsys.readouterr().err.startswith("error: polyring: recombining ")
+
+
 # The count flags of each subcommand besides --jobs and --factor-budget.
 _COUNT_FLAGS = {
     "weak-diversity": ["--N", "--primes"],
@@ -291,19 +308,28 @@ _COUNT_FLAGS = {
     ids=lambda args: args[0],
 )
 def test_jobs_is_accepted_but_must_be_positive(args, tmp_path, capsys):
-    """Every subcommand takes the common flags --output, --out, --jobs and
-    --factor-budget, and processes fibers serially whatever --jobs is; the
-    parser refuses 0 and a non-integer for --jobs and for each of its other
-    count flags with exit status 2, naming the flag."""
+    """Every subcommand takes the common flags --output, --out and --jobs,
+    and processes fibers serially whatever --jobs is; those that factor
+    integers take --factor-budget, and branch-check and norm-collisions,
+    which do not, refuse it.  The parser refuses 0 and a non-integer for
+    --jobs and for each of its other count flags with exit status 2,
+    naming the flag."""
     with pytest.raises(SystemExit):
         main([args[0], "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert "accepted for compatibility; fibers are always processed serially" in help_text
     out = tmp_path / "r.json"
-    common = ["--output", "json", "--out", str(out), "--jobs", "3", "--factor-budget", "100000"]
+    budget = ["--factor-budget", "100000"]
+    budgeted = args[0] not in ("branch-check", "norm-collisions")
+    common = ["--output", "json", "--out", str(out), "--jobs", "3"] + (budget if budgeted else [])
     assert main(args + common) == 0
     validate_schema(load(out))
-    for flag in _COUNT_FLAGS.get(args[0], []) + ["--jobs", "--factor-budget"]:
+    if not budgeted:
+        with pytest.raises(SystemExit) as exc:
+            main(args + budget)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --factor-budget 100000" in capsys.readouterr().err
+    for flag in _COUNT_FLAGS.get(args[0], []) + ["--jobs"] + (["--factor-budget"] if budgeted else []):
         with pytest.raises(SystemExit) as exc:
             main(args + [flag, "0"])
         assert exc.value.code == 2
@@ -727,7 +753,6 @@ def test_cyclic_branch_check_matches_a_reference_from_sympy(p, content, factors)
     g = IntPoly((content,))
     for f, m in factors:
         g = g * IntPoly(f).pow(m)
-    assume(g.degree <= 12)
     x = sympy.Symbol("x")
     lc, pairs = sympy.factor_list(sympy.Poly(list(reversed(g.coeffs)), x))
     assume(any(m % p for _, m in pairs))
@@ -737,13 +762,15 @@ def test_cyclic_branch_check_matches_a_reference_from_sympy(p, content, factors)
 
 @given(
     d=st.sampled_from([2, 3]),
-    coeffs=st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=3), min_size=3, max_size=3),
+    coeffs=st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=6), min_size=3, max_size=3),
 )
 @example(d=3, coeffs=[[1, 0, 1], [0, 1], [0]])  # y^3 + xy + x^2 + 1
+@example(d=3, coeffs=[[1], [0, 0, 0, 0, 0, 1], [0]])  # y^3 + x^5 y + 1: -4x^15 - 27
 @settings(max_examples=40, deadline=None)
 def test_plane_branch_check_matches_a_reference_from_sympy(d, coeffs):
-    """branch-check on a monic plane model F of y-degree 2 or 3: the branch
-    fields of cli.run's JSON are those of sympy.discriminant(F, y)."""
+    """branch-check on a monic plane model F of y-degree 2 or 3 and
+    x-degree up to 5, so that its y-discriminant may pass degree 12: the
+    branch fields of cli.run's JSON are those of sympy.discriminant(F, y)."""
     x, y = sympy.symbols("x y")
     terms = [((0, d), 1)] + [((i, j), c) for j, col in enumerate(coeffs[:d])
                              for i, c in enumerate(col) if c]

@@ -254,8 +254,8 @@ def test_fingerprint_examples():
 
 def test_fingerprint_past_the_first_thousand_primes():
     """300 primes not dividing disc(x^3 - x - 1) = -23 run past 1,000, so
-    the search grows its sieve and skips the primes it has listed: each
-    is listed once, in order, the last 1,993, with sympy's splitting type."""
+    the walk over the prime table passes its first bound: each is listed
+    once, in order, the last 1,993, with sympy's splitting type."""
     fp = field_fingerprint(poly("x^3 - x - 1"), 300)
     primes = [q for q in sympy.primerange(2, 2000) if q != 23][:300]
     assert [q for q, _ in fp.splitting] == primes and primes[-1] == 1993
@@ -311,10 +311,19 @@ def test_factor_certified_is_factor_over_Q(coeffs, scale, square):
         assert (fp.degree, fp.splitting) == (ref.degree, ref.splitting)
 
 
-def test_factor_certified_keeps_the_degree_bound():
-    # x^13 + 2 is Eisenstein at 2, so an inert prime would certify it
-    with pytest.raises(DomainError, match="exceeds factorization bound"):
-        kummer.factor_certified(poly("x^13 + 2"))
+def test_factor_certified_needs_no_degree_bound(monkeypatch):
+    """x^13 + 2 (Eisenstein at 2) is certified irreducible by an inert
+    prime among its fingerprint's, with no call to factor_over_Q."""
+
+    def refuse(f):
+        raise AssertionError("factor_over_Q called")
+
+    monkeypatch.setattr(polyring, "factor_over_Q", refuse)
+    f = poly("x^13 + 2")
+    fact, fp = kummer.factor_certified(f)
+    assert fact == polyring.IrreducibleFactorization(1, ((f, 1),))
+    assert fp.degree == 13
+    assert any(degrees == (13,) for _, degrees in fp.splitting)
 
 
 def test_fingerprint_rejects_reducible():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fiberfields import _kernels, _modpoly, polyring, sieve
-from fiberfields.errors import DomainError, PolyParseError
+from fiberfields.errors import BudgetError, DomainError, PolyParseError
 from fiberfields.polyring import (
     IntPoly,
     PlanePoly,
@@ -312,12 +313,74 @@ def test_factor_deterministic():
     assert degs == sorted(degs)
 
 
-def test_factor_degree_bound(monkeypatch):
-    with pytest.raises(DomainError, match="degree 13 exceeds factorization bound 12"):
-        factor_over_Q(poly("x^13 + x + 1"))
-    monkeypatch.setattr(polyring, "FACTOR_DEGREE_BOUND", 13)
+def test_factor_has_no_degree_bound(swinnerton_dyer_32):
+    """factor_over_Q takes any degree; only its subset recombination is
+    limited.  The degree-32 Swinnerton-Dyer polynomial is irreducible with
+    at least 16 modular factors, so proving it would try more than
+    RECOMBINATION_LIMIT subsets: it raises BudgetError instead."""
     fact = factor_over_Q(poly("x^13 + x + 1"))
     assert [(p.coeffs, m) for p, m in fact.factors] == [((1, 1) + (0,) * 11 + (1,), 1)]
+    with pytest.raises(BudgetError, match=r"^polyring: recombining \d+ modular factors passed 4096"):
+        factor_over_Q(swinnerton_dyer_32)
+
+
+def _most_subsets_tried(r):
+    """The most subsets recombination tries with r modular factors: at
+    each size s, j factors of size s found, then a pass over all
+    C(r - js, s) subsets of the rest, while 2s <= r - js."""
+    return sum(
+        math.comb(r - j * s, s) for s in range(1, r // 2 + 1) for j in range((r - 2 * s) // s + 1)
+    )
+
+
+def test_recombination_limit_covers_twelve_modular_factors(monkeypatch):
+    """A polynomial of degree <= 12 has at most 12 modular factors, so it
+    always factors within the limit.  The limit counts subsets exactly: an
+    irreducible f with r modular factors tries every subset of size up to
+    r/2, and factors at that limit but not one below it."""
+    assert (_most_subsets_tried(12), _most_subsets_tried(13)) == (2842, 4575)
+    assert polyring.RECOMBINATION_LIMIT >= _most_subsets_tried(12)
+    x = sympy.Symbol("x")
+    sd16 = sympy.polys.specialpolys.swinnerton_dyer_poly(4, x, polys=True)
+    f = IntPoly([int(c) for c in reversed(sd16.all_coeffs())])
+    p = polyring._good_prime(f)
+    r = sum(m for _, m in sympy.Poly(sd16, x, modulus=p).factor_list()[1])
+    tried = sum(math.comb(r, s) for s in range(1, r // 2 + 1))
+    monkeypatch.setattr(polyring, "RECOMBINATION_LIMIT", tried)
+    assert factor_over_Q(f).factors == ((f, 1),)
+    monkeypatch.setattr(polyring, "RECOMBINATION_LIMIT", tried - 1)
+    with pytest.raises(BudgetError):
+        factor_over_Q(f)
+
+
+@given(
+    content=st.sampled_from([1, -1, 2, -6, 45]),
+    pieces=st.lists(
+        st.tuples(coeff_lists.map(IntPoly).filter(lambda f: f.degree >= 1), st.integers(1, 3)),
+        min_size=1,
+        max_size=5,
+    ),
+)
+@example(content=1, pieces=[(poly("x^20 + 1"), 1)])
+@example(content=1, pieces=[(poly("x^24 - 1"), 1)])
+@example(content=-1, pieces=[(poly("4x^15 + 27"), 1)])
+@settings(max_examples=200, deadline=None)
+def test_factor_over_Q_matches_sympy_factor_list(content, pieces):
+    """factor_over_Q of content times the pieces to their multiplicities,
+    each piece kept while the degree stays <= 30, is sympy's factor_list:
+    the same content and the same irreducible factors and multiplicities."""
+    f = IntPoly((content,))
+    for piece, m in pieces:
+        if (f * piece.pow(m)).degree <= 30:
+            f = f * piece.pow(m)
+    assume(f.degree >= 1)
+    x = sympy.Symbol("x")
+    lc, pairs = sympy.factor_list(sympy.Poly(list(reversed(f.coeffs)), x))
+    fact = factor_over_Q(f)
+    assert fact.content == lc
+    assert sorted((p.coeffs, m) for p, m in fact.factors) == sorted(
+        (tuple(int(c) for c in reversed(p.all_coeffs())), m) for p, m in pairs
+    )
 
 
 def test_squarefree_decomposition_round_trip():

@@ -138,6 +138,24 @@ def test_primes_have_one_owner():
     assert found == []
 
 
+def test_good_primes_have_one_walk():
+    # A polynomial's good primes, those not dividing its leading
+    # coefficient times its discriminant, come from arith's one walk
+    # (arith.primes_not_dividing): kummer and polyring cut no list of
+    # primes of their own.
+    found = {
+        path.name: {
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias) else None
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        } & {"primes_up_to", "primes_not_dividing"}
+        for path in SOURCES
+        if path.name in ("kummer.py", "polyring.py")
+    }
+    assert found == {"kummer.py": {"primes_not_dividing"}, "polyring.py": {"primes_not_dividing"}}
+
+
 def test_irreducibility_is_decided_in_one_place():
     # Whether F(n, y) or a minimal polynomial is irreducible is decided by
     # one rule: an inert prime among its fingerprint's first,
